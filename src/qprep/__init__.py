@@ -19,7 +19,6 @@ from .prepare import (
     compute_angles,
     compute_marginals,
     fast_path_prepare,
-    prepare,
     required_precision,
     simulate_preparation,
 )
@@ -41,7 +40,7 @@ from .sim import (
 )
 from .synth import (
     SynthesisResult,
-    count_gates,
+    count_gate_list,
     peel_synthesize,
     reconstruct,
     sparse_synthesize,

@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .prepare import (
     PrecisionConfig,
     TargetVector,
     build,
-    build_phase_stage,
+    fast_path_prepare,
     simulate_preparation,
 )
-from .sim import StateVector
+from .sim import Circuit, StateVector
 from .synth import count_gate_list
 
 BOUND_SLACK = 1e-12
@@ -85,7 +86,12 @@ def total_distance_bound(x: TargetVector, cfg: PrecisionConfig) -> float:
 
 @dataclass
 class BoundReport:
-    """One measured-versus-bound cell of a verification run."""
+    """One measured-versus-bound cell: a ``verify`` row or a ``prepare`` report.
+
+    The fields after ``error`` are not part of a row; they carry the
+    prepared state and circuit that ``qprep prepare`` reports and emits, and
+    are unset on a failed cell.
+    """
 
     config: dict
     measured_distance: float
@@ -96,6 +102,10 @@ class BoundReport:
     satisfied: bool
     seed: int | None = None
     error: str | None = None
+    amplitudes: np.ndarray | None = None
+    overlap_fidelity: float | None = None
+    estimation_residual: float | None = None
+    circuit: Circuit | None = None
 
     def to_json_dict(self) -> dict:
         record = {
@@ -113,100 +123,94 @@ class BoundReport:
         return record
 
 
-REPORT_COLUMNS = (
-    "config",
-    "measured_distance",
-    "theoretical_bound",
-    "measured_success_probability",
-    "success_lower_bound",
-    "gate_counts",
-    "satisfied",
-    "seed",
-)
+def write_rows(path: str | None, rows: list[dict]) -> None:
+    """Write rows as JSON lines, to stdout when ``path`` is None, or as CSV
+    when ``path`` ends in ``.csv``.
+
+    CSV columns are the first row's keys (just ``suite`` when there are no
+    rows), and dict values are written as JSON.
+    """
+    if path is not None and str(path).endswith(".csv"):
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]) if rows else ["suite"])
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: json.dumps(v) if isinstance(v, dict) else v
+                                 for k, v in row.items()})
+        return
+    lines = (json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    if path is None:
+        sys.stdout.writelines(lines)
+    else:
+        with open(path, "w") as handle:
+            handle.writelines(lines)
 
 
-def report_row(report: BoundReport) -> dict:
-    """CSV row with the same columns as the JSON keys, flattened to strings."""
-    record = report.to_json_dict()
-    row = dict(record)
-    row["config"] = json.dumps(record["config"], sort_keys=True)
-    row["gate_counts"] = ";".join(
-        f"{key}:{count}" for key, count in record["gate_counts"].items()
-    )
-    return {key: row[key] for key in REPORT_COLUMNS}
-
-
-def write_reports_csv(path, reports: Iterable[BoundReport]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        for report in reports:
-            writer.writerow(report_row(report))
-
-
-def write_reports_json(path, reports: Iterable[BoundReport]) -> None:
-    # One object per line so long sweeps stream and partial output stays usable.
-    with open(path, "w") as handle:
-        for report in reports:
-            handle.write(json.dumps(report.to_json_dict(), sort_keys=True))
-            handle.write("\n")
-
-
-def _config_dict(x: TargetVector, cfg: PrecisionConfig, epsilon: float | None) -> dict:
-    return {
-        "n": x.num_qubits,
-        "t": cfg.estimation_bits,
-        "t_prime": cfg.phase_bits,
-        "m": cfg.phase_bits,
-        "mode": cfg.mode,
-        "angle_multiplier": cfg.angle_multiplier,
-        "epsilon": epsilon,
-    }
+def _config_dict(n: int, t: int, t_prime: int, mode: str,
+                 angle_multiplier: int | None = None,
+                 epsilon: float | None = None) -> dict:
+    return {"n": n, "t": t, "t_prime": t_prime, "mode": mode,
+            "angle_multiplier": angle_multiplier, "epsilon": epsilon}
 
 
 def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
                     epsilon: float | None = None,
-                    seed: int | None = None) -> BoundReport:
-    """Run the full pipeline for one vector and compare against the bounds.
+                    seed: int | None = None,
+                    fast_path: bool = False) -> BoundReport:
+    """Build the circuit for one vector, prepare the state and compare it
+    against the bounds.
 
-    When ``epsilon`` is given it is used as the bound (the widths are then
+    The state comes from the full simulation, or with ``fast_path`` from the
+    ancilla-free reference route (the success probability is then the
+    build's exact one, and there is no estimation residual).  When
+    ``epsilon`` is given it is used as the bound (the widths are then
     expected to come from ``required_precision``); otherwise the analytic
     formula for the configured widths applies.
     """
-    prepared = simulate_preparation(build(x, cfg))
-    target = StateVector(x.num_qubits, x.amplitudes())
-    distance = state_distance(prepared.state(), target)
-    bound = epsilon if epsilon is not None else total_distance_bound(x, cfg)
-
-    if cfg.mode == PROBABILISTIC:
-        measured_success = prepared.success_probability
-        lower = success_lower_bound(x)
-        satisfied = (distance <= bound + BOUND_SLACK
-                     and measured_success >= lower - BOUND_SLACK)
+    built = build(x, cfg)
+    if fast_path:
+        amplitudes = fast_path_prepare(x, cfg).amplitudes
+        success, residual = built.expected_success_probability, None
     else:
-        measured_success = None
-        lower = None
-        satisfied = distance <= bound + BOUND_SLACK
+        prepared = simulate_preparation(built)
+        amplitudes = prepared.amplitudes
+        success, residual = prepared.success_probability, prepared.estimation_residual
 
-    counts = count_gate_list(build_phase_stage(x, cfg.phase_bits).gates)
+    state = StateVector(x.num_qubits, amplitudes)
+    target = StateVector(x.num_qubits, x.amplitudes())
+    distance = state_distance(state, target)
+    bound = epsilon if epsilon is not None else total_distance_bound(x, cfg)
+    satisfied = distance <= bound + BOUND_SLACK
+    lower = None
+    if cfg.mode == PROBABILISTIC:
+        lower = success_lower_bound(x)
+        satisfied = satisfied and success >= lower - BOUND_SLACK
+    else:
+        success = None
+
     return BoundReport(
-        config=_config_dict(x, cfg, epsilon),
+        config=_config_dict(x.num_qubits, cfg.estimation_bits, cfg.phase_bits,
+                            cfg.mode, cfg.angle_multiplier, epsilon),
         measured_distance=distance,
         theoretical_bound=bound,
-        measured_success_probability=measured_success,
+        measured_success_probability=success,
         success_lower_bound=lower,
-        gate_counts=counts,
+        gate_counts=count_gate_list(built.phase_stage),
         satisfied=satisfied,
         seed=seed,
+        amplitudes=amplitudes,
+        overlap_fidelity=overlap_fidelity(state, target),
+        estimation_residual=residual,
+        circuit=built.circuit,
     )
 
 
-def iter_sweep(vectors: list[TargetVector],
-               estimation_bits: list[int],
-               phase_bits: list[int],
-               modes: list[str],
-               seeds: list[int] | None = None) -> Iterator[BoundReport]:
-    """Cartesian evaluation in deterministic order (vector, mode, t, t').
+def sweep(vectors: list[TargetVector],
+          estimation_bits: list[int],
+          phase_bits: list[int],
+          modes: list[str],
+          seeds: list[int] | None = None) -> Iterator[BoundReport]:
+    """Lazy cartesian evaluation in deterministic order (vector, mode, t, t').
 
     A failing cell is recorded with ``error`` set and the sweep continues.
     """
@@ -218,13 +222,10 @@ def iter_sweep(vectors: list[TargetVector],
             for t in estimation_bits:
                 for tp in phase_bits:
                     try:
-                        cfg = PrecisionConfig(t, tp, mode)
-                        yield evaluate_bounds(x, cfg, seed=seed)
+                        yield evaluate_bounds(x, PrecisionConfig(t, tp, mode), seed=seed)
                     except Exception as exc:  # record and keep sweeping
                         yield BoundReport(
-                            config={"n": x.num_qubits, "t": t, "t_prime": tp,
-                                    "m": tp, "mode": mode,
-                                    "angle_multiplier": None, "epsilon": None},
+                            config=_config_dict(x.num_qubits, t, tp, mode),
                             measured_distance=math.nan,
                             theoretical_bound=math.nan,
                             measured_success_probability=None,
@@ -234,14 +235,6 @@ def iter_sweep(vectors: list[TargetVector],
                             seed=seed,
                             error=f"{type(exc).__name__}: {exc}",
                         )
-
-
-def sweep(vectors: list[TargetVector],
-          estimation_bits: list[int],
-          phase_bits: list[int],
-          modes: list[str],
-          seeds: list[int] | None = None) -> list[BoundReport]:
-    return list(iter_sweep(vectors, estimation_bits, phase_bits, modes, seeds))
 
 
 def random_target_vector(num_qubits: int, rng: np.random.Generator,

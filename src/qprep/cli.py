@@ -28,7 +28,7 @@ from .prepare import (
     required_precision,
     simulate_preparation,
 )
-from .sim import Circuit, StateVector
+from .sim import Circuit
 from .synth import peel_synthesize, reconstruct, sparse_synthesize
 
 _MODES = {"det": DETERMINISTIC, "prob": PROBABILISTIC}
@@ -43,77 +43,75 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_json_or_csv(path: str):
+def _number(where: str, name: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {name} {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {name} {number!r} is not finite")
+    return number
+
+
+def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndarray:
+    """One column of finite numbers per name in ``fields``, one row per basis
+    index, read from JSON {"n", key} (``values`` unpacks each entry) or from
+    CSV rows index,<fields> in any order under an optional header.  Every
+    error names the file and the entry or row at fault.
+    """
     if str(path).endswith(".csv"):
         with open(path, newline="") as handle:
-            return list(csv.reader(handle))
-    with open(path) as handle:
-        return json.load(handle)
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader if row]
+        if rows and not rows[0][1][0].strip().lstrip("-").isdigit():
+            rows = rows[1:]  # header row
+        size = len(rows)
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"{path}: row count {size} is not a power of two >= 2")
+        cells = [None] * size
+        for line, row in rows:
+            where = f"{path}: row {line}"
+            if len(row) != 1 + len(fields):
+                raise ValueError(f"{where}: {row!r} needs index,{','.join(fields)}")
+            try:
+                index = int(row[0])
+            except ValueError:
+                raise ValueError(f"{where}: index {row[0]!r} is not an integer") from None
+            if not 0 <= index < size:
+                raise ValueError(f"{where}: index {index} outside [0, {size})")
+            if cells[index] is not None:
+                raise ValueError(f"{where}: index {index} repeated")
+            cells[index] = (where, row[1:])
+    else:
+        try:
+            with open(path) as handle:
+                raw = json.load(handle)
+            n = int(raw["n"])
+            cells = [(f"{path}: entry {index}", values(entry))
+                     for index, entry in enumerate(raw[key])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed file {path}: {exc}") from exc
+        if n < 1 or len(cells) != 1 << n:
+            raise ValueError(f"{path}: expected 2^n >= 2 entries for n={n}, "
+                             f"got {len(cells)}")
+    return np.array([[_number(where, name, value) for name, value in zip(fields, row)]
+                     for where, row in cells]).T.copy()
 
 
 def load_vector(path: str) -> TargetVector:
     """Read a target vector from JSON {"n", "entries"} or CSV index,magnitude,phase."""
-    raw = _load_json_or_csv(path)
-    if isinstance(raw, dict):
-        try:
-            n = int(raw["n"])
-            entries = raw["entries"]
-            magnitudes = [float(e["magnitude"]) for e in entries]
-            phases = [float(e["phase"]) for e in entries]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed vector file {path}: {exc}") from exc
-        if len(entries) != 1 << n:
-            raise ValueError(
-                f"{path}: expected {1 << n} entries for n={n}, got {len(entries)}"
-            )
-        return TargetVector(n, np.array(magnitudes), np.array(phases))
-    rows = [row for row in raw if row]
-    if rows and not rows[0][0].strip().lstrip("-").isdigit():
-        rows = rows[1:]  # header row
-    size = len(rows)
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"{path}: row count {size} is not a power of two >= 2")
-    magnitudes = np.zeros(size)
-    phases = np.zeros(size)
-    seen = set()
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"{path}: row {row!r} needs index,magnitude,phase")
-        index = int(row[0])
-        if index in seen or not 0 <= index < size:
-            raise ValueError(f"{path}: bad or repeated index {index}")
-        seen.add(index)
-        magnitudes[index] = float(row[1])
-        phases[index] = float(row[2])
-    return TargetVector(size.bit_length() - 1, magnitudes, phases)
+    magnitudes, phases = _load_table(path, "entries", ("magnitude", "phase"),
+                                     lambda e: (e["magnitude"], e["phase"]))
+    try:
+        return TargetVector(magnitudes.size.bit_length() - 1, magnitudes, phases)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_phases(path: str) -> list[float]:
     """Read diagonal phases from JSON {"n", "phases"} or CSV index,phase."""
-    raw = _load_json_or_csv(path)
-    if isinstance(raw, dict):
-        try:
-            n = int(raw["n"])
-            phases = [float(v) for v in raw["phases"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed phases file {path}: {exc}") from exc
-        if len(phases) != 1 << n:
-            raise ValueError(
-                f"{path}: expected {1 << n} phases for n={n}, got {len(phases)}"
-            )
-        return phases
-    rows = [row for row in raw if row]
-    if rows and not rows[0][0].strip().lstrip("-").isdigit():
-        rows = rows[1:]
-    size = len(rows)
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"{path}: row count {size} is not a power of two >= 2")
-    phases = [0.0] * size
-    for row in rows:
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {row!r} needs index,phase")
-        phases[int(row[0])] = float(row[1])
-    return phases
+    (phases,) = _load_table(path, "phases", ("phase",), lambda v: (v,))
+    return phases.tolist()
 
 
 def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
@@ -135,29 +133,9 @@ def cmd_prepare(args) -> int:
             raise UsageError("give --epsilon, or both --t and --t-prime")
         cfg = PrecisionConfig(args.t, args.t_prime, mode, args.multiplier)
 
-    result = build(x, cfg)
-    if args.fast_path:
-        amplitudes = fast_path_prepare(x, cfg).amplitudes
-        success = result.expected_success_probability
-        residual = None
-    else:
-        prepared = simulate_preparation(result)
-        amplitudes = prepared.amplitudes
-        success = prepared.success_probability
-        residual = prepared.estimation_residual
-
-    target = StateVector(x.num_qubits, x.amplitudes())
-    state = StateVector(x.num_qubits, amplitudes)
-    distance = analysis.state_distance(state, target)
-    fidelity = analysis.overlap_fidelity(state, target)
-    bound = args.epsilon if args.epsilon is not None \
-        else analysis.total_distance_bound(x, cfg)
-    satisfied = distance <= bound + analysis.BOUND_SLACK
-    lower = None
-    if mode == PROBABILISTIC:
-        lower = analysis.success_lower_bound(x)
-        satisfied = satisfied and success >= lower - analysis.BOUND_SLACK
-
+    record = analysis.evaluate_bounds(x, cfg, epsilon=args.epsilon,
+                                      fast_path=args.fast_path)
+    success = record.measured_success_probability
     sampled = None
     if args.sample and mode == PROBABILISTIC:
         rng = np.random.default_rng(args.seed)
@@ -174,16 +152,16 @@ def cmd_prepare(args) -> int:
         "epsilon": args.epsilon,
         "computation_path": "fast-path" if args.fast_path else "full-circuit",
         "seed": args.seed,
-        "qubits": result.circuit.num_qubits,
-        "gate_count": len(result.circuit.gates),
-        "prepared_amplitudes": _amplitude_pairs(amplitudes),
-        "distance_to_target": distance,
-        "overlap_fidelity": fidelity,
-        "theoretical_bound": bound,
-        "bound_satisfied": satisfied,
-        "success_probability": success if mode == PROBABILISTIC else None,
-        "success_lower_bound": lower,
-        "estimation_residual": residual,
+        "qubits": record.circuit.num_qubits,
+        "gate_count": len(record.circuit.gates),
+        "prepared_amplitudes": _amplitude_pairs(record.amplitudes),
+        "distance_to_target": record.measured_distance,
+        "overlap_fidelity": record.overlap_fidelity,
+        "theoretical_bound": record.theoretical_bound,
+        "bound_satisfied": record.satisfied,
+        "success_probability": success,
+        "success_lower_bound": record.success_lower_bound,
+        "estimation_residual": record.estimation_residual,
         "sampled_outcome": sampled,
     }
     text = json.dumps(report, indent=2)
@@ -194,10 +172,10 @@ def cmd_prepare(args) -> int:
     else:
         print(text)
     if args.emit:
-        save_circuit(args.emit, result.circuit, x.num_qubits)
-    if not satisfied:
-        print(f"bound violated: distance {distance:.6g} > {bound:.6g}",
-              file=sys.stderr)
+        save_circuit(args.emit, record.circuit, x.num_qubits)
+    if not record.satisfied:
+        print(f"bound violated: distance {record.measured_distance:.6g}"
+              f" > {record.theoretical_bound:.6g}", file=sys.stderr)
         return 2
     return 0
 
@@ -317,25 +295,6 @@ def _suite_bounds(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     return rows
 
 
-def _write_rows(path: str | None, rows: list[dict]) -> None:
-    if path is None:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    elif path.endswith(".csv"):
-        fieldnames = list(rows[0].keys()) if rows else ["suite"]
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: json.dumps(v) if isinstance(v, dict) else v
-                                 for k, v in row.items()})
-    else:
-        with open(path, "w") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True))
-                handle.write("\n")
-
-
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.suite == "synth":
@@ -344,7 +303,7 @@ def cmd_verify(args) -> int:
         rows = _suite_dualpath(args.n, args.trials, rng)
     else:
         rows = _suite_bounds(args.n, args.trials, rng)
-    _write_rows(args.out, rows)
+    analysis.write_rows(args.out, rows)
     failing = [row for row in rows if not row["satisfied"]]
     print(f"suite {args.suite}: {len(rows) - len(failing)}/{len(rows)} cells satisfied")
     if failing:

@@ -17,9 +17,9 @@ prefers.  Fourier blocks are expanded into primitive gates on writing.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, TextIO
 
+from .dyadic import TAU
 from .sim import (
     Circuit,
     ControlledZPow,
@@ -31,8 +31,6 @@ from .sim import (
     RotationY,
     qft_circuit,
 )
-
-TAU = 2.0 * math.pi
 
 _MAX_DYADIC_LEVEL = 32
 

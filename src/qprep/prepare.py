@@ -75,12 +75,12 @@ class TargetVector:
             raise ValueError(f"expected {size} phases, got {phases.shape}")
         for index, value in enumerate(magnitudes):
             if not value >= 0.0:
-                raise ValueError(f"entry {index}: magnitude {value!r} is negative")
+                raise ValueError(f"entry {index}: magnitude {float(value)!r} is negative")
         if not np.any(magnitudes > 0.0):
             raise ValueError("all magnitudes are zero")
         for index, value in enumerate(phases):
             if not 0.0 <= value < TAU:
-                raise ValueError(f"entry {index}: phase {value!r} outside [0, 2*pi)")
+                raise ValueError(f"entry {index}: phase {float(value)!r} outside [0, 2*pi)")
 
     @classmethod
     def from_magnitudes(cls, magnitudes) -> "TargetVector":
@@ -225,9 +225,11 @@ class BuildResult:
     circuit: Circuit
     registers: RegisterMap
     expected_success_probability: float
+    # The circuit's trailing gates, which apply the quantized target phases.
+    phase_stage: tuple[Gate, ...]
 
 
-def _shift_gates(gates: tuple[Gate, ...], offset: int) -> list[Gate]:
+def _shift_gates(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
     shifted: list[Gate] = []
     for gate in gates:
         if isinstance(gate, ControlledZPow):
@@ -236,7 +238,7 @@ def _shift_gates(gates: tuple[Gate, ...], offset: int) -> list[Gate]:
             shifted.append(PauliX(gate.target + offset))
         else:
             raise TypeError(f"phase stage contains unexpected gate {gate!r}")
-    return shifted
+    return tuple(shifted)
 
 
 def build_phase_stage(x: TargetVector, phase_bits: int) -> Circuit:
@@ -305,9 +307,9 @@ def build_deterministic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
         gates.extend(_estimation_block(estimation, data[:k], phases, total))
         gates.extend(_rotation_ladder(estimation, data[k], cfg.angle_multiplier))
         gates.extend(_unestimation_block(estimation, data[:k], phases, total))
-    gates.extend(_shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t))
-    circuit = Circuit(total, tuple(gates))
-    return BuildResult(circuit, RegisterMap(estimation, data, None), 1.0)
+    phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t)
+    circuit = Circuit(total, tuple(gates) + phase_stage)
+    return BuildResult(circuit, RegisterMap(estimation, data, None), 1.0, phase_stage)
 
 
 def build_probabilistic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
@@ -332,11 +334,12 @@ def build_probabilistic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
     gates.extend(_estimation_block(estimation, data, phases, total))
     gates.extend(_rotation_ladder(estimation, ancilla, 4))
     gates.extend(_unestimation_block(estimation, data, phases, total))
-    gates.extend(_shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t))
-    circuit = Circuit(total, tuple(gates))
+    phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t)
+    circuit = Circuit(total, tuple(gates) + phase_stage)
 
     success = float(np.mean(np.cos(table.quantized_amplitude()) ** 2))
-    return BuildResult(circuit, RegisterMap(estimation, data, ancilla), success)
+    return BuildResult(circuit, RegisterMap(estimation, data, ancilla), success,
+                       phase_stage)
 
 
 def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAU = 2.0 * math.pi
+from .dyadic import TAU
 
 NORM_TOLERANCE = 1e-12
 

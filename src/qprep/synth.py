@@ -59,10 +59,6 @@ def count_gate_list(gates: tuple[Gate, ...]) -> dict[tuple[int, int], int]:
     return counts
 
 
-def count_gates(result: SynthesisResult) -> dict[tuple[int, int], int]:
-    return count_gate_list(result.gates)
-
-
 def _ones_qubits(index: int, num_qubits: int) -> tuple[int, ...]:
     return tuple(
         q for q in range(num_qubits) if (index >> (num_qubits - 1 - q)) & 1

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -8,18 +9,15 @@ from qprep.analysis import (
     BOUND_SLACK,
     deterministic_distance_bound,
     evaluate_bounds,
-    iter_sweep,
     overlap_fidelity,
     phase_stage_distance_bound,
     probabilistic_distance_bound,
     random_target_vector,
-    report_row,
     state_distance,
     success_lower_bound,
     sweep,
     total_distance_bound,
-    write_reports_csv,
-    write_reports_json,
+    write_rows,
 )
 from qprep.prepare import (
     DETERMINISTIC,
@@ -124,7 +122,7 @@ def test_evaluate_bounds_probabilistic_with_phases():
 def test_sweep_single_cell_matches_evaluate():
     rng = np.random.default_rng(1)
     x = random_target_vector(2, rng, complex_phases=False)
-    reports = sweep([x], [6], [1], [DETERMINISTIC], seeds=[7])
+    reports = list(sweep([x], [6], [1], [DETERMINISTIC], seeds=[7]))
     single = evaluate_bounds(x, PrecisionConfig(6, 1), seed=7)
     assert len(reports) == 1
     assert reports[0].measured_distance == single.measured_distance
@@ -132,15 +130,15 @@ def test_sweep_single_cell_matches_evaluate():
 
 
 def test_sweep_empty_vectors_and_bad_grid():
-    assert sweep([], [6], [1], [DETERMINISTIC]) == []
+    assert list(sweep([], [6], [1], [DETERMINISTIC])) == []
     with pytest.raises(ValueError):
-        sweep([], [], [1], [DETERMINISTIC])
+        list(sweep([], [], [1], [DETERMINISTIC]))
 
 
 def test_sweep_grid_order_and_satisfaction():
     rng = np.random.default_rng(14)
     vectors = [random_target_vector(2, rng, complex_phases=False) for _ in range(3)]
-    reports = sweep(vectors, [6, 8], [1], [DETERMINISTIC])
+    reports = list(sweep(vectors, [6, 8], [1], [DETERMINISTIC]))
     assert len(reports) == 6
     ts = [r.config["t"] for r in reports]
     assert ts == [6, 8, 6, 8, 6, 8]
@@ -150,7 +148,7 @@ def test_sweep_grid_order_and_satisfaction():
 def test_sweep_records_cell_failures_and_continues():
     rng = np.random.default_rng(15)
     x = random_target_vector(2, rng)
-    reports = sweep([x], [0, 6], [4], [DETERMINISTIC])
+    reports = list(sweep([x], [0, 6], [4], [DETERMINISTIC]))
     assert len(reports) == 2
     assert reports[0].error is not None and not reports[0].satisfied
     assert reports[1].error is None
@@ -177,18 +175,19 @@ def test_report_serialization(tmp_path):
                             "measured_success_probability", "success_lower_bound",
                             "gate_counts", "satisfied", "seed"]
     json_path = tmp_path / "reports.jsonl"
-    write_reports_json(json_path, [report])
+    write_rows(json_path, [record])
     lines = json_path.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["satisfied"] is True
 
     csv_path = tmp_path / "reports.csv"
-    write_reports_csv(csv_path, [report])
+    write_rows(csv_path, [record])
     header = csv_path.read_text().splitlines()[0]
     assert header == ("config,measured_distance,theoretical_bound,"
                       "measured_success_probability,success_lower_bound,"
                       "gate_counts,satisfied,seed")
-    row = report_row(report)
+    with open(csv_path, newline="") as handle:
+        row = next(csv.DictReader(handle))
     assert json.loads(row["config"])["mode"] == PROBABILISTIC
 
 
@@ -202,9 +201,28 @@ def test_random_target_vector_properties():
     assert np.all(real.phases == 0)
 
 
-def test_iter_sweep_is_lazy():
+def test_sweep_is_lazy():
     rng = np.random.default_rng(4)
     x = random_target_vector(2, rng, complex_phases=False)
-    iterator = iter_sweep([x], [6], [1], [DETERMINISTIC])
+    iterator = sweep([x], [6], [1], [DETERMINISTIC])
     first = next(iterator)
     assert first.config["t"] == 6
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+@pytest.mark.parametrize("fast_path", [False, True])
+def test_evaluate_bounds_synthesizes_the_phase_stage_once(monkeypatch, mode, fast_path):
+    import qprep.prepare
+
+    calls = []
+    original = qprep.prepare.peel_synthesize
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(qprep.prepare, "peel_synthesize", counted)
+    x = random_target_vector(2, np.random.default_rng(5))
+    report = evaluate_bounds(x, PrecisionConfig(6, 4, mode), fast_path=fast_path)
+    assert len(calls) == 1
+    assert report.gate_counts == original(calls[0]).counts

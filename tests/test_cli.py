@@ -223,3 +223,64 @@ def test_verify_bounds_suite(tmp_path, capsys):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(row["satisfied"] for row in rows)
     assert "cells satisfied" in capsys.readouterr().out
+
+
+_VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
+
+
+@pytest.mark.parametrize("command, name, content, where", [
+    ("synth-diag", "p.csv", "0,0.1\n5,0.2\n", "row 2"),
+    ("synth-diag", "p.csv", "0,0.1\n0,0.2\n", "row 2"),
+    ("synth-diag", "p.csv", "0,0.1\n-1,0.2\n", "row 2"),
+    ("synth-diag", "p.csv", "index,phase\n0,0.1\nx,0.2\n", "row 3"),
+    ("prepare", "v.json", '{"n": 1, "entries": [%s, {"magnitude": NaN, '
+     '"phase": 0.0}]}' % _VECTOR_ENTRIES, "entry 1"),
+    ("prepare", "v.json", '{"n": 2, "entries": [%s, %s, %s, {"magnitude": '
+     'Infinity, "phase": 0.0}]}' % ((_VECTOR_ENTRIES,) * 3), "entry 3"),
+    ("prepare", "v.json", '{"n": 1, "entries": [%s,]}' % _VECTOR_ENTRIES,
+     "line 1"),
+    ("prepare", "v.csv", "index,magnitude,phase\n0,1,0\n1,-1,0\n", "entry 1"),
+], ids=["index-out-of-range", "duplicate-index", "negative-index",
+        "non-integer-index", "nan-magnitude", "infinite-magnitude",
+        "invalid-json", "negative-magnitude"])
+def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
+                                              content, where):
+    path = tmp_path / name
+    path.write_text(content)
+    if command == "prepare":
+        argv = ["prepare", str(path), "--mode", "det", "--epsilon", "0.1"]
+    else:
+        argv = ["synth-diag", str(path), "--m", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and where in err
+    assert "Traceback" not in err and "np.float64" not in err
+
+
+def test_prepare_report_agrees_with_verify_bounds_row(tmp_path, capsys):
+    rows_path = tmp_path / "rows.jsonl"
+    assert main(["verify", "--suite", "bounds", "--n", "2", "--trials", "1",
+                 "--seed", "11", "--out", str(rows_path)]) == 0
+    rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
+    # The suite's first vector is real, evaluated first at t = 6, t' = 1
+    # against the analytic bound; its second is complex, evaluated last in
+    # probabilistic mode at the widths for epsilon = 0.5.
+    rng = np.random.default_rng(11)
+    real = analysis.random_target_vector(2, rng, complex_phases=False)
+    full = analysis.random_target_vector(2, rng)
+    cases = [(real, rows[0], ["--mode", "det", "--t", "6", "--t-prime", "1"]),
+             (full, rows[-1], ["--mode", "prob", "--epsilon", "0.5"])]
+    for index, (x, row, options) in enumerate(cases):
+        vec = write_vector(tmp_path / f"v{index}.json", x.magnitudes, x.phases)
+        report_path = tmp_path / f"report{index}.json"
+        assert main(["prepare", str(vec), *options,
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["t"], report["t_prime"], report["epsilon"]) == (
+            row["config"]["t"], row["config"]["t_prime"], row["config"]["epsilon"])
+        assert report["distance_to_target"] == row["measured_distance"]
+        assert report["theoretical_bound"] == row["theoretical_bound"]
+        assert report["success_probability"] == row["measured_success_probability"]
+        assert report["success_lower_bound"] == row["success_lower_bound"]
+        assert report["bound_satisfied"] is row["satisfied"] is True
+    capsys.readouterr()

@@ -346,3 +346,12 @@ def test_build_dispatch():
         build_deterministic(x, PrecisionConfig(4, 2, PROBABILISTIC))
     with pytest.raises(ValueError, match="mode"):
         build_probabilistic(x, PrecisionConfig(4, 2, DETERMINISTIC))
+
+
+def test_package_attribute_is_the_prepare_module():
+    import types
+
+    import qprep.prepare as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.build is build

@@ -14,7 +14,7 @@ from qprep.sim import (
     apply_circuit,
 )
 from qprep.synth import (
-    count_gates,
+    count_gate_list,
     global_phase_gates,
     peel_synthesize,
     reconstruct,
@@ -169,14 +169,14 @@ def test_reconstruct_round_trip_many_random_specs():
 
 
 def test_count_gates():
-    assert count_gates(peel_synthesize(PhaseSpec(2, 1, (0,) * 4))) == {}
+    assert count_gate_list(peel_synthesize(PhaseSpec(2, 1, (0,) * 4)).gates) == {}
     single = peel_synthesize(PhaseSpec(2, 1, (0, 0, 0, 1)))
-    assert count_gates(single) == {(2, 1): 1}
+    assert count_gate_list(single.gates) == {(2, 1): 1}
     rng = np.random.default_rng(4)
     for _ in range(20):
         spec = random_spec(rng, max_qubits=4, max_level=3)
         result = peel_synthesize(spec)
-        assert sum(count_gates(result).values()) == len(result.gates)
+        assert sum(count_gate_list(result.gates).values()) == len(result.gates)
 
 
 def test_worst_case_single_level_three_qubits_stays_within_bound():
