@@ -47,11 +47,9 @@ def overlap_fidelity(a: StateVector, b: StateVector) -> float:
 
 def success_lower_bound(x: TargetVector) -> float:
     """||x||^2 / (2^n * max_i x_i^2): the guaranteed post-selection probability."""
-    peak = float(np.max(x.magnitudes))
-    if peak <= 0.0:
-        raise ValueError("all magnitudes are zero")
-    norm_sq = float(np.sum(x.magnitudes.astype(float) ** 2))
-    return norm_sq / ((1 << x.num_qubits) * peak * peak)
+    scaled = x.scaled_magnitudes()
+    peak = float(np.max(scaled))
+    return float(np.sum(scaled ** 2)) / ((1 << x.num_qubits) * peak * peak)
 
 
 def deterministic_distance_bound(num_qubits: int, estimation_bits: int) -> float:

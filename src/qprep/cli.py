@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis
 from .dyadic import PhaseSpec, quantize
-from .gateformat import save_circuit
+from .gateformat import save_circuit, written_gate_count
 from .prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
@@ -153,7 +153,7 @@ def cmd_prepare(args) -> int:
         "computation_path": "fast-path" if args.fast_path else "full-circuit",
         "seed": args.seed,
         "qubits": record.circuit.num_qubits,
-        "gate_count": len(record.circuit.gates),
+        "gate_count": written_gate_count(record.circuit),
         "prepared_amplitudes": _amplitude_pairs(record.amplitudes),
         "distance_to_target": record.measured_distance,
         "overlap_fidelity": record.overlap_fidelity,

@@ -17,7 +17,7 @@ prefers.  Fourier blocks are expanded into primitive gates on writing.
 
 from __future__ import annotations
 
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .dyadic import TAU
 from .sim import (
@@ -56,6 +56,20 @@ def _controls(values: tuple[int, ...]) -> str:
     return _indices(values) if values else "-"
 
 
+def expand_blocks(gates: Iterable[Gate]) -> Iterator[Gate]:
+    """The gates as written: each Fourier block becomes its primitive gates."""
+    for gate in gates:
+        if isinstance(gate, QFTBlock):
+            yield from qft_circuit(gate.register, gate.inverse).gates
+        else:
+            yield gate
+
+
+def written_gate_count(circuit: Circuit) -> int:
+    """Number of gate lines ``write_circuit`` writes for ``circuit``."""
+    return sum(1 for _ in expand_blocks(circuit.gates))
+
+
 def gate_lines(gate: Gate) -> list[str]:
     if isinstance(gate, Hadamard):
         return [f"H q={gate.target}"]
@@ -80,19 +94,12 @@ def gate_lines(gate: Gate) -> list[str]:
             numerators = [d[0] << (level - d[1]) for d in dyadics]
             line += f" p={_indices(numerators)} m={level}"
         return [line]
-    if isinstance(gate, QFTBlock):
-        expanded = qft_circuit(gate.register, gate.inverse,
-                               num_qubits=max(gate.register) + 1)
-        lines: list[str] = []
-        for sub in expanded.gates:
-            lines.extend(gate_lines(sub))
-        return lines
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
 def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
     lines = [f"# qprep v1 n={data_qubits} qubits={circuit.num_qubits}"]
-    for gate in circuit.gates:
+    for gate in expand_blocks(circuit.gates):
         lines.extend(gate_lines(gate))
     return lines
 

@@ -31,12 +31,12 @@ from .sim import (
     Gate,
     Hadamard,
     PauliX,
+    QFTBlock,
     RotationY,
     StateVector,
     apply_circuit,
     new_basis_state,
     project_measure,
-    qft_circuit,
 )
 from .synth import peel_synthesize
 
@@ -88,10 +88,16 @@ class TargetVector:
         n = int(magnitudes.size).bit_length() - 1
         return cls(n, magnitudes, np.zeros(magnitudes.size))
 
+    def scaled_magnitudes(self) -> np.ndarray:
+        """Magnitudes times the power of two that brings their peak into
+        [1/2, 1): exact, so ratios are unchanged, and their squares neither
+        overflow nor all underflow to zero."""
+        return np.ldexp(self.magnitudes, -np.frexp(np.max(self.magnitudes))[1])
+
     def amplitudes(self) -> np.ndarray:
         """The normalized complex target e^{i*phase} * magnitude / norm."""
-        norm = float(np.linalg.norm(self.magnitudes))
-        return self.magnitudes / norm * np.exp(1.0j * self.phases)
+        scaled = self.scaled_magnitudes()
+        return scaled / float(np.linalg.norm(scaled)) * np.exp(1.0j * self.phases)
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class MarginalTree:
 
 
 def compute_marginals(x: TargetVector) -> MarginalTree:
-    weights = x.magnitudes.astype(float) ** 2
+    weights = x.scaled_magnitudes() ** 2
     probabilities = weights / weights.sum()
     levels = [probabilities]
     while levels[-1].size > 2:
@@ -254,20 +260,20 @@ def build_phase_stage(x: TargetVector, phase_bits: int) -> Circuit:
 
 
 def _estimation_block(estimation: tuple[int, ...], register: tuple[int, ...],
-                      phases: tuple[float, ...], total: int) -> list[Gate]:
+                      phases: tuple[float, ...]) -> list[Gate]:
     t = len(estimation)
     gates: list[Gate] = [Hadamard(q) for q in estimation]
     for s in range(t):
         gates.append(DiagonalOracle(register, phases, power=1 << (t - 1 - s),
                                     controls=(estimation[s],)))
-    gates.extend(qft_circuit(estimation, inverse=True, num_qubits=total).gates)
+    gates.append(QFTBlock(estimation, inverse=True))
     return gates
 
 
 def _unestimation_block(estimation: tuple[int, ...], register: tuple[int, ...],
-                        phases: tuple[float, ...], total: int) -> list[Gate]:
+                        phases: tuple[float, ...]) -> list[Gate]:
     t = len(estimation)
-    gates: list[Gate] = list(qft_circuit(estimation, num_qubits=total).gates)
+    gates: list[Gate] = [QFTBlock(estimation)]
     for s in reversed(range(t)):
         gates.append(DiagonalOracle(register, phases, power=-(1 << (t - 1 - s)),
                                     controls=(estimation[s],)))
@@ -298,17 +304,16 @@ def build_deterministic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
     n, t = x.num_qubits, cfg.estimation_bits
     estimation = tuple(range(t))
     data = tuple(range(t, t + n))
-    total = t + n
     table = compute_angles(compute_marginals(x), x, cfg)
 
     gates: list[Gate] = [RotationY(2.0 * table.root_angle, data[0])]
     for k in range(1, n):
         phases = tuple(TAU * int(y) / (1 << t) for y in table.branch_estimates[k - 1])
-        gates.extend(_estimation_block(estimation, data[:k], phases, total))
+        gates.extend(_estimation_block(estimation, data[:k], phases))
         gates.extend(_rotation_ladder(estimation, data[k], cfg.angle_multiplier))
-        gates.extend(_unestimation_block(estimation, data[:k], phases, total))
+        gates.extend(_unestimation_block(estimation, data[:k], phases))
     phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t)
-    circuit = Circuit(total, tuple(gates) + phase_stage)
+    circuit = Circuit(t + n, tuple(gates) + phase_stage)
     return BuildResult(circuit, RegisterMap(estimation, data, None), 1.0, phase_stage)
 
 
@@ -326,16 +331,15 @@ def build_probabilistic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
     estimation = tuple(range(t))
     data = tuple(range(t, t + n))
     ancilla = t + n
-    total = t + n + 1
     table = compute_angles(compute_marginals(x), x, cfg)
     phases = tuple(TAU * int(y) / (1 << t) for y in table.amplitude_estimates)
 
     gates: list[Gate] = [Hadamard(q) for q in data]
-    gates.extend(_estimation_block(estimation, data, phases, total))
+    gates.extend(_estimation_block(estimation, data, phases))
     gates.extend(_rotation_ladder(estimation, ancilla, 4))
-    gates.extend(_unestimation_block(estimation, data, phases, total))
+    gates.extend(_unestimation_block(estimation, data, phases))
     phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t)
-    circuit = Circuit(total, tuple(gates) + phase_stage)
+    circuit = Circuit(ancilla + 1, tuple(gates) + phase_stage)
 
     success = float(np.mean(np.cos(table.quantized_amplitude()) ** 2))
     return BuildResult(circuit, RegisterMap(estimation, data, ancilla), success,

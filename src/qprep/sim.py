@@ -4,6 +4,12 @@ Bit convention, shared by every module: qubit 0 is the MOST significant bit of
 a basis index, so the basis state |q0 q1 ... q_{n-1}> has index
 sum(q_k << (n - 1 - k)).  All gates are pure transformations: applying a gate
 returns a new state and never mutates its input.
+
+The kernels work on the amplitudes reshaped to (2,)*q, whose axis k is qubit
+k under that same convention.  A 2x2 kernel serves H, X and (controlled)
+R_Y, and a phase kernel serves the diagonal gates CZP and DIAG; both pin
+control qubits to 1 with length-1 slices, so they write through views of a
+copy.  A ``QFTBlock`` is simulated as one FFT along its register's axes.
 """
 
 from __future__ import annotations
@@ -154,51 +160,29 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amplitudes)
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_H = 1.0 / math.sqrt(2.0)
+_HADAMARD = ((_H, _H), (_H, -_H))
+_PAULI_X = ((0.0, 1.0), (1.0, 0.0))
 
 
-def _rotation_y_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _view(psi: np.ndarray, pins: dict[int, int]) -> np.ndarray:
+    """``psi`` with each pinned qubit fixed to its bit by a length-1 slice,
+    so the result is always a writable view."""
+    index = [slice(None)] * psi.ndim
+    for qubit, bit in pins.items():
+        index[qubit] = slice(bit, bit + 1)
+    return psi[tuple(index)]
 
 
-def _bit_position(num_qubits: int, qubit: int) -> int:
-    return num_qubits - 1 - qubit
-
-
-def _qubit_mask(num_qubits: int, qubits: tuple[int, ...]) -> int:
-    mask = 0
-    for q in qubits:
-        mask |= 1 << _bit_position(num_qubits, q)
-    return mask
-
-
-def _apply_single(amps: np.ndarray, num_qubits: int, target: int,
-                  matrix: np.ndarray) -> np.ndarray:
-    psi = amps.reshape([2] * num_qubits)
-    psi = np.moveaxis(psi, target, 0)
-    shape = psi.shape
-    psi = matrix @ psi.reshape(2, -1)
-    psi = np.moveaxis(psi.reshape(shape), 0, target)
-    return psi.reshape(-1)
-
-
-def _apply_controlled_single(amps: np.ndarray, num_qubits: int, target: int,
-                             controls: tuple[int, ...],
-                             matrix: np.ndarray) -> np.ndarray:
-    target_bit = 1 << _bit_position(num_qubits, target)
-    control_mask = _qubit_mask(num_qubits, controls)
-    indices = np.arange(amps.size)
-    select = (indices & target_bit) == 0
-    if control_mask:
-        select &= (indices & control_mask) == control_mask
-    low = indices[select]
-    high = low | target_bit
+def _apply_2x2(amps: np.ndarray, num_qubits: int, target: int,
+               controls: tuple[int, ...], matrix) -> np.ndarray:
     out = amps.copy()
-    a0, a1 = amps[low], amps[high]
-    out[low] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    out[high] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    psi = out.reshape((2,) * num_qubits)
+    ones = dict.fromkeys(controls, 1)
+    low = _view(psi, {**ones, target: 0})
+    high = _view(psi, {**ones, target: 1})
+    (a, b), (c, d) = matrix
+    low[...], high[...] = a * low + b * high, c * low + d * high
     return out
 
 
@@ -211,52 +195,48 @@ def _zpow_phase(level: int) -> complex:
     return cmath.exp(1.0j * math.copysign(TAU / (1 << abs(level)), level))
 
 
-def _apply_zpow(amps: np.ndarray, num_qubits: int,
-                gate: ControlledZPow) -> np.ndarray:
-    mask = _qubit_mask(num_qubits, gate.qubits)
-    indices = np.arange(amps.size)
+def _apply_phases(amps: np.ndarray, num_qubits: int, controls: tuple[int, ...],
+                  register: tuple[int, ...], factors) -> np.ndarray:
+    """Multiply by factors[i], i read from ``register`` most-significant
+    first, wherever every control qubit is 1."""
     out = amps.copy()
-    select = (indices & mask) == mask
-    out[select] *= _zpow_phase(gate.level)
+    pinned = _view(out.reshape((2,) * num_qubits), dict.fromkeys(controls, 1))
+    width = len(register)
+    view = np.moveaxis(pinned, register, range(width))
+    view *= np.reshape(factors, (2,) * width + (1,) * (num_qubits - width))
     return out
 
 
-def _apply_diagonal(amps: np.ndarray, num_qubits: int,
-                    gate: DiagonalOracle) -> np.ndarray:
-    indices = np.arange(amps.size)
-    width = len(gate.register)
-    values = np.zeros(amps.size, dtype=np.int64)
-    for position, qubit in enumerate(gate.register):
-        bit = (indices >> _bit_position(num_qubits, qubit)) & 1
-        values |= bit << (width - 1 - position)
-    factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))[values]
-    if gate.controls:
-        control_mask = _qubit_mask(num_qubits, gate.controls)
-        factors = np.where((indices & control_mask) == control_mask, factors, 1.0)
-    return amps * factors
+def _apply_qft(amps: np.ndarray, num_qubits: int, register: tuple[int, ...],
+               inverse: bool) -> np.ndarray:
+    # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft.
+    transform = np.fft.fft if inverse else np.fft.ifft
+    front = range(len(register))
+    moved = np.moveaxis(amps.reshape((2,) * num_qubits), register, front)
+    spectrum = transform(moved.reshape(1 << len(register), -1), axis=0, norm="ortho")
+    out = np.empty_like(amps)
+    view = np.moveaxis(out.reshape((2,) * num_qubits), register, front)
+    view[...] = spectrum.reshape(moved.shape)
+    return out
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     validate_gate(gate, state.num_qubits)
     amps, q = state.amplitudes, state.num_qubits
     if isinstance(gate, Hadamard):
-        out = _apply_single(amps, q, gate.target, _HADAMARD)
+        out = _apply_2x2(amps, q, gate.target, (), _HADAMARD)
     elif isinstance(gate, PauliX):
-        out = _apply_single(amps, q, gate.target, _PAULI_X)
+        out = _apply_2x2(amps, q, gate.target, (), _PAULI_X)
     elif isinstance(gate, RotationY):
-        matrix = _rotation_y_matrix(gate.angle)
-        if gate.controls:
-            out = _apply_controlled_single(amps, q, gate.target, gate.controls, matrix)
-        else:
-            out = _apply_single(amps, q, gate.target, matrix)
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        out = _apply_2x2(amps, q, gate.target, gate.controls, ((c, -s), (s, c)))
     elif isinstance(gate, ControlledZPow):
-        out = _apply_zpow(amps, q, gate)
+        out = _apply_phases(amps, q, gate.qubits, (), _zpow_phase(gate.level))
     elif isinstance(gate, DiagonalOracle):
-        out = _apply_diagonal(amps, q, gate)
+        factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
+        out = _apply_phases(amps, q, gate.controls, gate.register, factors)
     elif isinstance(gate, QFTBlock):
-        out = amps
-        for sub in qft_circuit(gate.register, gate.inverse, num_qubits=q).gates:
-            out = apply_gate(StateVector(q, out), sub).amplitudes
+        out = _apply_qft(amps, q, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
     return StateVector(q, out)
@@ -294,9 +274,10 @@ def _swap_gates(a: int, b: int) -> list[Gate]:
     return cnot_ab + cnot_ba + cnot_ab
 
 
-def qft_circuit(register: tuple[int, ...] | list[int], inverse: bool = False,
-                num_qubits: int | None = None) -> Circuit:
-    """Fourier transform on ``register`` as Hadamard and phase gates.
+def qft_circuit(register: tuple[int, ...] | list[int],
+                inverse: bool = False) -> Circuit:
+    """Fourier transform on ``register`` as Hadamard and phase gates, on
+    max(register) + 1 qubits.
 
     The register is read most-significant first, matching the global bit
     convention; the trailing bit-reversal is realized with CNOT-triple swaps
@@ -307,8 +288,6 @@ def qft_circuit(register: tuple[int, ...] | list[int], inverse: bool = False,
         raise ValueError("QFT register must be nonempty")
     if len(set(register)) != len(register):
         raise ValueError("QFT register lists duplicate qubits")
-    if num_qubits is None:
-        num_qubits = max(register) + 1
     width = len(register)
     gates: list[Gate] = []
     for i in range(width):
@@ -321,7 +300,7 @@ def qft_circuit(register: tuple[int, ...] | list[int], inverse: bool = False,
         gates.extend(_swap_gates(register[i], register[width - 1 - i]))
     if inverse:
         gates = [inverse_gate(g) for g in reversed(gates)]
-    return Circuit(num_qubits, tuple(gates))
+    return Circuit(max(register) + 1, tuple(gates))
 
 
 def project_measure(state: StateVector, target: int,
@@ -334,11 +313,12 @@ def project_measure(state: StateVector, target: int,
         raise ValueError(f"qubit {target} outside [0, {state.num_qubits})")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    bit = 1 << _bit_position(state.num_qubits, target)
-    indices = np.arange(state.amplitudes.size)
-    select = ((indices & bit) != 0) == bool(outcome)
-    probability = float(np.sum(np.abs(state.amplitudes[select]) ** 2))
+    shape = (2,) * state.num_qubits
+    pins = {target: outcome}
+    kept = _view(state.amplitudes.reshape(shape), pins)
+    probability = float(np.sum(np.abs(kept) ** 2))
     if probability == 0.0:
         return 0.0, None
-    post = np.where(select, state.amplitudes, 0.0) / math.sqrt(probability)
+    post = np.zeros_like(state.amplitudes)
+    _view(post.reshape(shape), pins)[...] = kept / math.sqrt(probability)
     return probability, StateVector(state.num_qubits, post)

@@ -117,23 +117,52 @@ def test_prepare_determinism_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_emitted_gate_list_resimulates_to_reported_amplitudes(tmp_path):
+@pytest.mark.parametrize("mode", ["det", "prob"])
+def test_emitted_gate_list_resimulates_to_reported_amplitudes(tmp_path, mode):
     rng = np.random.default_rng(13)
     vec = write_vector(tmp_path / "v.json", np.abs(rng.standard_normal(4)),
                        rng.uniform(0, 6.0, 4))
     report_path = tmp_path / "report.json"
     gates_path = tmp_path / "gates.txt"
-    rc = main(["prepare", str(vec), "--mode", "prob", "--epsilon", "0.5",
+    rc = main(["prepare", str(vec), "--mode", mode, "--epsilon", "0.5",
                "--report", str(report_path), "--emit", str(gates_path)])
     assert rc == 0
     report = json.loads(report_path.read_text())
     data_qubits, circuit = load_circuit(gates_path)
+    # The built circuit holds Fourier blocks; the report counts the gates
+    # as written, one per line.
+    assert (circuit.num_qubits, len(circuit.gates)) == (report["qubits"],
+                                                        report["gate_count"])
     state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
-    _, state = project_measure(state, circuit.num_qubits - 1, 0)
-    resimulated = extract_data_amplitudes(state.amplitudes, data_qubits, True)
+    has_ancilla = mode == "prob"
+    if has_ancilla:
+        _, state = project_measure(state, circuit.num_qubits - 1, 0)
+    resimulated = extract_data_amplitudes(state.amplitudes, data_qubits, has_ancilla)
     reported = np.array([complex(re, im)
                          for re, im in report["prepared_amplitudes"]])
     assert np.max(np.abs(resimulated - reported)) <= 1e-10
+
+
+@pytest.mark.parametrize("path", ["--full-circuit", "--fast-path"])
+@pytest.mark.parametrize("magnitudes, mode, widths", [
+    ([1e308, 1e308, 1e307, 0.0], "det", ["--epsilon", "0.1"]),
+    ([1e308, 1e308, 1e307, 0.0], "prob", ["--epsilon", "0.1"]),
+    ([1e-200, 3e-200], "det", ["--t", "4", "--t-prime", "4"]),
+    ([1e-200, 3e-200], "prob", ["--epsilon", "0.1"]),
+], ids=["huge-det", "huge-prob", "tiny-det", "tiny-prob"])
+def test_extreme_magnitudes_prepare_within_the_bound(tmp_path, magnitudes, mode,
+                                                     widths, path):
+    # Squaring these magnitudes unscaled overflows to inf or underflows to 0.
+    vec = write_vector(tmp_path / "v.json", magnitudes)
+    report_path = tmp_path / "report.json"
+    rc = main(["prepare", str(vec), "--mode", mode, *widths, path,
+               "--report", str(report_path)])
+    assert rc == 0
+    report = json.loads(report_path.read_text())
+    assert report["bound_satisfied"] is True
+    assert report["distance_to_target"] <= report["theoretical_bound"] + 1e-12
+    if mode == "prob":
+        assert report["success_probability"] >= report["success_lower_bound"] - 1e-12
 
 
 def test_prepare_accepts_csv_vectors(tmp_path):

@@ -9,6 +9,7 @@ from qprep.gateformat import (
     gate_lines,
     parse_circuit,
     parse_gate_line,
+    written_gate_count,
 )
 from qprep.sim import (
     Circuit,
@@ -73,10 +74,11 @@ def test_round_trip_preserves_gates_exactly():
 
 
 def test_qft_block_expands_to_primitives():
-    circuit = Circuit(3, (QFTBlock((0, 1, 2)),))
+    circuit = Circuit(3, (QFTBlock((0, 1, 2)), Hadamard(1)))
     lines = circuit_lines(circuit, 3)
     assert lines[0] == "# qprep v1 n=3 qubits=3"
     assert all(line.split()[0] in ("H", "CZP") for line in lines[1:])
+    assert written_gate_count(circuit) == len(lines) - 1
     _, parsed = parse_circuit("\n".join(lines))
     rng = np.random.default_rng(5)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)

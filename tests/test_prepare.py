@@ -135,12 +135,12 @@ def test_estimation_block_writes_exact_grid_estimates():
     estimates = (3, 11, 17, 30)
     phases = tuple(TAU * y / (1 << t) for y in estimates)
     stage = [Hadamard(q) for q in data]
-    stage += _estimation_block(estimation, data, phases, total)
+    stage += _estimation_block(estimation, data, phases)
     mid = apply_circuit(new_basis_state(total, 0), Circuit(total, tuple(stage)))
     for branch, estimate in enumerate(estimates):
         amplitude = mid.amplitudes[(estimate << n) | branch]
         assert abs(abs(amplitude) - 0.5) < 1e-10  # modulus 1 per branch / sqrt(4)
-    stage += _unestimation_block(estimation, data, phases, total)
+    stage += _unestimation_block(estimation, data, phases)
     out = apply_circuit(new_basis_state(total, 0), Circuit(total, tuple(stage)))
     residual = 1.0 - np.sum(np.abs(out.amplitudes[: 1 << n]) ** 2)
     assert residual < 1e-10

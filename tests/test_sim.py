@@ -96,8 +96,15 @@ def test_sign_pattern_gate_list_matches_dense_product():
 
 def test_random_circuits_match_dense_matrices():
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
+    drawn = set()
+
+    def draw(kind, qubits, most):
+        size = min(len(qubits), int(rng.integers(0, most + 1)))
+        drawn.add((kind, size))
+        return tuple(int(q) for q in rng.choice(qubits, size=size, replace=False))
+
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
         gates = []
         for _ in range(8):
             kind = rng.integers(0, 5)
@@ -107,10 +114,7 @@ def test_random_circuits_match_dense_matrices():
             elif kind == 1:
                 gates.append(PauliX(target))
             elif kind == 2:
-                others = [q for q in range(n) if q != target]
-                controls = tuple(
-                    int(q) for q in rng.choice(others, size=min(len(others), 1))
-                ) if others and rng.random() < 0.5 else ()
+                controls = draw("RY", [q for q in range(n) if q != target], 2)
                 gates.append(RotationY(float(rng.uniform(0, TAU)), target, controls))
             elif kind == 3:
                 size = int(rng.integers(1, n + 1))
@@ -119,12 +123,15 @@ def test_random_circuits_match_dense_matrices():
             else:
                 width = int(rng.integers(1, n + 1))
                 register = tuple(int(q) for q in rng.choice(n, size=width, replace=False))
+                controls = draw("DIAG", [q for q in range(n) if q not in register], 2)
                 phases = tuple(float(p) for p in rng.uniform(0, TAU, 1 << width))
-                gates.append(DiagonalOracle(register, phases, int(rng.integers(-4, 5))))
+                gates.append(DiagonalOracle(register, phases, int(rng.integers(-4, 5)),
+                                            controls))
         state = random_state(n, rng)
         out = apply_circuit(state, Circuit(n, tuple(gates)))
         oracle = dense_circuit_matrix(gates, n) @ state.amplitudes
         assert np.allclose(out.amplitudes, oracle, atol=1e-10)
+    assert {("RY", 1), ("RY", 2), ("DIAG", 1), ("DIAG", 2)} <= drawn
 
 
 def test_every_gate_variant_inverts():
@@ -200,11 +207,17 @@ def test_qft_matches_direct_summation_dft(width):
         assert np.allclose(column.amplitudes, oracle.conj().T[:, j], atol=1e-10)
 
 
-def test_qft_block_gate_equals_circuit():
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("register, num_qubits", [((0, 1, 2), 3), ((4, 1, 3), 6)],
+                         ids=["contiguous", "permuted"])
+def test_qft_block_gate_equals_circuit(inverse, register, num_qubits):
+    # The builders only transform contiguous top registers; a permuted,
+    # non-contiguous register inside a larger state checks the axis order.
     rng = np.random.default_rng(29)
-    state = random_state(3, rng)
-    via_block = apply_gate(state, QFTBlock((0, 1, 2), inverse=True))
-    via_circuit = apply_circuit(state, qft_circuit((0, 1, 2), inverse=True))
+    state = random_state(num_qubits, rng)
+    via_block = apply_gate(state, QFTBlock(register, inverse=inverse))
+    gates = qft_circuit(register, inverse=inverse).gates
+    via_circuit = apply_circuit(state, Circuit(num_qubits, gates))
     assert np.allclose(via_block.amplitudes, via_circuit.amplitudes, atol=1e-12)
 
 
