@@ -13,9 +13,8 @@ from .prepare import (
     BuildResult,
     PrecisionConfig,
     TargetVector,
-    build_deterministic,
+    build,
     build_phase_stage,
-    build_probabilistic,
     compute_angles,
     compute_marginals,
     fast_path_prepare,

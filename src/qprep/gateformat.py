@@ -17,7 +17,7 @@ prefers.  Fourier blocks are expanded into primitive gates on writing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .dyadic import TAU
 from .sim import (
@@ -40,12 +40,16 @@ def format_float(value: float) -> str:
 
 
 def as_dyadic(angle: float) -> tuple[int, int] | None:
-    """(p, m) with angle == 2*pi*p/2**m exactly as floats, if one exists."""
-    for level in range(1, _MAX_DYADIC_LEVEL + 1):
-        p = round(angle * (1 << level) / TAU)
-        if TAU * p / (1 << level) == angle:
-            return p, level
-    return None
+    """(p, m) with angle == 2*pi*p/2**m exactly as floats, if one exists with
+    m <= 32; p is odd unless m == 1."""
+    scale = 1 << _MAX_DYADIC_LEVEL
+    p = round(angle * scale / TAU)
+    if TAU * p / scale != angle:
+        return None
+    if p == 0:
+        return 0, 1
+    shift = min((p & -p).bit_length() - 1, _MAX_DYADIC_LEVEL - 1)
+    return p >> shift, _MAX_DYADIC_LEVEL - shift
 
 
 def _indices(values: Iterable[int]) -> str:
@@ -66,7 +70,7 @@ def expand_blocks(gates: Iterable[Gate]) -> Iterator[Gate]:
 
 
 def written_gate_count(circuit: Circuit) -> int:
-    """Number of gate lines ``write_circuit`` writes for ``circuit``."""
+    """Number of gate lines ``save_circuit`` writes for ``circuit``."""
     return sum(1 for _ in expand_blocks(circuit.gates))
 
 
@@ -104,15 +108,11 @@ def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
     return lines
 
 
-def write_circuit(handle: TextIO, circuit: Circuit, data_qubits: int) -> None:
-    for line in circuit_lines(circuit, data_qubits):
-        handle.write(line)
-        handle.write("\n")
-
-
 def save_circuit(path, circuit: Circuit, data_qubits: int) -> None:
     with open(path, "w") as handle:
-        write_circuit(handle, circuit, data_qubits)
+        for line in circuit_lines(circuit, data_qubits):
+            handle.write(line)
+            handle.write("\n")
 
 
 def _parse_fields(parts: list[str]) -> dict[str, str]:

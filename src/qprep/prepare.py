@@ -1,6 +1,6 @@
-"""Builders for phase-estimation based amplitude-encoding circuits.
+"""The builder of phase-estimation based amplitude-encoding circuits.
 
-Two preparation schemes share the same machinery:
+Two preparation schemes share the same estimate-rotate-uncompute round:
 
 * deterministic: grow the state one qubit at a time; each round estimates the
   branch rotation angles of a marginal-probability tree into an estimation
@@ -218,7 +218,7 @@ def compute_angles(tree: MarginalTree, x: TargetVector,
 
 @dataclass(frozen=True)
 class RegisterMap:
-    """Builders place the estimation register on the top bits, then the data
+    """``build`` places the estimation register on the top bits, then the data
     register, then (probabilistic only) the rotation ancilla on the last bit."""
 
     estimation: tuple[int, ...]
@@ -247,16 +247,15 @@ def _shift_gates(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
     return tuple(shifted)
 
 
-def build_phase_stage(x: TargetVector, phase_bits: int) -> Circuit:
-    """Diagonal applying the target phases quantized at ``phase_bits``.
+def build_phase_stage(x: TargetVector, phase_bits: int) -> tuple[Gate, ...]:
+    """Gates on the data qubits 0..n-1 whose product is the diagonal applying
+    the target phases quantized at ``phase_bits``.
 
     The synthesized product realizes every quantized phase exactly, the
     all-zeros entry included (via the synthesizer's global-phase block), so
     per-component phase error stays below one grid step 2*pi/2**phase_bits.
     """
-    spec = quantize(x.phases, phase_bits)
-    result = peel_synthesize(spec)
-    return Circuit(x.num_qubits, result.product_gates())
+    return peel_synthesize(quantize(x.phases, phase_bits)).product_gates()
 
 
 def _estimation_block(estimation: tuple[int, ...], register: tuple[int, ...],
@@ -291,65 +290,47 @@ def _rotation_ladder(estimation: tuple[int, ...], target: int,
     ]
 
 
-def build_deterministic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
-    """Iterative preparation: one estimation round per data qubit after the first.
+def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
+    """The preparation circuit: a first layer, estimation rounds, then the
+    synthesized phase stage.
 
-    The first data qubit gets the exact root rotation directly; every further
-    qubit k is set by estimating the depth-k branch angles (times the angle
-    multiplier) of the quantized oracle, rotating conditioned on the estimate,
-    and uncomputing, which returns the estimation register to |0...0> exactly.
+    Each round estimates grid angles of the data ``register`` into the
+    estimation register, rotates ``target`` conditioned on the estimate, and
+    uncomputes, which returns the estimation register to |0...0> exactly.
+
+    * deterministic: the exact root rotation on the first data qubit, then one
+      round per further data qubit k, estimating the depth-k branch angles
+      (times the angle multiplier) of the first k data qubits into data[k].
+    * probabilistic: Hadamards on every data qubit, then one round estimating
+      the amplitude angles into the ancilla, which is post-selected on 0.
+      ``expected_success_probability`` is the exact ancilla-0 probability
+      mean(cos^2 of the quantized angles), never below ||x||^2/(2^n max x_i^2)
+      because floor quantization only shrinks each angle.
     """
-    if cfg.mode != DETERMINISTIC:
-        raise ValueError(f"config mode is {cfg.mode!r}")
     n, t = x.num_qubits, cfg.estimation_bits
     estimation = tuple(range(t))
     data = tuple(range(t, t + n))
     table = compute_angles(compute_marginals(x), x, cfg)
+    if cfg.mode == DETERMINISTIC:
+        gates: list[Gate] = [RotationY(2.0 * table.root_angle, data[0])]
+        rounds = [(data[:k], table.branch_estimates[k - 1], data[k]) for k in range(1, n)]
+        ancilla, success = None, 1.0
+    else:
+        ancilla = t + n
+        gates = [Hadamard(q) for q in data]
+        rounds = [(data, table.amplitude_estimates, ancilla)]
+        success = float(np.mean(np.cos(table.quantized_amplitude()) ** 2))
 
-    gates: list[Gate] = [RotationY(2.0 * table.root_angle, data[0])]
-    for k in range(1, n):
-        phases = tuple(TAU * int(y) / (1 << t) for y in table.branch_estimates[k - 1])
-        gates.extend(_estimation_block(estimation, data[:k], phases))
-        gates.extend(_rotation_ladder(estimation, data[k], cfg.angle_multiplier))
-        gates.extend(_unestimation_block(estimation, data[:k], phases))
-    phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t)
-    circuit = Circuit(t + n, tuple(gates) + phase_stage)
-    return BuildResult(circuit, RegisterMap(estimation, data, None), 1.0, phase_stage)
-
-
-def build_probabilistic(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
-    """One-shot preparation: uniform superposition, amplitude-angle estimation,
-    ancilla rotation, uncomputation, then post-selection on ancilla 0.
-
-    ``expected_success_probability`` is the exact ancilla-0 probability
-    mean(cos^2 of the quantized angles), never below ||x||^2/(2^n max x_i^2)
-    because floor quantization only shrinks each angle.
-    """
-    if cfg.mode != PROBABILISTIC:
-        raise ValueError(f"config mode is {cfg.mode!r}")
-    n, t = x.num_qubits, cfg.estimation_bits
-    estimation = tuple(range(t))
-    data = tuple(range(t, t + n))
-    ancilla = t + n
-    table = compute_angles(compute_marginals(x), x, cfg)
-    phases = tuple(TAU * int(y) / (1 << t) for y in table.amplitude_estimates)
-
-    gates: list[Gate] = [Hadamard(q) for q in data]
-    gates.extend(_estimation_block(estimation, data, phases))
-    gates.extend(_rotation_ladder(estimation, ancilla, 4))
-    gates.extend(_unestimation_block(estimation, data, phases))
-    phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits).gates, t)
-    circuit = Circuit(ancilla + 1, tuple(gates) + phase_stage)
-
-    success = float(np.mean(np.cos(table.quantized_amplitude()) ** 2))
+    for register, estimates, target in rounds:
+        phases = tuple(TAU * int(y) / (1 << t) for y in estimates)
+        gates.extend(_estimation_block(estimation, register, phases))
+        gates.extend(_rotation_ladder(estimation, target, cfg.angle_multiplier))
+        gates.extend(_unestimation_block(estimation, register, phases))
+    phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits), t)
+    num_qubits = t + n if ancilla is None else ancilla + 1
+    circuit = Circuit(num_qubits, tuple(gates) + phase_stage)
     return BuildResult(circuit, RegisterMap(estimation, data, ancilla), success,
                        phase_stage)
-
-
-def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
-    if cfg.mode == DETERMINISTIC:
-        return build_deterministic(x, cfg)
-    return build_probabilistic(x, cfg)
 
 
 @dataclass(frozen=True)
@@ -359,10 +340,6 @@ class PreparedState:
     amplitudes: np.ndarray
     success_probability: float
     estimation_residual: float
-
-    def state(self) -> StateVector:
-        n = int(self.amplitudes.size).bit_length() - 1
-        return StateVector(n, self.amplitudes)
 
 
 def simulate_preparation(build_result: BuildResult) -> PreparedState:

@@ -48,11 +48,27 @@ def test_diag_line_carries_common_level_annotation():
     assert line.endswith("p=0,2,1,3 m=3")
 
 
+def _reduced(p: int, m: int) -> tuple[int, int]:
+    """p/2**m in lowest terms, keeping m >= 1."""
+    while m > 1 and p % 2 == 0:
+        p, m = p // 2, m - 1
+    return p, m
+
+
 def test_as_dyadic():
     assert as_dyadic(TAU / 4) == (1, 2)
     assert as_dyadic(0.0) == (0, 1)
+    assert as_dyadic(-0.0) == (0, 1)
     assert as_dyadic(TAU) == (2, 1)  # rotation angles may exceed one turn
     assert as_dyadic(1.0) is None
+    assert as_dyadic(-1.0) is None
+    for level in range(1, 33):
+        top = 1 << level
+        numerators = {1, 2, 3, 6, top - 1, top - 2, top + 1, 3 * top - 1, 2 * top}
+        for p in sorted(numerators | {-p for p in numerators}):
+            assert as_dyadic(TAU * p / top) == _reduced(p, level), (p, level)
+    for p in (1, 3, -5, (1 << 33) - 1):  # odd numerators past level 32
+        assert as_dyadic(TAU * p / (1 << 33)) is None
 
 
 def test_round_trip_preserves_gates_exactly():

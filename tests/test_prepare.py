@@ -9,10 +9,9 @@ from qprep.prepare import (
     PROBABILISTIC,
     PrecisionConfig,
     TargetVector,
+    _shift_gates,
     build,
-    build_deterministic,
     build_phase_stage,
-    build_probabilistic,
     compute_angles,
     compute_marginals,
     fast_path_prepare,
@@ -20,7 +19,17 @@ from qprep.prepare import (
     required_precision,
     simulate_preparation,
 )
-from qprep.sim import ControlledZPow, StateVector, apply_circuit
+from qprep.sim import (
+    Circuit,
+    ControlledZPow,
+    DiagonalOracle,
+    Hadamard,
+    QFTBlock,
+    RotationY,
+    StateVector,
+    apply_circuit,
+    gate_qubits,
+)
 from qprep.synth import peel_synthesize, reconstruct
 from qprep.dyadic import quantize
 
@@ -126,7 +135,7 @@ def test_estimation_block_writes_exact_grid_estimates():
     # integer estimate per branch with unit-modulus amplitude, and the
     # mirrored block must return it to zero.
     from qprep.prepare import _estimation_block, _unestimation_block
-    from qprep.sim import Circuit, Hadamard, new_basis_state
+    from qprep.sim import new_basis_state
 
     t, n = 5, 2
     estimation = tuple(range(t))
@@ -159,7 +168,7 @@ def test_deterministic_single_qubit_needs_only_the_root_rotation():
 
 def test_deterministic_register_layout():
     x = TargetVector.from_magnitudes([1, 1, 1, 1])
-    result = build_deterministic(x, PrecisionConfig(5, 4))
+    result = build(x, PrecisionConfig(5, 4))
     assert result.circuit.num_qubits == 5 + 2
     assert result.registers.estimation == (0, 1, 2, 3, 4)
     assert result.registers.data == (5, 6)
@@ -199,7 +208,7 @@ def test_deterministic_multiplier_one_matches_default():
 
 def test_probabilistic_uniform_succeeds_with_certainty():
     x = TargetVector.from_magnitudes([1, 1, 1, 1])
-    result = build_probabilistic(x, PrecisionConfig(6, 4, PROBABILISTIC))
+    result = build(x, PrecisionConfig(6, 4, PROBABILISTIC))
     out = simulate_preparation(result)
     assert result.expected_success_probability == pytest.approx(1.0, abs=1e-12)
     assert out.success_probability == pytest.approx(1.0, abs=1e-12)
@@ -215,7 +224,7 @@ def test_probabilistic_success_probability_three_four():
 
 def test_probabilistic_register_layout():
     x = TargetVector.from_magnitudes([1, 2, 3, 4])
-    result = build_probabilistic(x, PrecisionConfig(6, 4, PROBABILISTIC))
+    result = build(x, PrecisionConfig(6, 4, PROBABILISTIC))
     assert result.circuit.num_qubits == 6 + 2 + 1
     assert result.registers.ancilla == 8
 
@@ -255,13 +264,12 @@ def test_vectors_with_zero_components_run_clean():
 
 def test_phase_stage_trivial_for_zero_phases():
     x = TargetVector.from_magnitudes([1, 1, 1, 1])
-    assert build_phase_stage(x, 6).gates == ()
+    assert build_phase_stage(x, 6) == ()
 
 
 def test_phase_stage_exact_grid_point_is_single_z():
     x = TargetVector(1, np.array([1.0, 1.0]), np.array([0.0, math.pi]))
-    circuit = build_phase_stage(x, 1)
-    assert circuit.gates == (ControlledZPow(1, (0,)),)
+    assert build_phase_stage(x, 1) == (ControlledZPow(1, (0,)),)
 
 
 def test_phase_stage_quantization_error_per_entry():
@@ -276,7 +284,7 @@ def test_phase_stage_quantization_error_per_entry():
 def test_phase_stage_applies_quantized_phases_including_entry_zero():
     phases = np.array([1.0, 2.0, 3.0, 4.0])
     x = TargetVector(2, np.ones(4), phases)
-    circuit = build_phase_stage(x, 10)
+    circuit = Circuit(2, build_phase_stage(x, 10))
     uniform = StateVector(2, np.full(4, 0.5, dtype=complex))
     out = apply_circuit(uniform, circuit)
     expected = 0.5 * np.exp(1j * np.array(quantize(phases, 10).angles()))
@@ -342,10 +350,57 @@ def test_build_dispatch():
     x = TargetVector.from_magnitudes([1, 2])
     assert build(x, PrecisionConfig(4, 2)).registers.ancilla is None
     assert build(x, PrecisionConfig(4, 2, PROBABILISTIC)).registers.ancilla == 5
-    with pytest.raises(ValueError, match="mode"):
-        build_deterministic(x, PrecisionConfig(4, 2, PROBABILISTIC))
-    with pytest.raises(ValueError, match="mode"):
-        build_probabilistic(x, PrecisionConfig(4, 2, DETERMINISTIC))
+
+
+def _describe(gate):
+    if isinstance(gate, Hadamard):
+        return ("H", gate.target)
+    if isinstance(gate, RotationY):
+        return ("RY", gate.target, gate.controls, gate.angle)
+    if isinstance(gate, DiagonalOracle):
+        return ("DIAG", gate.register, gate.phases, gate.power, gate.controls)
+    if isinstance(gate, QFTBlock):
+        return ("QFT", gate.register, gate.inverse)
+    return (type(gate).__name__,)
+
+
+def _expected_round(estimation, register, estimates, target, multiplier):
+    t = len(estimation)
+    phases = tuple(TAU * int(y) / (1 << t) for y in estimates)
+    oracles = [(e, 1 << (t - 1 - s)) for s, e in enumerate(estimation)]
+    return ([("H", q) for q in estimation]
+            + [("DIAG", register, phases, power, (e,)) for e, power in oracles]
+            + [("QFT", estimation, True)]
+            + [("RY", target, (e,), TAU / (multiplier << s))
+               for s, e in enumerate(estimation)]
+            + [("QFT", estimation, False)]
+            + [("DIAG", register, phases, -power, (e,)) for e, power in reversed(oracles)]
+            + [("H", q) for q in estimation])
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_build_gate_order(mode):
+    n, t = (3, 3) if mode == DETERMINISTIC else (2, 3)
+    rng = np.random.default_rng(17)
+    x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0, 6.0, 1 << n))
+    cfg = PrecisionConfig(t, 4, mode)
+    table = compute_angles(compute_marginals(x), x, cfg)
+    result = build(x, cfg)
+    estimation, data = tuple(range(t)), tuple(range(t, t + n))
+    if mode == DETERMINISTIC:
+        expected = [("RY", data[0], (), 2.0 * table.root_angle)]
+        for k in range(1, n):
+            expected += _expected_round(estimation, data[:k], table.branch_estimates[k - 1],
+                                        data[k], 2)
+    else:
+        expected = [("H", q) for q in data]
+        expected += _expected_round(estimation, data, table.amplitude_estimates, t + n, 4)
+    phase_stage = result.phase_stage
+    assert phase_stage  # random phases need a nonempty diagonal
+    assert result.circuit.gates[len(expected):] == phase_stage
+    assert [_describe(g) for g in result.circuit.gates[:len(expected)]] == expected
+    assert phase_stage == _shift_gates(build_phase_stage(x, cfg.phase_bits), t)
+    assert all(set(gate_qubits(g)) <= set(data) for g in phase_stage)
 
 
 def test_package_attribute_is_the_prepare_module():
