@@ -114,10 +114,6 @@ def load_phases(path: str) -> list[float]:
     return phases.tolist()
 
 
-def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in amplitudes]
-
-
 def cmd_prepare(args) -> int:
     x = load_vector(args.input)
     mode = _MODES[args.mode]
@@ -154,7 +150,7 @@ def cmd_prepare(args) -> int:
         "seed": args.seed,
         "qubits": record.circuit.num_qubits,
         "gate_count": written_gate_count(record.circuit),
-        "prepared_amplitudes": _amplitude_pairs(record.amplitudes),
+        "prepared_amplitudes": [[float(a.real), float(a.imag)] for a in record.amplitudes],
         "distance_to_target": record.measured_distance,
         "overlap_fidelity": record.overlap_fidelity,
         "theoretical_bound": record.theoretical_bound,

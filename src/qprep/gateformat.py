@@ -64,7 +64,7 @@ def expand_blocks(gates: Iterable[Gate]) -> Iterator[Gate]:
     """The gates as written: each Fourier block becomes its primitive gates."""
     for gate in gates:
         if isinstance(gate, QFTBlock):
-            yield from qft_circuit(gate.register, gate.inverse).gates
+            yield from qft_circuit(gate.register, gate.inverse)
         else:
             yield gate
 
@@ -89,22 +89,36 @@ def gate_lines(gate: Gate) -> list[str]:
             line += f" p={dyadic[0]} m={dyadic[1]}"
         return [line]
     if isinstance(gate, DiagonalOracle):
-        line = (f"DIAG j={gate.power} reg={_indices(gate.register)} "
-                f"c={_controls(gate.controls)} "
-                f"phases={','.join(format_float(p) for p in gate.phases)}")
+        return [_diag_line(gate, {})]
+    raise TypeError(f"unknown gate type {type(gate).__name__}")
+
+
+def _diag_line(gate: DiagonalOracle, phases_fields: dict[int, str]) -> str:
+    """The gate's line, its phases field memoized by tuple id in ``phases_fields``."""
+    key = id(gate.phases)
+    if key not in phases_fields:
+        field = f"phases={','.join(format_float(p) for p in gate.phases)}"
         dyadics = [as_dyadic(p) for p in gate.phases]
         if all(d is not None for d in dyadics):
             level = max(d[1] for d in dyadics)
             numerators = [d[0] << (level - d[1]) for d in dyadics]
-            line += f" p={_indices(numerators)} m={level}"
-        return [line]
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
+            field += f" p={_indices(numerators)} m={level}"
+        phases_fields[key] = field
+    return (f"DIAG j={gate.power} reg={_indices(gate.register)} "
+            f"c={_controls(gate.controls)} {phases_fields[key]}")
 
 
 def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
     lines = [f"# qprep v1 n={data_qubits} qubits={circuit.num_qubits}"]
+    # An estimation round's 2t oracles share one phases tuple: format it once.
+    # Reuse goes by identity, as 0.0 == -0.0 but they print "0" and "-0"; the
+    # circuit keeps every tuple alive, so no id is reused during the call.
+    phases_fields: dict[int, str] = {}
     for gate in expand_blocks(circuit.gates):
-        lines.extend(gate_lines(gate))
+        if isinstance(gate, DiagonalOracle):
+            lines.append(_diag_line(gate, phases_fields))
+        else:
+            lines.extend(gate_lines(gate))
     return lines
 
 

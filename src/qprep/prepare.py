@@ -19,6 +19,7 @@ truncation contributes error.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,21 +101,15 @@ class TargetVector:
         return scaled / float(np.linalg.norm(scaled)) * np.exp(1.0j * self.phases)
 
 
-@dataclass(frozen=True)
-class MarginalTree:
+def compute_marginals(x: TargetVector) -> tuple[np.ndarray, ...]:
     """levels[k-1] holds the 2**k bit-prefix probabilities; the last level is
     the normalized per-index distribution."""
-
-    levels: tuple[np.ndarray, ...]
-
-
-def compute_marginals(x: TargetVector) -> MarginalTree:
     weights = x.scaled_magnitudes() ** 2
     probabilities = weights / weights.sum()
     levels = [probabilities]
     while levels[-1].size > 2:
         levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
-    return MarginalTree(tuple(reversed(levels)))
+    return tuple(reversed(levels))
 
 
 @dataclass(frozen=True)
@@ -160,60 +155,48 @@ def required_precision(num_qubits: int, epsilon: float, mode: str) -> PrecisionC
 
 @dataclass(frozen=True)
 class AngleTable:
-    """Exact rotation angles plus their grid estimates at the working width.
+    """The configured scheme's exact rotation angles, one array per estimation
+    round, plus their floor estimates at the working width.
 
-    branch_angles[k-1][j] halves the probability of tree branch j at depth k;
-    the root angle is applied directly (never estimated) so it carries no grid
-    version.  amplitude_angles are the per-index arccos(x_i / max) used by the
-    probabilistic scheme, always estimated at multiplier 4.
+    * deterministic: round k-1 holds the depth-k branch angles, angles[k-1][j]
+      halving the probability of marginal-tree branch j; the root angle is
+      applied directly (never estimated), so it carries no grid version.
+    * probabilistic: one round of per-index arccos(x_i / max); no root angle.
     """
 
     estimation_bits: int
     multiplier: int
-    root_angle: float
-    branch_angles: tuple[np.ndarray, ...]
-    branch_estimates: tuple[np.ndarray, ...]
-    amplitude_angles: np.ndarray
-    amplitude_estimates: np.ndarray
+    root_angle: float | None
+    angles: tuple[np.ndarray, ...]
+    estimates: tuple[np.ndarray, ...]
 
-    def quantized_branch(self, k: int) -> np.ndarray:
-        """Rotation angles the circuit realizes at depth k (radians)."""
-        scale = TAU / (self.multiplier * (1 << self.estimation_bits))
-        return self.branch_estimates[k - 1] * scale
-
-    def quantized_amplitude(self) -> np.ndarray:
-        return self.amplitude_estimates * (TAU / (4 << self.estimation_bits))
+    def quantized(self, r: int) -> np.ndarray:
+        """Rotation angles the circuit realizes in round r (radians)."""
+        return self.estimates[r] * (TAU / (self.multiplier << self.estimation_bits))
 
 
-def compute_angles(tree: MarginalTree, x: TargetVector,
-                   cfg: PrecisionConfig) -> AngleTable:
+def compute_angles(x: TargetVector, cfg: PrecisionConfig) -> AngleTable:
     t, c = cfg.estimation_bits, cfg.angle_multiplier
-    root = math.acos(min(1.0, math.sqrt(tree.levels[0][0])))
-
-    branch_angles = []
-    branch_estimates = []
-    for k in range(1, x.num_qubits):
-        parents = tree.levels[k - 1]
-        left = tree.levels[k][0::2]
-        alpha = np.zeros(parents.size)
-        live = parents > _ZERO_BRANCH
-        alpha[live] = np.arccos(np.clip(np.sqrt(left[live] / parents[live]), 0.0, 1.0))
-        if cfg.mode == DETERMINISTIC and c == 4 and np.any(alpha >= math.pi / 2):
-            raise ValueError("angle_multiplier 4 requires every branch angle < pi/2")
-        branch_angles.append(alpha)
-        branch_estimates.append(
-            np.array([floor_fraction(c * a / TAU, t) for a in alpha], dtype=np.int64)
-        )
-
-    peak = float(np.max(x.magnitudes))
-    amplitude_angles = np.arccos(np.clip(x.magnitudes / peak, 0.0, 1.0))
-    # x_i = 0 gives 4*alpha = 2*pi, which floor_fraction wraps onto the top
-    # grid cell, keeping every estimate strictly below a full turn.
-    amplitude_estimates = np.array(
-        [floor_fraction(4.0 * a / TAU, t) for a in amplitude_angles], dtype=np.int64
-    )
-    return AngleTable(t, c, root, tuple(branch_angles), tuple(branch_estimates),
-                      amplitude_angles, amplitude_estimates)
+    if cfg.mode == DETERMINISTIC:
+        levels = compute_marginals(x)
+        root = math.acos(min(1.0, math.sqrt(levels[0][0])))
+        angles = []
+        for parents, children in zip(levels, levels[1:]):
+            alpha = np.zeros(parents.size)
+            live = parents > _ZERO_BRANCH
+            left = children[0::2]
+            alpha[live] = np.arccos(np.clip(np.sqrt(left[live] / parents[live]), 0.0, 1.0))
+            if c == 4 and np.any(alpha >= math.pi / 2):
+                raise ValueError("angle_multiplier 4 requires every branch angle < pi/2")
+            angles.append(alpha)
+    else:
+        root = None
+        angles = [np.arccos(np.clip(x.magnitudes / np.max(x.magnitudes), 0.0, 1.0))]
+    # A probabilistic x_i = 0 gives 4*alpha = 2*pi, which floor_fraction wraps
+    # onto the top grid cell, keeping every estimate strictly below a full turn.
+    estimates = tuple(np.array([floor_fraction(c * a / TAU, t) for a in alpha],
+                               dtype=np.int64) for alpha in angles)
+    return AngleTable(t, c, root, tuple(angles), estimates)
 
 
 @dataclass(frozen=True)
@@ -310,18 +293,18 @@ def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
     n, t = x.num_qubits, cfg.estimation_bits
     estimation = tuple(range(t))
     data = tuple(range(t, t + n))
-    table = compute_angles(compute_marginals(x), x, cfg)
+    table = compute_angles(x, cfg)
     if cfg.mode == DETERMINISTIC:
         gates: list[Gate] = [RotationY(2.0 * table.root_angle, data[0])]
-        rounds = [(data[:k], table.branch_estimates[k - 1], data[k]) for k in range(1, n)]
+        rounds = [(data[:k], data[k]) for k in range(1, n)]
         ancilla, success = None, 1.0
     else:
         ancilla = t + n
         gates = [Hadamard(q) for q in data]
-        rounds = [(data, table.amplitude_estimates, ancilla)]
-        success = float(np.mean(np.cos(table.quantized_amplitude()) ** 2))
+        rounds = [(data, ancilla)]
+        success = float(np.mean(np.cos(table.quantized(0)) ** 2))
 
-    for register, estimates, target in rounds:
+    for (register, target), estimates in zip(rounds, table.estimates):
         phases = tuple(TAU * int(y) / (1 << t) for y in estimates)
         gates.extend(_estimation_block(estimation, register, phases))
         gates.extend(_rotation_ladder(estimation, target, cfg.angle_multiplier))
@@ -347,6 +330,11 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     the estimation register uncomputed, and return the data-register state."""
     circuit = build_result.circuit
     registers = build_result.registers
+    needed = 32 << circuit.num_qubits  # one gate's input and output state
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise ValueError(f"simulating {circuit.num_qubits} qubits needs {needed} bytes, "
+                         f"more than the {memory} bytes of physical memory; use --fast-path")
     state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
     success = 1.0
     if registers.ancilla is not None:
@@ -382,18 +370,16 @@ def fast_path_prepare(x: TargetVector, cfg: PrecisionConfig) -> StateVector:
     No estimation register is involved.
     """
     n = x.num_qubits
-    table = compute_angles(compute_marginals(x), x, cfg)
+    table = compute_angles(x, cfg)
     if cfg.mode == DETERMINISTIC:
         amps = np.ones(1)
-        level_angles = [np.array([table.root_angle])]
-        level_angles += [table.quantized_branch(k) for k in range(1, n)]
-        for angles in level_angles:
+        for angles in (np.array([table.root_angle]), *map(table.quantized, range(n - 1))):
             grown = np.empty(2 * amps.size)
             grown[0::2] = amps * np.cos(angles)
             grown[1::2] = amps * np.sin(angles)
             amps = grown
     else:
-        kept = np.cos(table.quantized_amplitude())
+        kept = np.cos(table.quantized(0))
         amps = kept / np.linalg.norm(kept)
     phase_spec = quantize(x.phases, cfg.phase_bits)
     amplitudes = amps.astype(complex) * np.exp(1.0j * np.array(phase_spec.angles()))

@@ -275,9 +275,9 @@ def _swap_gates(a: int, b: int) -> list[Gate]:
 
 
 def qft_circuit(register: tuple[int, ...] | list[int],
-                inverse: bool = False) -> Circuit:
-    """Fourier transform on ``register`` as Hadamard and phase gates, on
-    max(register) + 1 qubits.
+                inverse: bool = False) -> tuple[Gate, ...]:
+    """Fourier transform on ``register`` as Hadamard and phase gates: the
+    gates a ``QFTBlock`` is written as.
 
     The register is read most-significant first, matching the global bit
     convention; the trailing bit-reversal is realized with CNOT-triple swaps
@@ -300,7 +300,7 @@ def qft_circuit(register: tuple[int, ...] | list[int],
         gates.extend(_swap_gates(register[i], register[width - 1 - i]))
     if inverse:
         gates = [inverse_gate(g) for g in reversed(gates)]
-    return Circuit(max(register) + 1, tuple(gates))
+    return tuple(gates)
 
 
 def project_measure(state: StateVector, target: int,

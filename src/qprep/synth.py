@@ -185,9 +185,12 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
             mask = 0
             for q in gate.qubits:
                 mask |= 1 << (num_qubits - 1 - q)
-            for index in range(size):
-                if ((index ^ flip_mask) & mask) == mask:
-                    accumulated[index] = (accumulated[index] + contribution) % modulus
+            # Gate phase lands where the flipped index is a superset of mask.
+            superset = mask
+            while superset < size:
+                index = superset ^ flip_mask
+                accumulated[index] = (accumulated[index] + contribution) % modulus
+                superset = (superset + 1) | mask
         else:
             raise TypeError(f"unexpected gate in synthesis result: {gate!r}")
     return PhaseSpec(num_qubits, m, tuple(accumulated))

@@ -40,6 +40,18 @@ def test_prepare_uniform_probabilistic(tmp_path, capsys):
     assert report["bound_satisfied"] is True
 
 
+def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
+    # prob mode at n = 2 and epsilon 1e-9 estimates 37 bits: 40 qubits, whose
+    # full simulation needs 32 * 2^40 bytes.
+    vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
+    args = ["prepare", str(vec), "--mode", "prob", "--epsilon", "1e-9",
+            "--report", str(tmp_path / "report.json")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "40 qubits" in err and str(32 << 40) in err and "--fast-path" in err
+    assert main(args + ["--fast-path"]) == 0
+
+
 def test_prepare_basis_vector_deterministic(tmp_path):
     vec = write_vector(tmp_path / "v.json", [0, 0, 1, 0])
     report_path = tmp_path / "report.json"

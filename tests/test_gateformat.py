@@ -48,6 +48,18 @@ def test_diag_line_carries_common_level_annotation():
     assert line.endswith("p=0,2,1,3 m=3")
 
 
+def test_diag_gates_sharing_phases_write_as_each_alone():
+    shared = (0.0, TAU / 4, TAU / 8, TAU * 3 / 8)
+    signed = (-0.0, *shared[1:])  # equal to ``shared``, but written "-0"
+    assert signed == shared
+    gates = (DiagonalOracle((1, 2), shared, power=1, controls=(0,)),
+             DiagonalOracle((1, 2), shared, power=-2, controls=(0,)),
+             DiagonalOracle((1, 2), signed, power=4, controls=(0,)))
+    lines = circuit_lines(Circuit(3, gates), 2)
+    assert lines[1:] == [gate_lines(gate)[0] for gate in gates]
+    assert "phases=0," in lines[2] and "phases=-0," in lines[3]
+
+
 def _reduced(p: int, m: int) -> tuple[int, int]:
     """p/2**m in lowest terms, keeping m >= 1."""
     while m > 1 and p % 2 == 0:

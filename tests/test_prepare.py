@@ -46,58 +46,59 @@ def test_target_vector_validation():
 
 
 def test_marginals_uniform():
-    tree = compute_marginals(TargetVector.from_magnitudes([1, 1, 1, 1]))
-    assert np.allclose(tree.levels[1], [0.25] * 4)
-    assert np.allclose(tree.levels[0], [0.5, 0.5])
+    levels = compute_marginals(TargetVector.from_magnitudes([1, 1, 1, 1]))
+    assert np.allclose(levels[1], [0.25] * 4)
+    assert np.allclose(levels[0], [0.5, 0.5])
 
 
 def test_marginals_basis_vector():
-    tree = compute_marginals(TargetVector.from_magnitudes([1, 0, 0, 0]))
-    assert np.allclose(tree.levels[0], [1, 0])
-    assert np.allclose(tree.levels[1], [1, 0, 0, 0])
+    levels = compute_marginals(TargetVector.from_magnitudes([1, 0, 0, 0]))
+    assert np.allclose(levels[0], [1, 0])
+    assert np.allclose(levels[1], [1, 0, 0, 0])
 
 
 def test_marginals_direct_summation():
     x = TargetVector.from_magnitudes(np.sqrt([1, 2, 3, 4]) / math.sqrt(10))
-    tree = compute_marginals(x)
-    assert np.allclose(tree.levels[0], [0.3, 0.7], atol=1e-12)
+    levels = compute_marginals(x)
+    assert np.allclose(levels[0], [0.3, 0.7], atol=1e-12)
 
 
 def test_marginals_parent_child_consistency():
     rng = np.random.default_rng(31)
     x = TargetVector.from_magnitudes(np.abs(rng.standard_normal(16)))
-    tree = compute_marginals(x)
-    for k in range(len(tree.levels) - 1):
-        parents, children = tree.levels[k], tree.levels[k + 1]
+    levels = compute_marginals(x)
+    for k in range(len(levels) - 1):
+        parents, children = levels[k], levels[k + 1]
         assert np.allclose(parents, children.reshape(-1, 2).sum(axis=1), atol=1e-15)
         assert abs(parents.sum() - 1.0) < 1e-12
 
 
 def test_angles_uniform_vector_splits_evenly():
     x = TargetVector.from_magnitudes([1, 1, 1, 1])
-    table = compute_angles(compute_marginals(x), x, PrecisionConfig(6, 4))
+    table = compute_angles(x, PrecisionConfig(6, 4))
     assert table.root_angle == pytest.approx(math.pi / 4, abs=1e-12)
-    assert np.allclose(table.branch_angles[0], math.pi / 4, atol=1e-12)
+    assert np.allclose(table.angles[0], math.pi / 4, atol=1e-12)
 
 
 def test_angles_basis_vector_root_is_zero():
     x = TargetVector.from_magnitudes([1, 0])
-    table = compute_angles(compute_marginals(x), x, PrecisionConfig(6, 4))
+    table = compute_angles(x, PrecisionConfig(6, 4))
     assert table.root_angle == 0.0
 
 
-def test_amplitude_angles_for_three_four():
+def test_prob_angles_for_three_four():
     x = TargetVector.from_magnitudes([3, 4])
     cfg = PrecisionConfig(6, 4, PROBABILISTIC)
-    table = compute_angles(compute_marginals(x), x, cfg)
-    assert table.amplitude_angles == pytest.approx([math.acos(0.75), 0.0])
+    table = compute_angles(x, cfg)
+    assert table.angles[0] == pytest.approx([math.acos(0.75), 0.0])
+    assert table.root_angle is None and len(table.estimates) == 1
 
 
 def test_zero_branches_get_zero_angles():
     x = TargetVector.from_magnitudes([0, 0, 1, 1])
-    table = compute_angles(compute_marginals(x), x, PrecisionConfig(6, 4))
-    assert table.branch_angles[0][0] == 0.0  # dead branch, not arccos(0/0)
-    assert table.branch_angles[0][1] == pytest.approx(math.pi / 4, abs=1e-12)
+    table = compute_angles(x, PrecisionConfig(6, 4))
+    assert table.angles[0][0] == 0.0  # dead branch, not arccos(0/0)
+    assert table.angles[0][1] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_precision_config_validation():
@@ -115,7 +116,7 @@ def test_multiplier_four_rejects_right_angles():
     x = TargetVector.from_magnitudes([0, 1, 1, 1])  # dead left branch at the top
     cfg = PrecisionConfig(6, 4, DETERMINISTIC, angle_multiplier=4)
     with pytest.raises(ValueError, match="pi/2"):
-        compute_angles(compute_marginals(x), x, cfg)
+        compute_angles(x, cfg)
 
 
 def test_required_precision_formulas():
@@ -384,17 +385,17 @@ def test_build_gate_order(mode):
     rng = np.random.default_rng(17)
     x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0, 6.0, 1 << n))
     cfg = PrecisionConfig(t, 4, mode)
-    table = compute_angles(compute_marginals(x), x, cfg)
+    table = compute_angles(x, cfg)
     result = build(x, cfg)
     estimation, data = tuple(range(t)), tuple(range(t, t + n))
     if mode == DETERMINISTIC:
         expected = [("RY", data[0], (), 2.0 * table.root_angle)]
         for k in range(1, n):
-            expected += _expected_round(estimation, data[:k], table.branch_estimates[k - 1],
+            expected += _expected_round(estimation, data[:k], table.estimates[k - 1],
                                         data[k], 2)
     else:
         expected = [("H", q) for q in data]
-        expected += _expected_round(estimation, data, table.amplitude_estimates, t + n, 4)
+        expected += _expected_round(estimation, data, table.estimates[0], t + n, 4)
     phase_stage = result.phase_stage
     assert phase_stage  # random phases need a nonempty diagonal
     assert result.circuit.gates[len(expected):] == phase_stage

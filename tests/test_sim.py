@@ -177,31 +177,30 @@ def test_oracle_power_equals_repeated_application():
 
 
 def test_qft_on_one_qubit_is_hadamard():
-    circuit = qft_circuit((0,))
-    assert circuit.gates == (Hadamard(0),)
+    assert qft_circuit((0,)) == (Hadamard(0),)
 
 
 def test_qft_of_zero_is_uniform():
-    out = apply_circuit(new_basis_state(2, 0), qft_circuit((0, 1)))
+    out = apply_circuit(new_basis_state(2, 0), Circuit(2, qft_circuit((0, 1))))
     assert np.allclose(out.amplitudes, np.full(4, 0.5), atol=1e-12)
 
 
 def test_qft_inverse_composes_to_identity():
     rng = np.random.default_rng(17)
     state = random_state(3, rng)
-    out = apply_circuit(state, qft_circuit((0, 1, 2)))
-    out = apply_circuit(out, qft_circuit((0, 1, 2), inverse=True))
+    out = apply_circuit(state, Circuit(3, qft_circuit((0, 1, 2))))
+    out = apply_circuit(out, Circuit(3, qft_circuit((0, 1, 2), inverse=True)))
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-10)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_qft_matches_direct_summation_dft(width):
     oracle = dft_matrix(width)
-    circuit = qft_circuit(tuple(range(width)))
+    circuit = Circuit(width, qft_circuit(tuple(range(width))))
     for j in range(1 << width):
         column = apply_circuit(new_basis_state(width, j), circuit)
         assert np.allclose(column.amplitudes, oracle[:, j], atol=1e-10)
-    inverse = qft_circuit(tuple(range(width)), inverse=True)
+    inverse = Circuit(width, qft_circuit(tuple(range(width)), inverse=True))
     for j in range(1 << width):
         column = apply_circuit(new_basis_state(width, j), inverse)
         assert np.allclose(column.amplitudes, oracle.conj().T[:, j], atol=1e-10)
@@ -216,7 +215,7 @@ def test_qft_block_gate_equals_circuit(inverse, register, num_qubits):
     rng = np.random.default_rng(29)
     state = random_state(num_qubits, rng)
     via_block = apply_gate(state, QFTBlock(register, inverse=inverse))
-    gates = qft_circuit(register, inverse=inverse).gates
+    gates = qft_circuit(register, inverse=inverse)
     via_circuit = apply_circuit(state, Circuit(num_qubits, gates))
     assert np.allclose(via_block.amplitudes, via_circuit.amplitudes, atol=1e-12)
 
@@ -225,7 +224,7 @@ def test_qft_on_permuted_register():
     # Register order defines the transform's bit order: reading the register
     # (1, 0) means qubit 1 is the most significant transform bit.
     state = new_basis_state(2, 2)  # qubit 0 set -> register value 01 = 1
-    out = apply_circuit(state, qft_circuit((1, 0)))
+    out = apply_circuit(state, Circuit(2, qft_circuit((1, 0))))
     assert np.allclose(out.amplitudes, dft_matrix(2)[:, 1][[0, 2, 1, 3]], atol=1e-12)
 
 

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from _util import dense_circuit_matrix
 from qprep.dyadic import DyadicPhase, PhaseSpec, quantize
 from qprep.sim import (
     Circuit,
@@ -166,6 +167,27 @@ def test_reconstruct_round_trip_many_random_specs():
     for _ in range(200):
         spec = random_spec(rng, max_qubits=4, max_level=4)
         assert reconstruct(peel_synthesize(spec), spec.num_qubits) == spec
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["peel", "sparse"])
+def test_reconstruct_matches_dense_product_of_gates(sparse):
+    # The dense matrix of the materialized gates (global-phase block and PauliX
+    # conjugations included) checks reconstruct independently of its walk.
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        spec = random_spec(rng, max_qubits=4, max_level=4)
+        n, m = spec.num_qubits, spec.level
+        if sparse:
+            support = [int(i) for i in rng.choice(1 << n, size=int(rng.integers(1, 1 << n)),
+                                                    replace=False)]
+            numerators = tuple(p if i in support else 0 for i, p in enumerate(spec.numerators))
+            spec = PhaseSpec(n, m, numerators)
+            result = sparse_synthesize(spec, support)
+        else:
+            result = peel_synthesize(spec)
+        numerators = np.array(reconstruct(result, n).numerators)
+        diagonal = np.diag(dense_circuit_matrix(result.product_gates(), n))
+        assert np.allclose(np.exp(2j * np.pi * numerators / (1 << m)), diagonal, atol=1e-10)
 
 
 def test_count_gates():
