@@ -27,11 +27,9 @@ import numpy as np
 from .dyadic import TAU, floor_fraction, quantize
 from .sim import (
     Circuit,
-    ControlledZPow,
     DiagonalOracle,
     Gate,
     Hadamard,
-    PauliX,
     QFTBlock,
     RotationY,
     StateVector,
@@ -218,27 +216,16 @@ class BuildResult:
     phase_stage: tuple[Gate, ...]
 
 
-def _shift_gates(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
-    shifted: list[Gate] = []
-    for gate in gates:
-        if isinstance(gate, ControlledZPow):
-            shifted.append(ControlledZPow(gate.level, tuple(q + offset for q in gate.qubits)))
-        elif isinstance(gate, PauliX):
-            shifted.append(PauliX(gate.target + offset))
-        else:
-            raise TypeError(f"phase stage contains unexpected gate {gate!r}")
-    return tuple(shifted)
-
-
-def build_phase_stage(x: TargetVector, phase_bits: int) -> tuple[Gate, ...]:
-    """Gates on the data qubits 0..n-1 whose product is the diagonal applying
-    the target phases quantized at ``phase_bits``.
+def build_phase_stage(x: TargetVector, phase_bits: int,
+                      data: tuple[int, ...] | None = None) -> tuple[Gate, ...]:
+    """Gates on the ``data`` qubits (default 0..n-1) whose product is the
+    diagonal applying the target phases quantized at ``phase_bits``.
 
     The synthesized product realizes every quantized phase exactly, the
     all-zeros entry included (via the synthesizer's global-phase block), so
     per-component phase error stays below one grid step 2*pi/2**phase_bits.
     """
-    return peel_synthesize(quantize(x.phases, phase_bits)).product_gates()
+    return peel_synthesize(quantize(x.phases, phase_bits), data).product_gates()
 
 
 def _estimation_block(estimation: tuple[int, ...], register: tuple[int, ...],
@@ -309,7 +296,7 @@ def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
         gates.extend(_estimation_block(estimation, register, phases))
         gates.extend(_rotation_ladder(estimation, target, cfg.angle_multiplier))
         gates.extend(_unestimation_block(estimation, register, phases))
-    phase_stage = _shift_gates(build_phase_stage(x, cfg.phase_bits), t)
+    phase_stage = build_phase_stage(x, cfg.phase_bits, data)
     num_qubits = t + n if ancilla is None else ancilla + 1
     circuit = Circuit(num_qubits, tuple(gates) + phase_stage)
     return BuildResult(circuit, RegisterMap(estimation, data, ancilla), success,

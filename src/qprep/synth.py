@@ -1,10 +1,11 @@
 """Synthesis of diagonal unitaries into products of multi-controlled phase gates.
 
-The peel construction removes off-grid phase components one refinement level
-at a time (finest level first) and, inside a level, one Hamming weight at a
-time (single-qubit patterns first).  Each fix-up cascades onto every superset
-pattern, which later weight passes absorb, so the emitted product reproduces
-the target diagonal exactly on the grid.
+A ControlledZPow gate on the qubits of pattern i shifts the phase of exactly
+the indices x that are supersets of i.  The peel construction emits
+inverse-sign gates, so its words c_i (the phase taken away at pattern i, in
+units of 2*pi/2**m) satisfy sum_{i subset of x} c_i = p(0) - p(x) (mod 2**m).
+Moebius inversion makes that solution unique: the integer Moebius transform
+of p(0) - p, n butterfly passes.  Bit b of a word is one gate of level m - b.
 
 No product of these phase gates can touch the all-zeros basis state, so a
 nonzero phase there is split off first and recorded as ``global_phase`` on the
@@ -24,10 +25,14 @@ from .sim import ControlledZPow, Gate, PauliX
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    num_qubits: int
+    register: tuple[int, ...]  # the gates' qubits, most significant index bit first
     level: int
     gates: tuple[Gate, ...]
     global_phase: DyadicPhase
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.register)
 
     def __post_init__(self) -> None:
         for gate in self.gates:
@@ -42,7 +47,7 @@ class SynthesisResult:
 
     def product_gates(self) -> tuple[Gate, ...]:
         """Gate list whose product is the full diagonal, global phase included."""
-        return global_phase_gates(self.global_phase) + self.gates
+        return global_phase_gates(self.global_phase, *self.register[:1]) + self.gates
 
 
 def count_gate_list(gates: tuple[Gate, ...]) -> dict[tuple[int, int], int]:
@@ -57,12 +62,6 @@ def count_gate_list(gates: tuple[Gate, ...]) -> dict[tuple[int, int], int]:
             raise TypeError(f"unexpected gate in synthesis result: {gate!r}")
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def _ones_qubits(index: int, num_qubits: int) -> tuple[int, ...]:
-    return tuple(
-        q for q in range(num_qubits) if (index >> (num_qubits - 1 - q)) & 1
-    )
 
 
 def _phase_bit_gates(numerator: int, level: int,
@@ -87,37 +86,44 @@ def global_phase_gates(phase: DyadicPhase, qubit: int = 0) -> tuple[Gate, ...]:
     return (*branch, PauliX(qubit), *branch, PauliX(qubit))
 
 
-def peel_synthesize(spec: PhaseSpec) -> SynthesisResult:
-    """Decompose diag(e^{i*2*pi*p_i/2**m}) into ControlledZPow gates.
+def peel_synthesize(spec: PhaseSpec,
+                    register: tuple[int, ...] | None = None) -> SynthesisResult:
+    """Decompose diag(e^{i*2*pi*p_i/2**m}) into ControlledZPow gates on
+    ``register`` (default qubits 0..n-1, most significant index bit first).
 
     The gate list alone reproduces every entry relative to entry zero; the
     entry-zero phase is returned as ``global_phase``.  Gate count is at most
     level * (2**n - 1).
+
+    The words are c = Moebius(p_0 - p) mod 2**m.  They are what the peel loop
+    emits: finest level first, patterns in (popcount, index) order, each set
+    residual bit giving ControlledZPow(-level) and a carry onto every
+    superset.  That loop ends with residual zero, so its gates solve the same
+    subset sum, whose solution is unique.  Gates come out in the loop's order,
+    with level 1, where both signs coincide, emitted as +1.
     """
     n, m = spec.num_qubits, spec.level
-    size = 1 << n
-    modulus = 1 << m
-    residual = list(spec.numerators)
-    global_phase = DyadicPhase(residual[0], m)
-    if residual[0]:
-        shift = residual[0]
-        residual = [(p - shift) % modulus for p in residual]
-
-    order = sorted(range(1, size), key=lambda i: (i.bit_count(), i))
+    register = tuple(range(n)) if register is None else tuple(register)
+    if len(register) != n:
+        raise ValueError(f"{n}-qubit spec on a register of {len(register)} qubits")
+    size, mask, shift = 1 << n, (1 << m) - 1, spec.numerators[0]
+    words = [(shift - p) & mask for p in spec.numerators]
+    for half in (1 << b for b in range(n)):
+        for start in range(half, size, 2 * half):
+            words[start:start + half] = [(high - low) & mask for high, low in zip(
+                words[start:start + half], words[start - half:start])]
+    # ones[i]: the register qubits of the set bits of index i, in order.
+    ones: list[tuple[int, ...]] = [()]
+    for q in reversed(register):
+        ones += [(q, *rest) for rest in ones]
+    patterns = [(words[i], ones[i]) for i in sorted(
+        range(1, size), key=lambda i: (i.bit_count(), i)) if words[i]]
     gates: list[Gate] = []
     for level in range(m, 0, -1):
-        step = 1 << (m - level)
-        for index in order:
-            if residual[index] & step:
-                # Level 1 is plain Z where both signs coincide; emit +1 there,
-                # the inverse sign everywhere else.
-                emitted = 1 if level == 1 else -level
-                gates.append(ControlledZPow(emitted, _ones_qubits(index, n)))
-                superset = index
-                while superset < size:
-                    residual[superset] = (residual[superset] + step) % modulus
-                    superset = (superset + 1) | index
-    return SynthesisResult(n, m, tuple(gates), global_phase)
+        bit, emitted = m - level, (1 if level == 1 else -level)
+        gates.extend(ControlledZPow(emitted, qubits)
+                     for word, qubits in patterns if (word >> bit) & 1)
+    return SynthesisResult(register, m, tuple(gates), DyadicPhase(shift, m))
 
 
 def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
@@ -157,15 +163,16 @@ def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
         gates.extend(_phase_bit_gates(p, m, all_qubits))
         for q in flips:
             gates.append(PauliX(q))
-    return SynthesisResult(n, m, tuple(gates), DyadicPhase(0, m))
+    return SynthesisResult(all_qubits, m, tuple(gates), DyadicPhase(0, m))
 
 
 def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     """Integer-exact phase accumulated per basis index by the result's gates.
 
     PauliX gates flip which side of a qubit later phase gates see, so the
-    sparse conjugation pattern reconstructs correctly.  The recorded global
-    phase is added to every entry; reconstruct(peel_synthesize(s)) == s.
+    sparse conjugation pattern reconstructs correctly.  Index bits are read
+    through the result's register.  The recorded global phase is added to
+    every entry; reconstruct(peel_synthesize(s)) == s.
     """
     if num_qubits != result.num_qubits:
         raise ValueError(
@@ -174,17 +181,18 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     m = result.level
     size = 1 << num_qubits
     modulus = 1 << m
+    index_bit = {q: 1 << (num_qubits - 1 - k) for k, q in enumerate(result.register)}
     accumulated = [result.global_phase.numerator] * size
     flip_mask = 0
     for gate in result.gates:
         if isinstance(gate, PauliX):
-            flip_mask ^= 1 << (num_qubits - 1 - gate.target)
+            flip_mask ^= index_bit[gate.target]
         elif isinstance(gate, ControlledZPow):
             magnitude = 1 << (m - abs(gate.level))
             contribution = magnitude if gate.level > 0 else -magnitude
             mask = 0
             for q in gate.qubits:
-                mask |= 1 << (num_qubits - 1 - q)
+                mask |= index_bit[q]
             # Gate phase lands where the flipped index is a superset of mask.
             superset = mask
             while superset < size:

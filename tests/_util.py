@@ -1,14 +1,17 @@
-"""Shared test helpers: independent dense-matrix oracles and readout utilities.
+"""Shared test helpers: independent oracles and readout utilities.
 
-The oracles here build full 2^n x 2^n matrices from first principles (kron
-products and explicit index arithmetic) so they share no code with the
-simulator's gate kernels.
+The dense-matrix oracles build full 2^n x 2^n matrices from first principles
+(kron products and explicit index arithmetic) so they share no code with the
+simulator's gate kernels.  ``reference_peel`` is the peel construction as an
+explicit loop over levels and patterns, the oracle for the transform in
+``qprep.synth.peel_synthesize``.
 """
 
 import math
 
 import numpy as np
 
+from qprep.dyadic import DyadicPhase, PhaseSpec, quantize
 from qprep.sim import (
     ControlledZPow,
     DiagonalOracle,
@@ -16,6 +19,7 @@ from qprep.sim import (
     PauliX,
     RotationY,
 )
+from qprep.synth import SynthesisResult
 
 TAU = 2.0 * math.pi
 
@@ -95,3 +99,59 @@ def extract_data_amplitudes(amplitudes: np.ndarray, data_qubits: int,
     if has_ancilla:
         keep = keep[0::2]
     return keep / np.linalg.norm(keep)
+
+
+def _ones_qubits(index: int, num_qubits: int) -> tuple[int, ...]:
+    return tuple(
+        q for q in range(num_qubits) if (index >> (num_qubits - 1 - q)) & 1
+    )
+
+
+def reference_peel(spec: PhaseSpec) -> SynthesisResult:
+    """The peel loop on qubits 0..n-1: finest level first, patterns in
+    (popcount, index) order; each set residual bit emits a gate and carries
+    onto every superset pattern."""
+    n, m = spec.num_qubits, spec.level
+    size = 1 << n
+    modulus = 1 << m
+    residual = list(spec.numerators)
+    global_phase = DyadicPhase(residual[0], m)
+    if residual[0]:
+        shift = residual[0]
+        residual = [(p - shift) % modulus for p in residual]
+
+    order = sorted(range(1, size), key=lambda i: (i.bit_count(), i))
+    gates = []
+    for level in range(m, 0, -1):
+        step = 1 << (m - level)
+        for index in order:
+            if residual[index] & step:
+                # Level 1 is plain Z where both signs coincide; emit +1 there,
+                # the inverse sign everywhere else.
+                emitted = 1 if level == 1 else -level
+                gates.append(ControlledZPow(emitted, _ones_qubits(index, n)))
+                superset = index
+                while superset < size:
+                    residual[superset] = (residual[superset] + step) % modulus
+                    superset = (superset + 1) | index
+    return SynthesisResult(tuple(range(n)), m, tuple(gates), global_phase)
+
+
+def onto_register(gates, register: tuple[int, ...]) -> tuple:
+    """Gates on qubits 0..n-1 moved to ``register`` (qubit q to register[q])."""
+    moved = []
+    for gate in gates:
+        if isinstance(gate, ControlledZPow):
+            moved.append(ControlledZPow(gate.level, tuple(register[q] for q in gate.qubits)))
+        elif isinstance(gate, PauliX):
+            moved.append(PauliX(register[gate.target]))
+        else:
+            raise TypeError(f"unexpected phase-stage gate {gate!r}")
+    return tuple(moved)
+
+
+def reference_phase_stage(x, phase_bits: int, data: tuple[int, ...]) -> tuple:
+    """The phase stage ``build`` must emit: the reference peel of the
+    quantized target phases, global-phase block first, on the data qubits."""
+    spec = quantize(x.phases, phase_bits)
+    return onto_register(reference_peel(spec).product_gates(), data)

@@ -217,9 +217,9 @@ def test_evaluate_bounds_synthesizes_the_phase_stage_once(monkeypatch, mode, fas
     calls = []
     original = qprep.prepare.peel_synthesize
 
-    def counted(spec):
+    def counted(spec, *args):
         calls.append(spec)
-        return original(spec)
+        return original(spec, *args)
 
     monkeypatch.setattr(qprep.prepare, "peel_synthesize", counted)
     x = random_target_vector(2, np.random.default_rng(5))

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from _util import extract_data_amplitudes
+from _util import extract_data_amplitudes, reference_peel, reference_phase_stage
 from qprep import analysis
-from qprep.cli import main
-from qprep.gateformat import load_circuit
-from qprep.sim import apply_circuit, new_basis_state, project_measure
+from qprep.cli import load_phases, load_vector, main
+from qprep.dyadic import quantize
+from qprep.gateformat import load_circuit, save_circuit
+from qprep.prepare import DETERMINISTIC, PROBABILISTIC, build, required_precision
+from qprep.sim import Circuit, apply_circuit, new_basis_state, project_measure
 
 TAU = 2.0 * math.pi
 
@@ -325,3 +327,30 @@ def test_prepare_report_agrees_with_verify_bounds_row(tmp_path, capsys):
         assert report["success_lower_bound"] == row["success_lower_bound"]
         assert report["bound_satisfied"] is row["satisfied"] is True
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["det", "prob", "synth-diag"])
+def test_emitted_gate_lists_are_the_reference_peel_bytes(tmp_path, command):
+    # The emitted files must equal, byte for byte, the gate lists whose phase
+    # gates come from the reference peel loop.
+    rng = np.random.default_rng(66)
+    n = 6
+    magnitudes, phases = rng.uniform(0.1, 1.0, 1 << n), rng.uniform(0, TAU, 1 << n)
+    emitted, expected = tmp_path / "emitted.txt", tmp_path / "expected.txt"
+    if command == "synth-diag":
+        path = str(write_phases(tmp_path / "p.json", phases))
+        assert main(["synth-diag", path, "--m", "10", "--emit", str(emitted)]) == 0
+        circuit = Circuit(n, reference_peel(quantize(load_phases(path), 10)).product_gates())
+    else:
+        path = str(write_vector(tmp_path / "v.json", magnitudes, phases))
+        assert main(["prepare", path, "--mode", command, "--epsilon", "0.1", "--fast-path",
+                     "--report", str(tmp_path / "r.json"), "--emit", str(emitted)]) == 0
+        x = load_vector(path)
+        cfg = required_precision(n, 0.1, DETERMINISTIC if command == "det" else PROBABILISTIC)
+        built = build(x, cfg)
+        rounds = built.circuit.gates[:len(built.circuit.gates) - len(built.phase_stage)]
+        stage = reference_phase_stage(x, cfg.phase_bits, built.registers.data)
+        assert len(stage) > 1 << n
+        circuit = Circuit(built.circuit.num_qubits, rounds + stage)
+    save_circuit(expected, circuit, n)
+    assert emitted.read_bytes() == expected.read_bytes()

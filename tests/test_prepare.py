@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from _util import reference_phase_stage
 from qprep.dyadic import TAU
 from qprep.prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
     PrecisionConfig,
     TargetVector,
-    _shift_gates,
     build,
     build_phase_stage,
     compute_angles,
@@ -400,7 +400,7 @@ def test_build_gate_order(mode):
     assert phase_stage  # random phases need a nonempty diagonal
     assert result.circuit.gates[len(expected):] == phase_stage
     assert [_describe(g) for g in result.circuit.gates[:len(expected)]] == expected
-    assert phase_stage == _shift_gates(build_phase_stage(x, cfg.phase_bits), t)
+    assert phase_stage == reference_phase_stage(x, cfg.phase_bits, data)
     assert all(set(gate_qubits(g)) <= set(data) for g in phase_stage)
 
 

@@ -1,10 +1,11 @@
 import math
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
-from _util import dense_circuit_matrix
+from _util import dense_circuit_matrix, onto_register, reference_peel
 from qprep.dyadic import DyadicPhase, PhaseSpec, quantize
 from qprep.sim import (
     Circuit,
@@ -76,6 +77,36 @@ def test_random_round_trips_and_gate_bound():
         result = peel_synthesize(spec)
         assert reconstruct(result, spec.num_qubits) == spec
         assert len(result.gates) <= spec.level * ((1 << spec.num_qubits) - 1)
+
+
+def test_peel_matches_the_reference_loop():
+    # The transform must emit the loop's gates in the loop's order, at every
+    # level: words above m = 63 overflow a signed 64-bit integer, and n = 0
+    # has no pattern but the empty one.
+    rng = random.Random(606)
+    for trial in range(150):
+        n = rng.randint(0, 7)
+        m = rng.randint(1, 11) if trial % 2 else rng.randint(60, 90)
+        spec = PhaseSpec(n, m, tuple(rng.getrandbits(m) for _ in range(1 << n)))
+        result, reference = peel_synthesize(spec), reference_peel(spec)
+        assert result.gates == reference.gates
+        assert result.global_phase == reference.global_phase
+    assert peel_synthesize(PhaseSpec(0, 70, ((1 << 69) + 3,))).gates == ()
+
+
+def test_peel_on_a_register_moves_every_gate_there():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        spec = random_spec(rng, max_qubits=4, max_level=5)
+        n = spec.num_qubits
+        register = tuple(int(q) for q in rng.permutation(n + 3)[:n])
+        placed = peel_synthesize(spec, register)
+        assert placed.register == register
+        assert placed.product_gates() == onto_register(
+            peel_synthesize(spec).product_gates(), register)
+        assert reconstruct(placed, n) == spec
+    with pytest.raises(ValueError, match="register of 2 qubits"):
+        peel_synthesize(PhaseSpec(3, 1, (0,) * 8), (4, 5))
 
 
 def test_entry_zero_phase_becomes_global_scalar():
