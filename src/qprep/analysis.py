@@ -158,33 +158,25 @@ def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
     """Build the circuit for one vector, prepare the state and compare it
     against the bounds.
 
-    The state comes from the full simulation, or with ``fast_path`` from the
-    ancilla-free reference route (the success probability is then the
-    build's exact one, and there is no estimation residual).  When
+    The ``PreparedState`` comes from the full simulation, or with
+    ``fast_path`` from the ancilla-free reference route, which has no
+    estimation residual; either way it is norm-checked here.  When
     ``epsilon`` is given it is used as the bound (the widths are then
     expected to come from ``required_precision``); otherwise the analytic
     formula for the configured widths applies.
     """
     built = build(x, cfg)
-    if fast_path:
-        amplitudes = fast_path_prepare(x, cfg).amplitudes
-        success, residual = built.expected_success_probability, None
-    else:
-        prepared = simulate_preparation(built)
-        amplitudes = prepared.amplitudes
-        success, residual = prepared.success_probability, prepared.estimation_residual
+    prepared = fast_path_prepare(x, cfg) if fast_path else simulate_preparation(built)
 
-    state = StateVector(x.num_qubits, amplitudes)
+    state = StateVector(x.num_qubits, prepared.amplitudes)
     target = StateVector(x.num_qubits, x.amplitudes())
     distance = state_distance(state, target)
     bound = epsilon if epsilon is not None else total_distance_bound(x, cfg)
     satisfied = distance <= bound + BOUND_SLACK
-    lower = None
+    success = lower = None
     if cfg.mode == PROBABILISTIC:
-        lower = success_lower_bound(x)
+        success, lower = prepared.success_probability, success_lower_bound(x)
         satisfied = satisfied and success >= lower - BOUND_SLACK
-    else:
-        success = None
 
     return BoundReport(
         config=_config_dict(x.num_qubits, cfg.estimation_bits, cfg.phase_bits,
@@ -196,9 +188,9 @@ def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
         gate_counts=count_gate_list(built.phase_stage),
         satisfied=satisfied,
         seed=seed,
-        amplitudes=amplitudes,
+        amplitudes=prepared.amplitudes,
         overlap_fidelity=overlap_fidelity(state, target),
-        estimation_residual=residual,
+        estimation_residual=prepared.estimation_residual,
         circuit=built.circuit,
     )
 

@@ -22,7 +22,9 @@ from .prepare import (
     PROBABILISTIC,
     LeakageError,
     PrecisionConfig,
+    RegisterMap,
     TargetVector,
+    _memory_shortfall,
     build,
     fast_path_prepare,
     required_precision,
@@ -55,9 +57,10 @@ def _number(where: str, name: str, value) -> float:
 
 def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndarray:
     """One column of finite numbers per name in ``fields``, one row per basis
-    index, read from JSON {"n", key} (``values`` unpacks each entry) or from
-    CSV rows index,<fields> in any order under an optional header.  Every
-    error names the file and the entry or row at fault.
+    index, read from JSON {"n", key} (``values`` unpacks each entry; n must be
+    a JSON integer and every value a JSON number) or from CSV rows
+    index,<fields> in any order under an optional header, whose cells are
+    parsed as text.  Every error names the file and the entry or row at fault.
     """
     if str(path).endswith(".csv"):
         with open(path, newline="") as handle:
@@ -86,14 +89,21 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
         try:
             with open(path) as handle:
                 raw = json.load(handle)
-            n = int(raw["n"])
+            n = raw["n"]
             cells = [(f"{path}: entry {index}", values(entry))
                      for index, entry in enumerate(raw[key])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed file {path}: {exc}") from exc
-        if n < 1 or len(cells) != 1 << n:
-            raise ValueError(f"{path}: expected 2^n >= 2 entries for n={n}, "
-                             f"got {len(cells)}")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"{path}: n {json.dumps(n)} is not an integer")
+        size = len(cells)
+        if n < 1 or size.bit_length() != n + 1 or size & (size - 1):
+            raise ValueError(f"{path}: expected 2^n >= 2 entries for n={n}, got {size}")
+        # float() would read true as 1 and "0" as 0; only JSON numbers count.
+        for where, row in cells:
+            for name, value in zip(fields, row):
+                if isinstance(value, (bool, str)):
+                    raise ValueError(f"{where}: {name} {json.dumps(value)} is not a number")
     return np.array([[_number(where, name, value) for name, value in zip(fields, row)]
                      for where, row in cells]).T.copy()
 
@@ -176,24 +186,27 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+def _synthesize_checked(spec: PhaseSpec, support: list[int] | None = None):
+    """Peel synthesis of ``spec``, or sparse synthesis on ``support``, with
+    its gate-count ceiling and whether ``reconstruct`` gives ``spec`` back."""
+    n, m = spec.num_qubits, spec.level
+    if support is None:
+        result, bound = peel_synthesize(spec), m * ((1 << n) - 1)
+    else:
+        result, bound = sparse_synthesize(spec, support), len(support) * (2 * n + m)
+    return result, bound, reconstruct(result, n) == spec
+
+
 def cmd_synth_diag(args) -> int:
     if args.m < 1:
         raise UsageError(f"--m must be >= 1, got {args.m}")
     angles = load_phases(args.input)
     spec = quantize(angles, args.m)
     n = spec.num_qubits
-    if args.sparse:
-        support = [i for i, p in enumerate(spec.numerators) if p]
-        result = sparse_synthesize(spec, support)
-        bound = len(support) * (2 * n + args.m)
-        bound_label = f"|support|*(2n+m) = {bound}"
-    else:
-        result = peel_synthesize(spec)
-        bound = args.m * ((1 << n) - 1)
-        bound_label = f"m*(2^n - 1) = {bound}"
-
-    exact = reconstruct(result, n) == spec
-    print(f"n={n} m={args.m} gates={len(result.gates)} bound {bound_label}")
+    support = [i for i, p in enumerate(spec.numerators) if p] if args.sparse else None
+    result, bound, exact = _synthesize_checked(spec, support)
+    ceiling = "m*(2^n - 1)" if support is None else "|support|*(2n+m)"
+    print(f"n={n} m={args.m} gates={len(result.gates)} bound {ceiling} = {bound}")
     for (arity, level), count in sorted(result.counts.items()):
         kind = "X" if level == 0 else f"CZP(l={level})"
         print(f"  arity {arity:>2}  {kind:<12} x{count}")
@@ -209,59 +222,49 @@ def cmd_synth_diag(args) -> int:
     return 0
 
 
+def _synth_row(case: str, spec: PhaseSpec, support: list[int] | None = None) -> dict:
+    result, bound, exact = _synthesize_checked(spec, support)
+    return {"suite": "synth", "case": case, "gate_count": len(result.gates),
+            "bound": bound, "exact": exact,
+            "satisfied": bool(exact and len(result.gates) <= bound)}
+
+
 def _suite_synth(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     rows = []
     if n <= 3:  # exhaustive +/-1 diagonals
         for pattern in range(1 << (1 << n)):
             numerators = tuple((pattern >> i) & 1 for i in range(1 << n))
-            spec = PhaseSpec(n, 1, numerators)
-            result = peel_synthesize(spec)
-            rows.append({
-                "suite": "synth", "case": f"exhaustive-m1-{pattern}",
-                "gate_count": len(result.gates), "bound": (1 << n) - 1,
-                "exact": reconstruct(result, n) == spec,
-            })
+            rows.append(_synth_row(f"exhaustive-m1-{pattern}", PhaseSpec(n, 1, numerators)))
     for trial in range(trials):
         nn = int(rng.integers(1, n + 1))
         m = int(rng.integers(1, 6))
         numerators = tuple(int(v) for v in rng.integers(0, 1 << m, 1 << nn))
-        spec = PhaseSpec(nn, m, numerators)
-        result = peel_synthesize(spec)
-        rows.append({
-            "suite": "synth", "case": f"random-peel-{trial}",
-            "gate_count": len(result.gates), "bound": m * ((1 << nn) - 1),
-            "exact": reconstruct(result, nn) == spec,
-        })
+        rows.append(_synth_row(f"random-peel-{trial}", PhaseSpec(nn, m, numerators)))
         support_size = int(rng.integers(1, nn + 1))
         support = [int(v) for v in
                    rng.choice(1 << nn, size=support_size, replace=False)]
         sparse_numerators = [0] * (1 << nn)
         for index in support:
             sparse_numerators[index] = int(rng.integers(0, 1 << m))
-        sparse_spec = PhaseSpec(nn, m, tuple(sparse_numerators))
-        sparse_result = sparse_synthesize(sparse_spec, support)
-        rows.append({
-            "suite": "synth", "case": f"random-sparse-{trial}",
-            "gate_count": len(sparse_result.gates),
-            "bound": support_size * (2 * nn + m),
-            "exact": reconstruct(sparse_result, nn) == sparse_spec,
-        })
-    for row in rows:
-        row["satisfied"] = bool(row["exact"] and row["gate_count"] <= row["bound"])
+        rows.append(_synth_row(f"random-sparse-{trial}",
+                               PhaseSpec(nn, m, tuple(sparse_numerators)), support))
     return rows
+
+
+# The dualpath suite's widths, one per mode.
+_DUALPATH_CONFIGS = tuple(PrecisionConfig(8, 6, mode) for mode in (DETERMINISTIC, PROBABILISTIC))
 
 
 def _suite_dualpath(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     rows = []
     for trial in range(trials):
         x = analysis.random_target_vector(n, rng)
-        for mode in (DETERMINISTIC, PROBABILISTIC):
-            cfg = PrecisionConfig(8, 6, mode)
+        for cfg in _DUALPATH_CONFIGS:
             prepared = simulate_preparation(build(x, cfg))
             fast = fast_path_prepare(x, cfg)
             deviation = float(np.max(np.abs(prepared.amplitudes - fast.amplitudes)))
             rows.append({
-                "suite": "dualpath", "mode": mode, "trial": trial,
+                "suite": "dualpath", "mode": cfg.mode, "trial": trial,
                 "deviation": deviation,
                 "estimation_residual": prepared.estimation_residual,
                 "satisfied": bool(deviation <= 1e-9
@@ -270,28 +273,53 @@ def _suite_dualpath(n: int, trials: int, rng: np.random.Generator) -> list[dict]
     return rows
 
 
+def _bounds_configs(n: int) -> tuple[list[PrecisionConfig], list[PrecisionConfig]]:
+    """The bounds suite's widths: fixed ones for a real vector, then those
+    ``required_precision`` gives at epsilon 0.5 for a complex one."""
+    fixed = [PrecisionConfig(t, 1, DETERMINISTIC) for t in (6, 8, 10)]
+    fixed += [PrecisionConfig(2 * n + math.ceil(math.log2(math.pi / epsilon)), 1,
+                              PROBABILISTIC) for epsilon in (0.5, 0.1)]
+    return fixed, [required_precision(n, 0.5, mode) for mode in (DETERMINISTIC, PROBABILISTIC)]
+
+
 def _suite_bounds(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
+    fixed, by_epsilon = _bounds_configs(n)
     rows = []
     for trial in range(trials):
         real = analysis.random_target_vector(n, rng, complex_phases=False)
-        for t in (6, 8, 10):
-            report = analysis.evaluate_bounds(
-                real, PrecisionConfig(t, 1, DETERMINISTIC), seed=trial)
-            rows.append({"suite": "bounds", **report.to_json_dict()})
-        for epsilon in (0.5, 0.1):
-            t = 2 * n + math.ceil(math.log2(math.pi / epsilon))
-            report = analysis.evaluate_bounds(
-                real, PrecisionConfig(t, 1, PROBABILISTIC), seed=trial)
-            rows.append({"suite": "bounds", **report.to_json_dict()})
+        reports = [analysis.evaluate_bounds(real, cfg, seed=trial) for cfg in fixed]
         full = analysis.random_target_vector(n, rng)
-        for mode in (DETERMINISTIC, PROBABILISTIC):
-            cfg = required_precision(n, 0.5, mode)
-            report = analysis.evaluate_bounds(full, cfg, epsilon=0.5, seed=trial)
-            rows.append({"suite": "bounds", **report.to_json_dict()})
+        reports += [analysis.evaluate_bounds(full, cfg, epsilon=0.5, seed=trial)
+                    for cfg in by_epsilon]
+        rows += [{"suite": "bounds", **report.to_json_dict()} for report in reports]
     return rows
 
 
+def _check_verify_size(suite: str, n: int, trials: int) -> None:
+    """Refuse, before anything is allocated, an ``--n`` or ``--trials`` the
+    suite cannot run, including an ``--n`` whose largest circuit (the
+    n-qubit diagonal in the synth suite) would not fit in physical memory
+    as a full simulation."""
+    if trials < 0:
+        raise UsageError(f"--trials must be >= 0, got {trials}")
+    least = 2 if suite == "bounds" else 1  # the deterministic width formula
+    if n < least:
+        raise UsageError(f"--n must be >= {least} for the {suite} suite, got {n}")
+    configs = _DUALPATH_CONFIGS if suite == "dualpath" else ()
+    if suite == "bounds":
+        try:
+            fixed, by_epsilon = _bounds_configs(n)
+        except ValueError as exc:  # widths past PrecisionConfig's limits
+            raise UsageError(f"--n {n}: {exc}") from None
+        configs = (*fixed, *by_epsilon)
+    shortfall = _memory_shortfall(
+        max([n] + [RegisterMap.layout(n, cfg).num_qubits for cfg in configs]))
+    if shortfall:
+        raise UsageError(f"--n {n}: {shortfall}")
+
+
 def cmd_verify(args) -> int:
+    _check_verify_size(args.suite, args.n, args.trials)
     rng = np.random.default_rng(args.seed)
     if args.suite == "synth":
         rows = _suite_synth(args.n, args.trials, rng)

@@ -15,6 +15,10 @@ from typing import Iterable
 
 TAU = 2.0 * math.pi
 
+# The finest grid: TAU * 2**level must stay a finite float, because grid
+# angles are computed as TAU * p / 2**level.
+MAX_LEVEL = sys.float_info.max_exp - math.ceil(math.log2(TAU))
+
 # Grid points recomputed through floats land within a few ulps of an integer
 # cell count; snap them back up so float(2*pi*p/2**m) quantizes to exactly p.
 _SNAP = 8.0 * sys.float_info.epsilon
@@ -28,6 +32,8 @@ def floor_fraction(fraction: float, level: int) -> int:
     """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
+    if level > MAX_LEVEL:
+        raise ValueError(f"level {level} exceeds the limit {MAX_LEVEL}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction!r} outside [0, 1]")
     cells = 1 << level

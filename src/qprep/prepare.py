@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import TAU, floor_fraction, quantize
+from .dyadic import MAX_LEVEL, TAU, floor_fraction, quantize
 from .sim import (
     Circuit,
     DiagonalOracle,
@@ -32,8 +32,8 @@ from .sim import (
     Hadamard,
     QFTBlock,
     RotationY,
-    StateVector,
     apply_circuit,
+    inverse_gate,
     new_basis_state,
     project_measure,
 )
@@ -46,6 +46,9 @@ PROBABILISTIC = "probabilistic"
 _ZERO_BRANCH = 1e-300
 
 LEAKAGE_TOLERANCE = 1e-6
+
+# compute_angles stores the estimates as int64.
+MAX_ESTIMATION_BITS = 63
 
 
 class LeakageError(RuntimeError):
@@ -122,8 +125,13 @@ class PrecisionConfig:
     def __post_init__(self) -> None:
         if self.estimation_bits < 1:
             raise ValueError(f"estimation_bits must be >= 1, got {self.estimation_bits}")
+        if self.estimation_bits > MAX_ESTIMATION_BITS:
+            raise ValueError(f"estimation_bits {self.estimation_bits} exceeds "
+                             f"the limit {MAX_ESTIMATION_BITS}")
         if self.phase_bits < 1:
             raise ValueError(f"phase_bits must be >= 1, got {self.phase_bits}")
+        if self.phase_bits > MAX_LEVEL:
+            raise ValueError(f"phase_bits {self.phase_bits} exceeds the limit {MAX_LEVEL}")
         if self.mode not in (DETERMINISTIC, PROBABILISTIC):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.angle_multiplier is None:
@@ -139,13 +147,17 @@ def required_precision(num_qubits: int, epsilon: float, mode: str) -> PrecisionC
     """Register widths guaranteeing final 2-norm error at most epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    phase_bits = num_qubits + 1 + math.ceil(math.log2(TAU / epsilon))
+    # Differences of logarithms: a tiny epsilon gives a width (then refused
+    # by PrecisionConfig) where a quotient would overflow to inf.
+    bits = math.ceil(math.log2(TAU) - math.log2(epsilon))
+    phase_bits = num_qubits + 1 + bits
     if mode == DETERMINISTIC:
         if num_qubits < 2:
             raise ValueError("deterministic width formula needs num_qubits >= 2")
-        t = math.ceil(math.log2(2.0 * (num_qubits - 1) * math.sqrt(2.0) * math.pi / epsilon)) + 1
+        t = math.ceil(math.log2(2.0 * (num_qubits - 1) * math.sqrt(2.0) * math.pi)
+                      - math.log2(epsilon)) + 1
     elif mode == PROBABILISTIC:
-        t = 2 * num_qubits + math.ceil(math.log2(TAU / epsilon))
+        t = 2 * num_qubits + bits
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return PrecisionConfig(t, phase_bits, mode)
@@ -206,12 +218,23 @@ class RegisterMap:
     data: tuple[int, ...]
     ancilla: int | None
 
+    @classmethod
+    def layout(cls, num_qubits: int, cfg: PrecisionConfig) -> "RegisterMap":
+        """The registers of the circuit ``build`` makes for ``num_qubits`` data
+        qubits at ``cfg``; no vector is needed."""
+        t = cfg.estimation_bits
+        ancilla = None if cfg.mode == DETERMINISTIC else t + num_qubits
+        return cls(tuple(range(t)), tuple(range(t, t + num_qubits)), ancilla)
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.estimation) + len(self.data) + (self.ancilla is not None)
+
 
 @dataclass(frozen=True)
 class BuildResult:
     circuit: Circuit
     registers: RegisterMap
-    expected_success_probability: float
     # The circuit's trailing gates, which apply the quantized target phases.
     phase_stage: tuple[Gate, ...]
 
@@ -239,17 +262,6 @@ def _estimation_block(estimation: tuple[int, ...], register: tuple[int, ...],
     return gates
 
 
-def _unestimation_block(estimation: tuple[int, ...], register: tuple[int, ...],
-                        phases: tuple[float, ...]) -> list[Gate]:
-    t = len(estimation)
-    gates: list[Gate] = [QFTBlock(estimation)]
-    for s in reversed(range(t)):
-        gates.append(DiagonalOracle(register, phases, power=-(1 << (t - 1 - s)),
-                                    controls=(estimation[s],)))
-    gates.extend(Hadamard(q) for q in estimation)
-    return gates
-
-
 def _rotation_ladder(estimation: tuple[int, ...], target: int,
                      multiplier: int) -> list[Gate]:
     # Estimate bit s carries weight 2**(t-1-s), so rotating by 2*pi/(c*2**s)
@@ -267,49 +279,61 @@ def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
     Each round estimates grid angles of the data ``register`` into the
     estimation register, rotates ``target`` conditioned on the estimate, and
     uncomputes, which returns the estimation register to |0...0> exactly.
+    The uncompute is the estimation's inverse: its oracles and Fourier block
+    inverted in reverse order, then its leading Hadamards in their own order
+    (they are self-inverse and commute).
 
     * deterministic: the exact root rotation on the first data qubit, then one
       round per further data qubit k, estimating the depth-k branch angles
       (times the angle multiplier) of the first k data qubits into data[k].
     * probabilistic: Hadamards on every data qubit, then one round estimating
       the amplitude angles into the ancilla, which is post-selected on 0.
-      ``expected_success_probability`` is the exact ancilla-0 probability
-      mean(cos^2 of the quantized angles), never below ||x||^2/(2^n max x_i^2)
-      because floor quantization only shrinks each angle.
     """
     n, t = x.num_qubits, cfg.estimation_bits
-    estimation = tuple(range(t))
-    data = tuple(range(t, t + n))
+    registers = RegisterMap.layout(n, cfg)
+    estimation, data = registers.estimation, registers.data
     table = compute_angles(x, cfg)
     if cfg.mode == DETERMINISTIC:
         gates: list[Gate] = [RotationY(2.0 * table.root_angle, data[0])]
         rounds = [(data[:k], data[k]) for k in range(1, n)]
-        ancilla, success = None, 1.0
     else:
-        ancilla = t + n
         gates = [Hadamard(q) for q in data]
-        rounds = [(data, ancilla)]
-        success = float(np.mean(np.cos(table.quantized(0)) ** 2))
+        rounds = [(data, registers.ancilla)]
 
     for (register, target), estimates in zip(rounds, table.estimates):
         phases = tuple(TAU * int(y) / (1 << t) for y in estimates)
-        gates.extend(_estimation_block(estimation, register, phases))
+        estimate = _estimation_block(estimation, register, phases)
+        gates.extend(estimate)
         gates.extend(_rotation_ladder(estimation, target, cfg.angle_multiplier))
-        gates.extend(_unestimation_block(estimation, register, phases))
+        gates.extend(inverse_gate(g) for g in reversed(estimate[t:]))
+        gates.extend(estimate[:t])
     phase_stage = build_phase_stage(x, cfg.phase_bits, data)
-    num_qubits = t + n if ancilla is None else ancilla + 1
-    circuit = Circuit(num_qubits, tuple(gates) + phase_stage)
-    return BuildResult(circuit, RegisterMap(estimation, data, ancilla), success,
-                       phase_stage)
+    circuit = Circuit(registers.num_qubits, tuple(gates) + phase_stage)
+    return BuildResult(circuit, registers, phase_stage)
 
 
 @dataclass(frozen=True)
 class PreparedState:
-    """Post-selected data-register state extracted from a full simulation."""
+    """The data-register state either route prepares: ``simulate_preparation``
+    post-selects it from the full simulation, ``fast_path_prepare`` computes
+    it without an estimation register, so its ``estimation_residual`` is None.
+    ``success_probability`` is the exact ancilla-0 probability (1.0 in
+    deterministic mode)."""
 
     amplitudes: np.ndarray
     success_probability: float
-    estimation_residual: float
+    estimation_residual: float | None
+
+
+def _memory_shortfall(num_qubits: int) -> str | None:
+    """Why a full simulation of ``num_qubits`` qubits does not fit in physical
+    memory, or None if it does; it holds one gate's input and output state."""
+    needed = 32 << num_qubits
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed <= memory:
+        return None
+    return (f"simulating {num_qubits} qubits needs {needed} bytes, "
+            f"more than the {memory} bytes of physical memory")
 
 
 def simulate_preparation(build_result: BuildResult) -> PreparedState:
@@ -317,11 +341,9 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     the estimation register uncomputed, and return the data-register state."""
     circuit = build_result.circuit
     registers = build_result.registers
-    needed = 32 << circuit.num_qubits  # one gate's input and output state
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > memory:
-        raise ValueError(f"simulating {circuit.num_qubits} qubits needs {needed} bytes, "
-                         f"more than the {memory} bytes of physical memory; use --fast-path")
+    shortfall = _memory_shortfall(circuit.num_qubits)
+    if shortfall:
+        raise ValueError(f"{shortfall}; use --fast-path")
     state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
     success = 1.0
     if registers.ancilla is not None:
@@ -348,18 +370,21 @@ def prepare(x: TargetVector, cfg: PrecisionConfig) -> PreparedState:
     return simulate_preparation(build(x, cfg))
 
 
-def fast_path_prepare(x: TargetVector, cfg: PrecisionConfig) -> StateVector:
+def fast_path_prepare(x: TargetVector, cfg: PrecisionConfig) -> PreparedState:
     """Ancilla-free reference: the state the ideal-estimation circuit produces.
 
     Applies the same floor-quantized angles branch-by-branch over the marginal
     tree (deterministic) or cos of the quantized amplitude angles with exact
     post-selection renormalization (probabilistic), then the quantized phases.
-    No estimation register is involved.
+    No estimation register is involved.  The probabilistic success
+    probability is the exact ancilla-0 probability mean(cos^2 of the
+    quantized angles), never below ||x||^2/(2^n max x_i^2) because floor
+    quantization only shrinks each angle.
     """
     n = x.num_qubits
     table = compute_angles(x, cfg)
     if cfg.mode == DETERMINISTIC:
-        amps = np.ones(1)
+        amps, success = np.ones(1), 1.0
         for angles in (np.array([table.root_angle]), *map(table.quantized, range(n - 1))):
             grown = np.empty(2 * amps.size)
             grown[0::2] = amps * np.cos(angles)
@@ -367,7 +392,7 @@ def fast_path_prepare(x: TargetVector, cfg: PrecisionConfig) -> StateVector:
             amps = grown
     else:
         kept = np.cos(table.quantized(0))
-        amps = kept / np.linalg.norm(kept)
+        amps, success = kept / np.linalg.norm(kept), float(np.mean(kept ** 2))
     phase_spec = quantize(x.phases, cfg.phase_bits)
     amplitudes = amps.astype(complex) * np.exp(1.0j * np.array(phase_spec.angles()))
-    return StateVector(n, amplitudes)
+    return PreparedState(amplitudes, success, None)

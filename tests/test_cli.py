@@ -6,6 +6,7 @@ import pytest
 
 from _util import extract_data_amplitudes, reference_peel, reference_phase_stage
 from qprep import analysis
+from qprep import prepare as prepare_module
 from qprep.cli import load_phases, load_vector, main
 from qprep.dyadic import quantize
 from qprep.gateformat import load_circuit, save_circuit
@@ -283,9 +284,21 @@ _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
     ("prepare", "v.json", '{"n": 1, "entries": [%s,]}' % _VECTOR_ENTRIES,
      "line 1"),
     ("prepare", "v.csv", "index,magnitude,phase\n0,1,0\n1,-1,0\n", "entry 1"),
+    ("prepare", "v.json", '{"n": 1, "entries": [{"magnitude": true, "phase": 0.0}, '
+     '%s]}' % _VECTOR_ENTRIES, "entry 0: magnitude true"),
+    ("prepare", "v.json", '{"n": 1, "entries": [%s, {"magnitude": 1.0, '
+     '"phase": "0"}]}' % _VECTOR_ENTRIES, 'entry 1: phase "0"'),
+    ("prepare", "v.json", '{"n": 1.7, "entries": [%s, %s]}' % ((_VECTOR_ENTRIES,) * 2),
+     "n 1.7"),
+    ("prepare", "v.json", '{"n": true, "entries": [%s, %s]}' % ((_VECTOR_ENTRIES,) * 2),
+     "n true"),
+    ("synth-diag", "p.json", '{"n": 1, "phases": [0.5, false]}', "entry 1: phase false"),
+    ("synth-diag", "p.json", '{"n": %d, "phases": [0.5, 1.0]}' % 10 ** 30,
+     "n=%d" % 10 ** 30),
 ], ids=["index-out-of-range", "duplicate-index", "negative-index",
         "non-integer-index", "nan-magnitude", "infinite-magnitude",
-        "invalid-json", "negative-magnitude"])
+        "invalid-json", "negative-magnitude", "boolean-magnitude", "string-phase",
+        "fractional-n", "boolean-n", "boolean-phase", "huge-n"])
 def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
                                               content, where):
     path = tmp_path / name
@@ -298,6 +311,71 @@ def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
     err = capsys.readouterr().err
     assert str(path) in err and where in err
     assert "Traceback" not in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["prepare", "--mode", "det", "--t", "6", "--t-prime", "1024", "--fast-path"],
+     "phase_bits 1024 exceeds the limit 1021"),
+    (["prepare", "--mode", "det", "--t", "6", "--t-prime", "1022", "--fast-path"],
+     "phase_bits 1022 exceeds the limit 1021"),
+    (["synth-diag", "--m", "1024"], "level 1024 exceeds the limit 1021"),
+    (["prepare", "--mode", "prob", "--t", "64", "--t-prime", "4", "--fast-path"],
+     "estimation_bits 64 exceeds the limit 63"),
+    (["prepare", "--mode", "prob", "--epsilon", "1e-300", "--fast-path"],
+     "estimation_bits 1004 exceeds the limit 63"),
+    (["prepare", "--mode", "det", "--epsilon", "5e-324", "--fast-path"],
+     "estimation_bits 1079 exceeds the limit 63"),
+], ids=["t-prime-1024", "t-prime-1022", "m-1024", "t-64", "epsilon-1e-300",
+        "epsilon-subnormal"])
+def test_oversized_widths_exit_one_naming_the_limit(tmp_path, capsys, argv, named):
+    # A width past its limit is refused by name, never left to overflow into
+    # a traceback or (t' = 1022) into NaN amplitudes.
+    if argv[0] == "prepare":
+        path = write_vector(tmp_path / "v.json", [1, 2, 3, 4], [0.5, 1.0, 6.0, 3.0])
+    else:
+        path = write_phases(tmp_path / "p.json", [0.5, 1.0, 6.0, 3.0])
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, widths", [
+    ("det", ["--t", "6", "--t-prime", "1021"]),
+    ("prob", ["--t", "63", "--t-prime", "4"]),
+], ids=["t-prime-1021", "t-63"])
+def test_widths_at_the_limit_prepare_within_the_bound(tmp_path, mode, widths):
+    vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4], [0.5, 1.0, 6.0, 3.0])
+    report_path = tmp_path / "r.json"
+    assert main(["prepare", str(vec), "--mode", mode, *widths, "--fast-path",
+                 "--report", str(report_path), "--emit", str(tmp_path / "g.txt")]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["distance_to_target"] <= report["theoretical_bound"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--suite", "synth", "--n", "-1"], "--n must be >= 1"),
+    (["--suite", "synth", "--n", "0"], "--n must be >= 1"),
+    (["--suite", "bounds", "--n", "1"], "--n must be >= 2"),
+    (["--suite", "bounds", "--trials", "-3"], "--trials must be >= 0"),
+    (["--suite", "bounds", "--n", "40"], "--n 40: estimation_bits"),
+    (["--suite", "bounds", "--n", "8"], "--n 8: simulating 30 qubits"),
+    (["--suite", "dualpath", "--n", "40"], "--n 40: simulating 49 qubits"),
+    (["--suite", "synth", "--n", "40"], "--n 40: simulating 40 qubits"),
+], ids=["negative-n", "synth-n-0", "bounds-n-1", "negative-trials", "bounds-n-40",
+        "bounds-n-8", "dualpath-n-40", "synth-n-40"])
+def test_verify_refuses_bad_sizes_before_allocating(monkeypatch, capsys, argv, named):
+    # 8 GiB of physical memory, whatever the machine has.
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 21}
+    monkeypatch.setattr(prepare_module.os, "sysconf", sizes.__getitem__)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("verify drew a random generator before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert main(["verify", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
+    assert "--fast-path" not in err
 
 
 def test_prepare_report_agrees_with_verify_bounds_row(tmp_path, capsys):

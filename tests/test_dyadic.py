@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qprep.dyadic import TAU, DyadicPhase, PhaseSpec, floor_fraction, quantize
+from qprep.dyadic import MAX_LEVEL, TAU, DyadicPhase, PhaseSpec, floor_fraction, quantize
 
 
 def test_quantize_grid_points_map_to_themselves():
@@ -81,3 +81,16 @@ def test_phase_spec_validation():
         PhaseSpec(2, 2, (0, 1, 2))
     with pytest.raises(ValueError, match="entry 1"):
         PhaseSpec(1, 1, (0, 2))
+
+
+def test_max_level_is_the_finest_grid_with_finite_angles():
+    top = (1 << MAX_LEVEL) - 1
+    assert floor_fraction(1.0, MAX_LEVEL) == top
+    assert math.isfinite(PhaseSpec(0, MAX_LEVEL, (top,)).angles()[0])
+    # One level finer, TAU * p overflows to inf for the top numerators.
+    finer = PhaseSpec(0, MAX_LEVEL + 1, ((1 << (MAX_LEVEL + 1)) - 1,))
+    assert math.isinf(finer.angles()[0])
+    with pytest.raises(ValueError, match=f"level {MAX_LEVEL + 1} exceeds the limit"):
+        floor_fraction(0.5, MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        quantize([0.5, 1.0], MAX_LEVEL + 1)

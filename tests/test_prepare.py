@@ -133,26 +133,26 @@ def test_required_precision_formulas():
 
 def test_estimation_block_writes_exact_grid_estimates():
     # With grid-exact oracle phases, the estimation register must hold the
-    # integer estimate per branch with unit-modulus amplitude, and the
-    # mirrored block must return it to zero.
-    from qprep.prepare import _estimation_block, _unestimation_block
+    # integer estimate per branch with unit-modulus amplitude, and the round's
+    # uncompute, as ``build`` emits it, must return it to zero.
     from qprep.sim import new_basis_state
 
     t, n = 5, 2
-    estimation = tuple(range(t))
-    data = (t, t + 1)
-    total = t + n
-    estimates = (3, 11, 17, 30)
-    phases = tuple(TAU * y / (1 << t) for y in estimates)
-    stage = [Hadamard(q) for q in data]
-    stage += _estimation_block(estimation, data, phases)
-    mid = apply_circuit(new_basis_state(total, 0), Circuit(total, tuple(stage)))
-    for branch, estimate in enumerate(estimates):
-        amplitude = mid.amplitudes[(estimate << n) | branch]
+    x = TargetVector.from_magnitudes([0.3, 1.0, 0.55, 0.8])
+    cfg = PrecisionConfig(t, 4, PROBABILISTIC)
+    estimates = [int(y) for y in compute_angles(x, cfg).estimates[0]]
+    assert len(set(estimates)) == 1 << n
+    total = t + n + 1
+    gates = build(x, cfg).circuit.gates
+    # Hadamards on the data, then estimate (2t+1 gates), ladder (t), uncompute.
+    layer, estimate = gates[:n], gates[n:n + 2 * t + 1]
+    uncompute = gates[n + 3 * t + 1:n + 5 * t + 2]
+    mid = apply_circuit(new_basis_state(total, 0), Circuit(total, layer + estimate))
+    for branch, y in enumerate(estimates):
+        amplitude = mid.amplitudes[(y << (n + 1)) | (branch << 1)]
         assert abs(abs(amplitude) - 0.5) < 1e-10  # modulus 1 per branch / sqrt(4)
-    stage += _unestimation_block(estimation, data, phases)
-    out = apply_circuit(new_basis_state(total, 0), Circuit(total, tuple(stage)))
-    residual = 1.0 - np.sum(np.abs(out.amplitudes[: 1 << n]) ** 2)
+    out = apply_circuit(mid, Circuit(total, uncompute))
+    residual = 1.0 - np.sum(np.abs(out.amplitudes[: 1 << (n + 1)]) ** 2)
     assert residual < 1e-10
 
 
@@ -174,7 +174,8 @@ def test_deterministic_register_layout():
     assert result.registers.estimation == (0, 1, 2, 3, 4)
     assert result.registers.data == (5, 6)
     assert result.registers.ancilla is None
-    assert result.expected_success_probability == 1.0
+    fast = fast_path_prepare(x, PrecisionConfig(5, 4))
+    assert fast.success_probability == 1.0 and fast.estimation_residual is None
 
 
 def test_deterministic_distance_bound_example():
@@ -209,18 +210,23 @@ def test_deterministic_multiplier_one_matches_default():
 
 def test_probabilistic_uniform_succeeds_with_certainty():
     x = TargetVector.from_magnitudes([1, 1, 1, 1])
-    result = build(x, PrecisionConfig(6, 4, PROBABILISTIC))
-    out = simulate_preparation(result)
-    assert result.expected_success_probability == pytest.approx(1.0, abs=1e-12)
+    cfg = PrecisionConfig(6, 4, PROBABILISTIC)
+    out = simulate_preparation(build(x, cfg))
+    fast = fast_path_prepare(x, cfg)
+    assert fast.success_probability == pytest.approx(1.0, abs=1e-12)
+    assert fast.estimation_residual is None
     assert out.success_probability == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.amplitudes, np.full(4, 0.5), atol=1e-10)
 
 
 def test_probabilistic_success_probability_three_four():
     x = TargetVector.from_magnitudes([3, 4])
-    out = prepare(x, PrecisionConfig(12, 4, PROBABILISTIC))
+    cfg = PrecisionConfig(12, 4, PROBABILISTIC)
+    out = prepare(x, cfg)
     assert out.success_probability >= 25 / 32 - 1e-12
     assert out.success_probability == pytest.approx(25 / 32, abs=1e-3)
+    fast = fast_path_prepare(x, cfg)
+    assert fast.success_probability == pytest.approx(out.success_probability, abs=1e-12)
 
 
 def test_probabilistic_register_layout():

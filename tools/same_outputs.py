@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Byte-compare qprep's command-line outputs between two checkouts.
+
+    python3 tools/same_outputs.py OTHER_CHECKOUT
+
+Runs one fixed set of ``qprep`` commands twice: against the sources of the
+checkout this script lives in and against those of OTHER_CHECKOUT (each run
+imports ``qprep`` from its checkout's ``src``).  Every command runs in a
+fresh working directory of its own, on inputs written once and shared by
+both runs.  The exit code, stdout, stderr and every file the command writes
+must be byte-identical; each mismatch is printed, and the script exits 1 if
+there is any, 0 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+TAU = 2.0 * math.pi
+
+
+def _write_inputs(root: Path) -> dict[str, str]:
+    """The shared input files, by name: seeded vectors and phase lists."""
+    rng = random.Random(20190601)
+    paths = {}
+
+    def vector(name, n, complex_phases=True, zeros=0.0):
+        magnitudes = [abs(rng.gauss(0.0, 1.0)) for _ in range(1 << n)]
+        for index in range(1, 1 << n):
+            if rng.random() < zeros:
+                magnitudes[index] = 0.0
+        phases = [rng.uniform(0.0, 6.28) if complex_phases and m else 0.0
+                  for m in magnitudes]
+        path = root / name
+        if name.endswith(".csv"):
+            path.write_text("index,magnitude,phase\n" + "".join(
+                f"{i},{m!r},{p!r}\n" for i, (m, p) in enumerate(zip(magnitudes, phases))))
+        else:
+            path.write_text(json.dumps({"n": n, "entries": [
+                {"magnitude": m, "phase": p} for m, p in zip(magnitudes, phases)]}))
+        paths[name] = str(path)
+
+    def phases(name, n, support=None):
+        values = [rng.uniform(0.0, 6.28) if support is None or i in support else 0.0
+                  for i in range(1 << n)]
+        path = root / name
+        if name.endswith(".csv"):
+            path.write_text("".join(f"{i},{v!r}\n" for i, v in reversed(list(enumerate(values)))))
+        else:
+            path.write_text(json.dumps({"n": n, "phases": values}))
+        paths[name] = str(path)
+
+    vector("real2.json", 2, complex_phases=False)
+    vector("complex3.json", 3)
+    vector("zeros4.json", 4, zeros=0.4)
+    vector("complex2.csv", 2)
+    phases("p2.json", 2)
+    phases("p3.csv", 3)
+    phases("p6.json", 6)
+    phases("sparse5.json", 5, support={1, 7, 18, 30})
+    bad = {
+        "negative.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0},'
+                         ' {"magnitude": -2.0, "phase": 0.0}]}',
+        "nan.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0},'
+                    ' {"magnitude": NaN, "phase": 0.0}]}',
+        "invalid.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0},]}',
+        "count.json": '{"n": 2, "entries": [{"magnitude": 1.0, "phase": 0.0}]}',
+        "phase.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 7.0},'
+                      ' {"magnitude": 1.0, "phase": 0.0}]}',
+        "duplicate.csv": "0,0.1\n0,0.2\n",
+        "range.csv": "0,0.1\n5,0.2\n",
+        "index.csv": "index,phase\n0,0.1\nx,0.2\n",
+    }
+    for name, text in bad.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    return paths
+
+
+def commands(inputs: dict[str, str]) -> list[list[str]]:
+    """The argv lists (after ``qprep``) both checkouts run."""
+    runs = []
+    out = ["--report", "report.json", "--emit", "gates.txt"]
+    for name in ("real2.json", "complex3.json", "zeros4.json", "complex2.csv"):
+        for mode in ("det", "prob"):
+            for path in ("--fast-path", "--full-circuit"):
+                runs.append(["prepare", inputs[name], "--mode", mode,
+                             "--epsilon", "0.1", path, *out])
+    for mode in ("det", "prob"):
+        for path in ("--fast-path", "--full-circuit"):
+            vector = inputs["complex3.json"]
+            runs.append(["prepare", vector, "--mode", mode, "--t", "7",
+                         "--t-prime", "5", path, *out])
+            runs.append(["prepare", vector, "--mode", mode, "--epsilon", "0.5",
+                         "--sample", "--seed", "7", path, *out])
+            runs.append(["prepare", inputs["real2.json"], "--mode", mode,
+                         "--epsilon", "0.3", path])
+    for multiplier in ("1", "4"):
+        runs.append(["prepare", inputs["real2.json"], "--mode", "det", "--epsilon",
+                     "0.2", "--multiplier", multiplier, *out])
+    runs.append(["prepare", inputs["zeros4.json"], "--mode", "prob", "--fast-path",
+                 "--t", "5", "--t-prime", "70", *out])
+    for name, m in (("p2.json", "1"), ("p3.csv", "3"), ("p6.json", "10"),
+                    ("p6.json", "70"), ("sparse5.json", "6")):
+        runs.append(["synth-diag", inputs[name], "--m", m])
+        runs.append(["synth-diag", inputs[name], "--m", m, "--emit", "gates.txt"])
+        runs.append(["synth-diag", inputs[name], "--m", m, "--sparse", "--emit", "gates.txt"])
+    for suite, n, trials in (("synth", "3", "5"), ("synth", "4", "3"),
+                             ("dualpath", "2", "2"), ("bounds", "2", "1"),
+                             ("bounds", "3", "1")):
+        for rows in ("rows.jsonl", "rows.csv"):
+            runs.append(["verify", "--suite", suite, "--n", n, "--trials", trials,
+                         "--seed", "5", "--out", rows])
+    runs.append(["verify", "--suite", "synth", "--n", "2", "--trials", "2"])
+    # Errors whose exit code and message this round leaves as they were.
+    for name in ("negative.json", "nan.json", "invalid.json", "count.json",
+                 "phase.json", "missing.json"):
+        runs.append(["prepare", inputs.get(name, name), "--mode", "det", "--epsilon", "0.1"])
+    for name in ("duplicate.csv", "range.csv", "index.csv"):
+        runs.append(["synth-diag", inputs[name], "--m", "2"])
+    vector = inputs["real2.json"]
+    runs += [
+        ["prepare", vector, "--mode", "det"],
+        ["prepare", vector, "--mode", "det", "--epsilon", "0.1", "--t", "6", "--t-prime", "4"],
+        ["prepare", vector, "--mode", "nope", "--epsilon", "0.1"],
+        ["prepare", vector, "--mode", "det", "--epsilon", "1.5"],
+        ["prepare", vector, "--mode", "det", "--t", "0", "--t-prime", "4"],
+        ["prepare", vector, "--mode", "prob", "--epsilon", "1e-9"],
+        ["synth-diag", inputs["p2.json"], "--m", "0"],
+        ["verify", "--suite", "nope"],
+    ]
+    return runs
+
+
+def run(checkout: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
+    """Everything one command leaves behind, by name."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-m", "qprep.cli", *argv], cwd=workdir,
+                          env=env, capture_output=True, timeout=600)
+    record = {"exit code": str(proc.returncode).encode(),
+              "stdout": proc.stdout, "stderr": proc.stderr}
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            record[f"file {path.relative_to(workdir)}"] = path.read_bytes()
+    return record
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "qprep").is_dir():
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("OTHER_CHECKOUT must hold src/qprep", file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        root = Path(tmp)
+        (root / "inputs").mkdir()
+        runs = commands(_write_inputs(root / "inputs"))
+        mismatches = 0
+        for index, command in enumerate(runs):
+            mine = run(HERE, command, root / "here" / str(index))
+            theirs = run(other, command, root / "other" / str(index))
+            for key in sorted(set(mine) | set(theirs)):
+                if mine.get(key) != theirs.get(key):
+                    mismatches += 1
+                    print(f"MISMATCH {key}: qprep {' '.join(command)}")
+        print(f"{len(runs)} commands, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
