@@ -139,6 +139,10 @@ def cmd_prepare(args) -> int:
             raise UsageError("give --epsilon, or both --t and --t-prime")
         cfg = PrecisionConfig(args.t, args.t_prime, mode, args.multiplier)
 
+    if not args.fast_path:
+        shortfall = _memory_shortfall(RegisterMap.layout(x.num_qubits, cfg).num_qubits)
+        if shortfall:
+            raise ValueError(f"{shortfall}; use --fast-path")
     record = analysis.evaluate_bounds(x, cfg, epsilon=args.epsilon,
                                       fast_path=args.fast_path)
     success = record.measured_success_probability

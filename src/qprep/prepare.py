@@ -327,7 +327,11 @@ class PreparedState:
 
 def _memory_shortfall(num_qubits: int) -> str | None:
     """Why a full simulation of ``num_qubits`` qubits does not fit in physical
-    memory, or None if it does; it holds one gate's input and output state."""
+    memory, or None if it does.
+
+    A gate holds its input and output state and one scratch array of at most
+    half a state, 40 bytes per amplitude in all; the check asks for the two
+    full states, 32 bytes per amplitude."""
     needed = 32 << num_qubits
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed <= memory:
@@ -343,7 +347,7 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     registers = build_result.registers
     shortfall = _memory_shortfall(circuit.num_qubits)
     if shortfall:
-        raise ValueError(f"{shortfall}; use --fast-path")
+        raise ValueError(shortfall)
     state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
     success = 1.0
     if registers.ancilla is not None:

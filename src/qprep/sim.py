@@ -8,8 +8,15 @@ returns a new state and never mutates its input.
 The kernels work on the amplitudes reshaped to (2,)*q, whose axis k is qubit
 k under that same convention.  A 2x2 kernel serves H, X and (controlled)
 R_Y, and a phase kernel serves the diagonal gates CZP and DIAG; both pin
-control qubits to 1 with length-1 slices, so they write through views of a
-copy.  A ``QFTBlock`` is simulated as one FFT along its register's axes.
+control qubits to 1 with length-1 slices.  The 2x2 kernel reads the input's
+views and writes each output amplitude once, into a fresh array (or, under
+controls, a copy whose unpinned part is left as it is).  A ``QFTBlock`` is
+simulated as one FFT along its register's axes.
+
+Norms are checked where a state enters or leaves the simulator: by
+``new_basis_state``, at the end of ``apply_circuit``, by ``project_measure``
+and wherever a caller builds a ``StateVector``.  ``apply_gate`` does not
+re-check, because its input was checked and every kernel is unitary.
 """
 
 from __future__ import annotations
@@ -146,9 +153,22 @@ class StateVector:
                 f"expected {1 << self.num_qubits} amplitudes, "
                 f"got shape {self.amplitudes.shape}"
             )
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        # numpy's pairwise sum is accurate to ~1e-16 here; a one-thread BLAS
+        # dot (np.linalg.norm) drifts by 1e-12 on 2^19 amplitudes.  The
+        # negated <= also refuses a NaN norm.
+        amps = self.amplitudes
+        norm = math.sqrt(float(np.sum(amps.real ** 2) + np.sum(amps.imag ** 2)))
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
+
+    @classmethod
+    def _unchecked(cls, num_qubits: int, amplitudes: np.ndarray) -> StateVector:
+        """A state from a unitary applied to a checked state, without the
+        O(2^q) norm pass of the constructor."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
@@ -176,13 +196,20 @@ def _view(psi: np.ndarray, pins: dict[int, int]) -> np.ndarray:
 
 def _apply_2x2(amps: np.ndarray, num_qubits: int, target: int,
                controls: tuple[int, ...], matrix) -> np.ndarray:
-    out = amps.copy()
-    psi = out.reshape((2,) * num_qubits)
+    # Each output half is fl(a*low) + fl(b*high) (and c, d), the same
+    # roundings as the expression a*low + b*high, written once into ``out``.
+    out = amps.copy() if controls else np.empty_like(amps)
+    psi, psi_out = amps.reshape((2,) * num_qubits), out.reshape((2,) * num_qubits)
     ones = dict.fromkeys(controls, 1)
-    low = _view(psi, {**ones, target: 0})
-    high = _view(psi, {**ones, target: 1})
+    low_pins, high_pins = {**ones, target: 0}, {**ones, target: 1}
+    low, high = _view(psi, low_pins), _view(psi, high_pins)
+    out_low, out_high = _view(psi_out, low_pins), _view(psi_out, high_pins)
+    scratch = np.empty_like(low)
     (a, b), (c, d) = matrix
-    low[...], high[...] = a * low + b * high, c * low + d * high
+    np.multiply(a, low, out=out_low)
+    out_low += np.multiply(b, high, out=scratch)
+    np.multiply(c, low, out=out_high)
+    out_high += np.multiply(d, high, out=scratch)
     return out
 
 
@@ -239,7 +266,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         out = _apply_qft(amps, q, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
-    return StateVector(q, out)
+    return StateVector._unchecked(q, out)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -250,7 +277,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         )
     for gate in circuit.gates:
         state = apply_gate(state, gate)
-    return state
+    return StateVector(state.num_qubits, state.amplitudes)
 
 
 def inverse_gate(gate: Gate) -> Gate:

@@ -2,8 +2,10 @@
 
 The dense-matrix oracles build full 2^n x 2^n matrices from first principles
 (kron products and explicit index arithmetic) so they share no code with the
-simulator's gate kernels.  ``reference_peel`` is the peel construction as an
-explicit loop over levels and patterns, the oracle for the transform in
+simulator's gate kernels.  ``reference_2x2`` is the plain expression
+``a*low + b*high, c*low + d*high`` on index arrays, the bit-exact reference
+for the simulator's 2x2 kernel.  ``reference_peel`` is the peel construction
+as an explicit loop over levels and patterns, the oracle for the transform in
 ``qprep.synth.peel_synthesize``.
 """
 
@@ -73,6 +75,31 @@ def dense_gate_matrix(gate, num_qubits: int) -> np.ndarray:
             diag[i] = np.exp(1j * gate.power * gate.phases[value])
         return np.diag(diag)
     raise TypeError(f"no dense oracle for {type(gate).__name__}")
+
+
+def reference_2x2(amplitudes: np.ndarray, gate, num_qubits: int) -> np.ndarray:
+    """H, X or (controlled) R_Y as a*low + b*high, c*low + d*high evaluated
+    on a copy; ``low`` and ``high`` are gathered by explicit index arithmetic
+    (target bit 0 or 1, every control bit 1)."""
+    if isinstance(gate, Hadamard):
+        h = 1.0 / math.sqrt(2.0)
+        (a, b), (c, d), controls = (h, h), (h, -h), ()
+    elif isinstance(gate, PauliX):
+        (a, b), (c, d), controls = (0.0, 1.0), (1.0, 0.0), ()
+    elif isinstance(gate, RotationY):
+        cos, sin = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        (a, b), (c, d), controls = (cos, -sin), (sin, cos), gate.controls
+    else:
+        raise TypeError(f"{type(gate).__name__} is not a 2x2 gate")
+    tbit = 1 << (num_qubits - 1 - gate.target)
+    cmask = sum(1 << (num_qubits - 1 - q) for q in controls)
+    index = np.arange(1 << num_qubits)
+    low_index = index[((index & cmask) == cmask) & ((index & tbit) == 0)]
+    high_index = low_index | tbit
+    out = amplitudes.copy()
+    low, high = amplitudes[low_index], amplitudes[high_index]
+    out[low_index], out[high_index] = a * low + b * high, c * low + d * high
+    return out
 
 
 def dense_circuit_matrix(gates, num_qubits: int) -> np.ndarray:

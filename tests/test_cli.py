@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,14 @@ from qprep import prepare as prepare_module
 from qprep.cli import load_phases, load_vector, main
 from qprep.dyadic import quantize
 from qprep.gateformat import load_circuit, save_circuit
-from qprep.prepare import DETERMINISTIC, PROBABILISTIC, build, required_precision
+from qprep.prepare import (
+    DETERMINISTIC,
+    PROBABILISTIC,
+    TargetVector,
+    build,
+    required_precision,
+    simulate_preparation,
+)
 from qprep.sim import Circuit, apply_circuit, new_basis_state, project_measure
 
 TAU = 2.0 * math.pi
@@ -53,6 +64,30 @@ def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "40 qubits" in err and str(32 << 40) in err and "--fast-path" in err
     assert main(args + ["--fast-path"]) == 0
+    # The library refusal names no flag of a command its caller did not run.
+    x = TargetVector(2, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
+    with pytest.raises(ValueError, match="40 qubits") as refused:
+        simulate_preparation(build(x, required_precision(2, 1e-9, PROBABILISTIC)))
+    assert "--" not in str(refused.value)
+
+
+def test_full_circuit_accepts_a_valid_19_qubit_state_under_one_blas_thread(tmp_path):
+    # A one-thread OpenBLAS dot put this state's norm at 1 - 1.05e-12 after
+    # 61 of its 177 gates, beyond NORM_TOLERANCE, so the norm check refused a
+    # valid circuit; numpy's pairwise sum stays within 1.1e-16.
+    rng = np.random.default_rng(1)
+    vectors = [(np.abs(rng.standard_normal(1 << n)), rng.uniform(0, 6.28, 1 << n))
+               for _ in range(4) for n in (4, 6)]
+    vec = write_vector(tmp_path / "v.json", *vectors[6])
+    src = str(Path(analysis.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "qprep.cli", "prepare", str(vec), "--mode", "prob",
+         "--epsilon", "0.1", "--full-circuit", "--report", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["qubits"] == 19
 
 
 def test_prepare_basis_vector_deterministic(tmp_path):

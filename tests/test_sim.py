@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _util import dense_circuit_matrix, dft_matrix
+from _util import dense_circuit_matrix, dft_matrix, reference_2x2
 from qprep.sim import (
     Circuit,
     ControlledZPow,
@@ -270,3 +270,57 @@ def test_gate_validation_errors():
 def test_state_vector_rejects_unnormalized_input():
     with pytest.raises(ValueError, match="norm"):
         StateVector(1, np.array([1.0, 1.0], dtype=complex))
+
+
+def test_state_vector_refuses_nan_amplitudes():
+    with pytest.raises(ValueError, match="norm nan"):
+        StateVector(1, np.array([1.0, math.nan], dtype=complex))
+
+
+# Uncontrolled 2x2 gates write a fresh array, controlled ones a copy; the
+# phase and FFT kernels are covered alongside.
+EVERY_GATE_KIND = [
+    Hadamard(2), PauliX(0), RotationY(0.7, 4), RotationY(-1.9, 1, (3,)),
+    RotationY(2.3, 0, (4, 2)), ControlledZPow(3, (1,)), ControlledZPow(-2, (0, 3, 4)),
+    DiagonalOracle((1, 3), (0.1, 0.2, 0.3, 0.4), 3),
+    DiagonalOracle((4, 0), (0.5, -0.2, 1.3, 2.4), -2, (2,)),
+    QFTBlock((3, 1, 4)), QFTBlock((0, 2), inverse=True),
+]
+
+
+@pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
+def test_apply_gate_leaves_its_input_unchanged(gate):
+    state = random_state(5, np.random.default_rng(12))
+    before = state.amplitudes.copy()
+    out = apply_gate(state, gate)
+    assert state.amplitudes.tobytes() == before.tobytes()
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+TWO_BY_TWO = [
+    make(target) for target in (0, 2, 4)
+    for make in (Hadamard, PauliX, lambda t: RotationY(1.234, t),
+                 lambda t: RotationY(-2.5, t, ((t + 1) % 5,)),
+                 lambda t: RotationY(0.377, t, ((t + 3) % 5, (t + 1) % 5)))
+]
+
+
+@pytest.mark.parametrize("gate", TWO_BY_TWO, ids=repr)
+def test_2x2_kernel_is_the_reference_expression_bit_for_bit(gate):
+    rng = np.random.default_rng(13)
+    amplitudes = random_state(5, rng).amplitudes
+    amplitudes[rng.random(32) < 0.2] = complex(-0.0, 0.0)
+    state = StateVector(5, amplitudes / np.linalg.norm(amplitudes))
+    out = apply_gate(state, gate).amplitudes
+    expected = reference_2x2(state.amplitudes, gate, 5)
+    # tobytes also tells a negative zero from a positive one.
+    assert np.array_equal(out, expected) and out.tobytes() == expected.tobytes()
+
+
+def test_apply_circuit_checks_the_norm_at_its_end(monkeypatch):
+    # A kernel that loses norm is caught once, at the end of the circuit.
+    monkeypatch.setattr("qprep.sim._HADAMARD", ((0.5, 0.5), (0.5, -0.5)))
+    state = new_basis_state(2, 0)
+    assert apply_gate(state, Hadamard(0)).amplitudes[0] == 0.5
+    with pytest.raises(ValueError, match="norm"):
+        apply_circuit(state, Circuit(2, (Hadamard(0), Hadamard(1))))
