@@ -329,9 +329,10 @@ def _memory_shortfall(num_qubits: int) -> str | None:
     """Why a full simulation of ``num_qubits`` qubits does not fit in physical
     memory, or None if it does.
 
-    A gate holds its input and output state and one scratch array of at most
-    half a state, 40 bytes per amplitude in all; the check asks for the two
-    full states, 32 bytes per amplitude."""
+    The simulation holds the input state, the buffer ``apply_circuit`` owns
+    and at most one state of kernel scratch (a 2x2 gate's two half-state
+    arrays, or the estimation register's FFT output), 48 bytes per amplitude
+    at its peak; the check asks for two full states, 32 bytes per amplitude."""
     needed = 32 << num_qubits
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed <= memory:

@@ -2,16 +2,20 @@
 
 Bit convention, shared by every module: qubit 0 is the MOST significant bit of
 a basis index, so the basis state |q0 q1 ... q_{n-1}> has index
-sum(q_k << (n - 1 - k)).  All gates are pure transformations: applying a gate
-returns a new state and never mutates its input.
+sum(q_k << (n - 1 - k)).  Without an ``out`` array, applying a gate returns a
+new state and never mutates its input; ``apply_gate(state, gate, out=...)``
+writes the result into ``out``, which may be the input's own amplitudes.
 
-The kernels work on the amplitudes reshaped to (2,)*q, whose axis k is qubit
-k under that same convention.  A 2x2 kernel serves H, X and (controlled)
-R_Y, and a phase kernel serves the diagonal gates CZP and DIAG; both pin
-control qubits to 1 with length-1 slices.  The 2x2 kernel reads the input's
-views and writes each output amplitude once, into a fresh array (or, under
-controls, a copy whose unpinned part is left as it is).  A ``QFTBlock`` is
-simulated as one FFT along its register's axes.
+The kernels work in place on amplitudes reshaped to (2,)*q, whose axis k is
+qubit k under that same convention.  A 2x2 kernel serves X and (controlled)
+R_Y, a butterfly serves H, and a phase kernel serves the diagonal gates CZP
+and DIAG; all pin control qubits to 1 with length-1 slices, so a controlled
+gate touches only its pinned part.  A ``QFTBlock`` is simulated as one FFT
+along its register's axes.  Scratch per gate: the 2x2 kernel two arrays of
+half a state, the butterfly one, the FFT its output state (and a copy of its
+input when the register is not the leading qubits in order).
+``apply_circuit`` copies its input once and runs every gate in place on that
+copy.
 
 Norms are checked where a state enters or leaves the simulator: by
 ``new_basis_state``, at the end of ``apply_circuit``, by ``project_measure``
@@ -181,7 +185,6 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
 
 
 _H = 1.0 / math.sqrt(2.0)
-_HADAMARD = ((_H, _H), (_H, -_H))
 _PAULI_X = ((0.0, 1.0), (1.0, 0.0))
 
 
@@ -194,23 +197,38 @@ def _view(psi: np.ndarray, pins: dict[int, int]) -> np.ndarray:
     return psi[tuple(index)]
 
 
-def _apply_2x2(amps: np.ndarray, num_qubits: int, target: int,
-               controls: tuple[int, ...], matrix) -> np.ndarray:
-    # Each output half is fl(a*low) + fl(b*high) (and c, d), the same
-    # roundings as the expression a*low + b*high, written once into ``out``.
-    out = amps.copy() if controls else np.empty_like(amps)
-    psi, psi_out = amps.reshape((2,) * num_qubits), out.reshape((2,) * num_qubits)
+def _halves(psi: np.ndarray, target: int,
+            controls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The views of ``psi`` with ``target`` at 0 and at 1, every control at 1."""
     ones = dict.fromkeys(controls, 1)
-    low_pins, high_pins = {**ones, target: 0}, {**ones, target: 1}
-    low, high = _view(psi, low_pins), _view(psi, high_pins)
-    out_low, out_high = _view(psi_out, low_pins), _view(psi_out, high_pins)
-    scratch = np.empty_like(low)
+    return _view(psi, {**ones, target: 0}), _view(psi, {**ones, target: 1})
+
+
+def _apply_2x2(psi: np.ndarray, target: int, controls: tuple[int, ...],
+               matrix) -> None:
+    # In place, with the roundings of a*low + b*high and c*low + d*high:
+    # complex products and sums of two terms commute exactly, so low*a and
+    # high*d + c*low round the same.  Scratch: two arrays of the pinned size.
+    low, high = _halves(psi, target, controls)
     (a, b), (c, d) = matrix
-    np.multiply(a, low, out=out_low)
-    out_low += np.multiply(b, high, out=scratch)
-    np.multiply(c, low, out=out_high)
-    out_high += np.multiply(d, high, out=scratch)
-    return out
+    c_low = np.multiply(c, low)
+    low *= a
+    low += np.multiply(b, high)
+    high *= d
+    high += c_low
+
+
+def _apply_hadamard(psi: np.ndarray, target: int) -> None:
+    # A butterfly: the matrix's two h*low products are one product, so this
+    # is _apply_2x2 with one pass and one scratch array fewer and the same
+    # roundings.  -h*high is computed as such; -(h*high) can differ from it
+    # in the sign of a zero part.
+    low, high = _halves(psi, target, ())
+    h_low = np.multiply(_H, low)
+    np.multiply(_H, high, out=low)
+    low += h_low
+    high *= -_H
+    high += h_low
 
 
 def _zpow_phase(level: int) -> complex:
@@ -222,62 +240,91 @@ def _zpow_phase(level: int) -> complex:
     return cmath.exp(1.0j * math.copysign(TAU / (1 << abs(level)), level))
 
 
-def _apply_phases(amps: np.ndarray, num_qubits: int, controls: tuple[int, ...],
-                  register: tuple[int, ...], factors) -> np.ndarray:
-    """Multiply by factors[i], i read from ``register`` most-significant
-    first, wherever every control qubit is 1."""
-    out = amps.copy()
-    pinned = _view(out.reshape((2,) * num_qubits), dict.fromkeys(controls, 1))
+def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
+                  register: tuple[int, ...], factors) -> None:
+    """Multiply in place by factors[i], i read from ``register``
+    most-significant first, wherever every control qubit is 1."""
+    pinned = _view(psi, dict.fromkeys(controls, 1))
     width = len(register)
     view = np.moveaxis(pinned, register, range(width))
-    view *= np.reshape(factors, (2,) * width + (1,) * (num_qubits - width))
-    return out
+    view *= np.reshape(factors, (2,) * width + (1,) * (psi.ndim - width))
 
 
-def _apply_qft(amps: np.ndarray, num_qubits: int, register: tuple[int, ...],
-               inverse: bool) -> np.ndarray:
-    # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft.
+def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> None:
+    # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft, which
+    # returns a new array; it is written back through the same moved view.
     transform = np.fft.fft if inverse else np.fft.ifft
-    front = range(len(register))
-    moved = np.moveaxis(amps.reshape((2,) * num_qubits), register, front)
+    moved = np.moveaxis(psi, register, range(len(register)))
     spectrum = transform(moved.reshape(1 << len(register), -1), axis=0, norm="ortho")
-    out = np.empty_like(amps)
-    view = np.moveaxis(out.reshape((2,) * num_qubits), register, front)
-    view[...] = spectrum.reshape(moved.shape)
-    return out
+    moved[...] = spectrum.reshape(moved.shape)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def _check_out(out, num_qubits: int) -> None:
+    shape = (1 << num_qubits,)
+    if not isinstance(out, np.ndarray):
+        got = type(out).__name__
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        got = f"shape {out.shape}, dtype {out.dtype}"
+        got += "" if out.flags.c_contiguous else ", not C-contiguous"
+    else:
+        return
+    raise ValueError(f"out must be a C-contiguous complex128 array of shape "
+                     f"{shape} for a {num_qubits}-qubit state, got {got}")
+
+
+def apply_gate(state: StateVector, gate: Gate,
+               out: np.ndarray | None = None) -> StateVector:
+    """``gate`` applied to ``state``.
+
+    Without ``out`` the result is a new array and ``state`` is left as it
+    is.  As in numpy, ``out`` names the array the result is written to: a
+    C-contiguous complex128 array of the state's shape, which may be
+    ``state.amplitudes`` itself to apply the gate in place.  The returned
+    state holds ``out``.
+    """
     validate_gate(gate, state.num_qubits)
     amps, q = state.amplitudes, state.num_qubits
+    if out is None:
+        out = np.array(amps, dtype=complex)
+    else:
+        _check_out(out, q)
+        if out is not amps:
+            np.copyto(out, amps)
+    psi = out.reshape((2,) * q)
     if isinstance(gate, Hadamard):
-        out = _apply_2x2(amps, q, gate.target, (), _HADAMARD)
+        _apply_hadamard(psi, gate.target)
     elif isinstance(gate, PauliX):
-        out = _apply_2x2(amps, q, gate.target, (), _PAULI_X)
+        _apply_2x2(psi, gate.target, (), _PAULI_X)
     elif isinstance(gate, RotationY):
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        out = _apply_2x2(amps, q, gate.target, gate.controls, ((c, -s), (s, c)))
+        _apply_2x2(psi, gate.target, gate.controls, ((c, -s), (s, c)))
     elif isinstance(gate, ControlledZPow):
-        out = _apply_phases(amps, q, gate.qubits, (), _zpow_phase(gate.level))
+        _apply_phases(psi, gate.qubits, (), _zpow_phase(gate.level))
     elif isinstance(gate, DiagonalOracle):
         factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
-        out = _apply_phases(amps, q, gate.controls, gate.register, factors)
+        _apply_phases(psi, gate.controls, gate.register, factors)
     elif isinstance(gate, QFTBlock):
-        out = _apply_qft(amps, q, gate.register, gate.inverse)
+        _apply_qft(psi, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
     return StateVector._unchecked(q, out)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """``circuit`` applied to ``state``, which is left as it is.
+
+    The amplitudes are copied once into a buffer that every gate then
+    updates in place; the norm is checked once, at the end."""
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit on {circuit.num_qubits} qubits applied to "
             f"{state.num_qubits}-qubit state"
         )
+    buffer = np.array(state.amplitudes, dtype=complex)
+    owned = StateVector._unchecked(state.num_qubits, buffer)
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return StateVector(state.num_qubits, state.amplitudes)
+        apply_gate(owned, gate, out=buffer)
+    return StateVector(state.num_qubits, buffer)
 
 
 def inverse_gate(gate: Gate) -> Gate:

@@ -277,8 +277,7 @@ def test_state_vector_refuses_nan_amplitudes():
         StateVector(1, np.array([1.0, math.nan], dtype=complex))
 
 
-# Uncontrolled 2x2 gates write a fresh array, controlled ones a copy; the
-# phase and FFT kernels are covered alongside.
+# Every kernel runs in place on the array apply_gate writes to.
 EVERY_GATE_KIND = [
     Hadamard(2), PauliX(0), RotationY(0.7, 4), RotationY(-1.9, 1, (3,)),
     RotationY(2.3, 0, (4, 2)), ControlledZPow(3, (1,)), ControlledZPow(-2, (0, 3, 4)),
@@ -295,6 +294,46 @@ def test_apply_gate_leaves_its_input_unchanged(gate):
     out = apply_gate(state, gate)
     assert state.amplitudes.tobytes() == before.tobytes()
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
+def test_apply_gate_out_gives_the_bytes_of_a_fresh_result(gate):
+    state = random_state(5, np.random.default_rng(14))
+    expected = apply_gate(state, gate).amplitudes
+    separate = np.full(32, np.nan, dtype=complex)
+    into_separate = apply_gate(state, gate, out=separate)
+    assert into_separate.amplitudes is separate
+    assert separate.tobytes() == expected.tobytes()
+    in_place = apply_gate(state, gate, out=state.amplitudes)
+    assert in_place.amplitudes is state.amplitudes
+    assert state.amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("out, got", [
+    (np.zeros(16, dtype=complex), "shape (16,), dtype complex128"),
+    (np.zeros(32, dtype=np.complex64), "shape (32,), dtype complex64"),
+    (np.zeros(32), "shape (32,), dtype float64"),
+    (np.zeros((2,) * 5, dtype=complex), "shape (2, 2, 2, 2, 2), dtype complex128"),
+    (np.zeros(64, dtype=complex)[::2], "not C-contiguous"),
+    ([0j] * 32, "got list"),
+])
+def test_apply_gate_refuses_an_out_that_does_not_fit(out, got):
+    state = random_state(5, np.random.default_rng(15))
+    with pytest.raises(ValueError, match=r"complex128 array of shape \(32,\)") as error:
+        apply_gate(state, Hadamard(1), out=out)
+    assert got in str(error.value)
+
+
+def test_apply_circuit_copies_its_input_once():
+    state = random_state(5, np.random.default_rng(16))
+    before = state.amplitudes.tobytes()
+    out = apply_circuit(state, Circuit(5, tuple(EVERY_GATE_KIND)))
+    assert state.amplitudes.tobytes() == before
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    expected = state
+    for gate in EVERY_GATE_KIND:
+        expected = apply_gate(expected, gate)
+    assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 TWO_BY_TWO = [
@@ -317,9 +356,26 @@ def test_2x2_kernel_is_the_reference_expression_bit_for_bit(gate):
     assert np.array_equal(out, expected) and out.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("gate", [Hadamard(0), PauliX(0), RotationY(1.234, 0),
+                                  RotationY(-2.5, 0), RotationY(math.pi, 0)], ids=repr)
+def test_2x2_kernel_keeps_the_reference_sign_of_every_zero(gate):
+    # Every pair of low and high amplitudes whose parts are +0, -0 or not
+    # zero: -h*high and -(h*high) differ in the sign of some zero parts.
+    parts = (0.0, -0.0, 0.5, -1.5)
+    values = [(re, im) for re in parts for im in parts]
+    pairs = [(low, high) for low in values for high in values]
+    amplitudes = np.empty(2 * len(pairs), dtype=complex)
+    halves = amplitudes.reshape(2, -1)
+    for half, side in zip(halves, zip(*pairs)):
+        half.real, half.imag = zip(*side)
+    state = StateVector(9, amplitudes / np.linalg.norm(amplitudes))
+    out = apply_gate(state, gate).amplitudes
+    assert out.tobytes() == reference_2x2(state.amplitudes, gate, 9).tobytes()
+
+
 def test_apply_circuit_checks_the_norm_at_its_end(monkeypatch):
     # A kernel that loses norm is caught once, at the end of the circuit.
-    monkeypatch.setattr("qprep.sim._HADAMARD", ((0.5, 0.5), (0.5, -0.5)))
+    monkeypatch.setattr("qprep.sim._H", 0.5)
     state = new_basis_state(2, 0)
     assert apply_gate(state, Hadamard(0)).amplitudes[0] == 0.5
     with pytest.raises(ValueError, match="norm"):
