@@ -2,17 +2,17 @@
 
 Bit convention, shared by every module: qubit 0 is the MOST significant bit of
 a basis index, so the basis state |q0 q1 ... q_{n-1}> has index
-sum(q_k << (n - 1 - k)).  Without an ``out`` array, applying a gate returns a
-new state and never mutates its input; ``apply_gate(state, gate, out=...)``
-writes the result into ``out``, which may be the input's own amplitudes.
+sum(q_k << (n - 1 - k)).  ``apply_gate(state, gate)`` returns a new state and
+never mutates its input; ``apply_gate(state, gate, out=state.amplitudes)``
+applies the gate in place.
 
-The kernels work in place on amplitudes reshaped to (2,)*q, whose axis k is
-qubit k under that same convention.  A 2x2 kernel serves X and (controlled)
-R_Y, a butterfly serves H, and a phase kernel serves the diagonal gates CZP
-and DIAG; all pin control qubits to 1 with length-1 slices, so a controlled
-gate touches only its pinned part.  A ``QFTBlock`` is simulated as one FFT
-along its register's axes.  Scratch per gate: the 2x2 kernel two arrays of
-half a state, the butterfly one, the FFT its output state (and a copy of its
+The kernels work on amplitudes reshaped to (2,)*q, whose axis k is qubit k
+under that same convention.  A 2x2 kernel serves H, X and (controlled) R_Y,
+and a phase kernel serves the diagonal gates CZP and DIAG; all pin control
+qubits to 1 with length-1 slices, so a controlled gate touches only its
+pinned part.  A ``QFTBlock`` is simulated as one FFT along its register's
+axes.  Scratch per gate: the 2x2 kernel two arrays of half a state in place
+and one into a fresh array, the FFT its output state (and a copy of its
 input when the register is not the leading qubits in order).
 ``apply_circuit`` copies its input once and runs every gate in place on that
 copy.
@@ -185,6 +185,7 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
 
 
 _H = 1.0 / math.sqrt(2.0)
+_HADAMARD = ((_H, _H), (_H, -_H))
 _PAULI_X = ((0.0, 1.0), (1.0, 0.0))
 
 
@@ -204,31 +205,25 @@ def _halves(psi: np.ndarray, target: int,
     return _view(psi, {**ones, target: 0}), _view(psi, {**ones, target: 1})
 
 
-def _apply_2x2(psi: np.ndarray, target: int, controls: tuple[int, ...],
-               matrix) -> None:
-    # In place, with the roundings of a*low + b*high and c*low + d*high:
-    # complex products and sums of two terms commute exactly, so low*a and
-    # high*d + c*low round the same.  Scratch: two arrays of the pinned size.
-    low, high = _halves(psi, target, controls)
+def _apply_2x2(src: np.ndarray, dst: np.ndarray, target: int,
+               controls: tuple[int, ...], matrix) -> None:
+    # Writes dst's pinned halves from src's with the roundings of
+    # a*low + b*high and c*low + d*high; complex products and sums of two
+    # terms commute exactly, so d*high + c*low rounds the same.  In place
+    # (dst is src), c*low is kept before low is overwritten: two scratch
+    # arrays of the pinned size, against one when dst is a fresh array.
+    low, high = _halves(src, target, controls)
+    out_low, out_high = _halves(dst, target, controls)
     (a, b), (c, d) = matrix
-    c_low = np.multiply(c, low)
-    low *= a
-    low += np.multiply(b, high)
-    high *= d
-    high += c_low
-
-
-def _apply_hadamard(psi: np.ndarray, target: int) -> None:
-    # A butterfly: the matrix's two h*low products are one product, so this
-    # is _apply_2x2 with one pass and one scratch array fewer and the same
-    # roundings.  -h*high is computed as such; -(h*high) can differ from it
-    # in the sign of a zero part.
-    low, high = _halves(psi, target, ())
-    h_low = np.multiply(_H, low)
-    np.multiply(_H, high, out=low)
-    low += h_low
-    high *= -_H
-    high += h_low
+    c_low = np.multiply(c, low, out=None if dst is src else out_high)
+    np.multiply(a, low, out=out_low)
+    scratch = np.multiply(b, high)
+    out_low += scratch
+    if dst is src:
+        high *= d
+        high += c_low
+    else:
+        out_high += np.multiply(d, high, out=scratch)
 
 
 def _zpow_phase(level: int) -> complex:
@@ -250,26 +245,15 @@ def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
     view *= np.reshape(factors, (2,) * width + (1,) * (psi.ndim - width))
 
 
-def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> None:
+def _apply_qft(src: np.ndarray, dst: np.ndarray, register: tuple[int, ...],
+               inverse: bool) -> None:
     # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft, which
-    # returns a new array; it is written back through the same moved view.
+    # returns a new array, so dst may be src.
     transform = np.fft.fft if inverse else np.fft.ifft
-    moved = np.moveaxis(psi, register, range(len(register)))
+    front = range(len(register))
+    moved = np.moveaxis(src, register, front)
     spectrum = transform(moved.reshape(1 << len(register), -1), axis=0, norm="ortho")
-    moved[...] = spectrum.reshape(moved.shape)
-
-
-def _check_out(out, num_qubits: int) -> None:
-    shape = (1 << num_qubits,)
-    if not isinstance(out, np.ndarray):
-        got = type(out).__name__
-    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
-        got = f"shape {out.shape}, dtype {out.dtype}"
-        got += "" if out.flags.c_contiguous else ", not C-contiguous"
-    else:
-        return
-    raise ValueError(f"out must be a C-contiguous complex128 array of shape "
-                     f"{shape} for a {num_qubits}-qubit state, got {got}")
+    np.moveaxis(dst, register, front)[...] = spectrum.reshape(moved.shape)
 
 
 def apply_gate(state: StateVector, gate: Gate,
@@ -277,34 +261,35 @@ def apply_gate(state: StateVector, gate: Gate,
     """``gate`` applied to ``state``.
 
     Without ``out`` the result is a new array and ``state`` is left as it
-    is.  As in numpy, ``out`` names the array the result is written to: a
-    C-contiguous complex128 array of the state's shape, which may be
-    ``state.amplitudes`` itself to apply the gate in place.  The returned
-    state holds ``out``.
+    is.  ``out=state.amplitudes`` applies the gate in place, which needs a
+    C-contiguous complex128 array; the returned state then holds it.
     """
     validate_gate(gate, state.num_qubits)
     amps, q = state.amplitudes, state.num_qubits
     if out is None:
-        out = np.array(amps, dtype=complex)
-    else:
-        _check_out(out, q)
-        if out is not amps:
-            np.copyto(out, amps)
-    psi = out.reshape((2,) * q)
+        # A gate that writes only part of the state starts from a copy.
+        whole = isinstance(gate, (Hadamard, PauliX, QFTBlock)) or (
+            isinstance(gate, RotationY) and not gate.controls)
+        out = np.empty(amps.shape, dtype=complex) if whole else np.array(amps, dtype=complex)
+    elif out is not amps or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError("out must be the state's own amplitudes, "
+                         "a C-contiguous complex128 array")
+    src = amps.reshape((2,) * q)
+    dst = src if out is amps else out.reshape((2,) * q)
     if isinstance(gate, Hadamard):
-        _apply_hadamard(psi, gate.target)
+        _apply_2x2(src, dst, gate.target, (), _HADAMARD)
     elif isinstance(gate, PauliX):
-        _apply_2x2(psi, gate.target, (), _PAULI_X)
+        _apply_2x2(src, dst, gate.target, (), _PAULI_X)
     elif isinstance(gate, RotationY):
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        _apply_2x2(psi, gate.target, gate.controls, ((c, -s), (s, c)))
+        _apply_2x2(src, dst, gate.target, gate.controls, ((c, -s), (s, c)))
     elif isinstance(gate, ControlledZPow):
-        _apply_phases(psi, gate.qubits, (), _zpow_phase(gate.level))
+        _apply_phases(dst, gate.qubits, (), _zpow_phase(gate.level))
     elif isinstance(gate, DiagonalOracle):
         factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
-        _apply_phases(psi, gate.controls, gate.register, factors)
+        _apply_phases(dst, gate.controls, gate.register, factors)
     elif isinstance(gate, QFTBlock):
-        _apply_qft(psi, gate.register, gate.inverse)
+        _apply_qft(src, dst, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
     return StateVector._unchecked(q, out)

@@ -277,7 +277,8 @@ def test_state_vector_refuses_nan_amplitudes():
         StateVector(1, np.array([1.0, math.nan], dtype=complex))
 
 
-# Every kernel runs in place on the array apply_gate writes to.
+# apply_gate without out writes a fresh array (a copy for the gates that
+# touch only part of the state); with out=state.amplitudes it runs in place.
 EVERY_GATE_KIND = [
     Hadamard(2), PauliX(0), RotationY(0.7, 4), RotationY(-1.9, 1, (3,)),
     RotationY(2.3, 0, (4, 2)), ControlledZPow(3, (1,)), ControlledZPow(-2, (0, 3, 4)),
@@ -296,32 +297,32 @@ def test_apply_gate_leaves_its_input_unchanged(gate):
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
+def apply_in_place(state: StateVector, gate) -> np.ndarray:
+    """The amplitudes of ``gate`` applied in place to a copy of ``state``."""
+    copy = StateVector(state.num_qubits, state.amplitudes.copy())
+    result = apply_gate(copy, gate, out=copy.amplitudes)
+    assert result.amplitudes is copy.amplitudes
+    return copy.amplitudes
+
+
 @pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
-def test_apply_gate_out_gives_the_bytes_of_a_fresh_result(gate):
+def test_apply_gate_in_place_gives_the_bytes_of_a_fresh_result(gate):
     state = random_state(5, np.random.default_rng(14))
     expected = apply_gate(state, gate).amplitudes
-    separate = np.full(32, np.nan, dtype=complex)
-    into_separate = apply_gate(state, gate, out=separate)
-    assert into_separate.amplitudes is separate
-    assert separate.tobytes() == expected.tobytes()
-    in_place = apply_gate(state, gate, out=state.amplitudes)
-    assert in_place.amplitudes is state.amplitudes
-    assert state.amplitudes.tobytes() == expected.tobytes()
+    assert apply_in_place(state, gate).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("out, got", [
-    (np.zeros(16, dtype=complex), "shape (16,), dtype complex128"),
-    (np.zeros(32, dtype=np.complex64), "shape (32,), dtype complex64"),
-    (np.zeros(32), "shape (32,), dtype float64"),
-    (np.zeros((2,) * 5, dtype=complex), "shape (2, 2, 2, 2, 2), dtype complex128"),
-    (np.zeros(64, dtype=complex)[::2], "not C-contiguous"),
-    ([0j] * 32, "got list"),
-])
-def test_apply_gate_refuses_an_out_that_does_not_fit(out, got):
-    state = random_state(5, np.random.default_rng(15))
-    with pytest.raises(ValueError, match=r"complex128 array of shape \(32,\)") as error:
-        apply_gate(state, Hadamard(1), out=out)
-    assert got in str(error.value)
+@pytest.mark.parametrize("amplitudes, out", [
+    (np.full(32, 32 ** -0.5, dtype=complex), np.zeros(32, dtype=complex)),
+    (np.full(32, 32 ** -0.5), None),
+    (np.full(64, 32 ** -0.5, dtype=complex)[::2], None),
+], ids=["separate array", "float64", "strided"])
+def test_apply_gate_refuses_an_out_it_cannot_run_in_place_on(amplitudes, out):
+    state = StateVector(5, amplitudes)
+    before = amplitudes.tobytes()
+    with pytest.raises(ValueError, match="state's own amplitudes, a C-contiguous complex128"):
+        apply_gate(state, Hadamard(1), out=state.amplitudes if out is None else out)
+    assert amplitudes.tobytes() == before
 
 
 def test_apply_circuit_copies_its_input_once():
@@ -350,17 +351,18 @@ def test_2x2_kernel_is_the_reference_expression_bit_for_bit(gate):
     amplitudes = random_state(5, rng).amplitudes
     amplitudes[rng.random(32) < 0.2] = complex(-0.0, 0.0)
     state = StateVector(5, amplitudes / np.linalg.norm(amplitudes))
-    out = apply_gate(state, gate).amplitudes
     expected = reference_2x2(state.amplitudes, gate, 5)
-    # tobytes also tells a negative zero from a positive one.
-    assert np.array_equal(out, expected) and out.tobytes() == expected.tobytes()
+    for out in (apply_gate(state, gate).amplitudes, apply_in_place(state, gate)):
+        # tobytes also tells a negative zero from a positive one.
+        assert np.array_equal(out, expected) and out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("gate", [Hadamard(0), PauliX(0), RotationY(1.234, 0),
                                   RotationY(-2.5, 0), RotationY(math.pi, 0)], ids=repr)
 def test_2x2_kernel_keeps_the_reference_sign_of_every_zero(gate):
     # Every pair of low and high amplitudes whose parts are +0, -0 or not
-    # zero: -h*high and -(h*high) differ in the sign of some zero parts.
+    # zero: a kernel that negates h*high instead of multiplying by -h gets
+    # the sign of some zero parts wrong.
     parts = (0.0, -0.0, 0.5, -1.5)
     values = [(re, im) for re in parts for im in parts]
     pairs = [(low, high) for low in values for high in values]
@@ -369,13 +371,14 @@ def test_2x2_kernel_keeps_the_reference_sign_of_every_zero(gate):
     for half, side in zip(halves, zip(*pairs)):
         half.real, half.imag = zip(*side)
     state = StateVector(9, amplitudes / np.linalg.norm(amplitudes))
-    out = apply_gate(state, gate).amplitudes
-    assert out.tobytes() == reference_2x2(state.amplitudes, gate, 9).tobytes()
+    expected = reference_2x2(state.amplitudes, gate, 9).tobytes()
+    assert apply_gate(state, gate).amplitudes.tobytes() == expected
+    assert apply_in_place(state, gate).tobytes() == expected
 
 
 def test_apply_circuit_checks_the_norm_at_its_end(monkeypatch):
     # A kernel that loses norm is caught once, at the end of the circuit.
-    monkeypatch.setattr("qprep.sim._H", 0.5)
+    monkeypatch.setattr("qprep.sim._HADAMARD", ((0.5, 0.5), (0.5, -0.5)))
     state = new_basis_state(2, 0)
     assert apply_gate(state, Hadamard(0)).amplitudes[0] == 0.5
     with pytest.raises(ValueError, match="norm"):
