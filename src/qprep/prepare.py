@@ -26,6 +26,7 @@ import numpy as np
 
 from .dyadic import MAX_LEVEL, TAU, floor_fraction, quantize
 from .sim import (
+    SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
     DiagonalOracle,
     Gate,
@@ -327,13 +328,8 @@ class PreparedState:
 
 def _memory_shortfall(num_qubits: int) -> str | None:
     """Why a full simulation of ``num_qubits`` qubits does not fit in physical
-    memory, or None if it does.
-
-    The simulation holds the input state, the buffer ``apply_circuit`` owns
-    and at most one state of kernel scratch (a 2x2 gate's two half-state
-    arrays, or the estimation register's FFT output), 48 bytes per amplitude
-    at its peak; the check asks for two full states, 32 bytes per amplitude."""
-    needed = 32 << num_qubits
+    memory, or None if it does."""
+    needed = SIMULATION_BYTES_PER_AMPLITUDE << num_qubits
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed <= memory:
         return None

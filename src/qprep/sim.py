@@ -11,11 +11,12 @@ under that same convention.  A 2x2 kernel serves H, X and (controlled) R_Y,
 and a phase kernel serves the diagonal gates CZP and DIAG; all pin control
 qubits to 1 with length-1 slices, so a controlled gate touches only its
 pinned part.  A ``QFTBlock`` is simulated as one FFT along its register's
-axes.  Scratch per gate: the 2x2 kernel two arrays of half a state in place
-and one into a fresh array, the FFT its output state (and a copy of its
-input when the register is not the leading qubits in order).
-``apply_circuit`` copies its input once and runs every gate in place on that
-copy.
+axes.  Every kernel updates the one array it is given: ``apply_circuit``
+copies its input once and runs every gate in place on that copy, and
+``apply_gate`` without ``out`` runs the same kernel on a copy of its own.
+Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT its
+output state (and a copy of its input when the register is not the leading
+qubits in order).
 
 Norms are checked where a state enters or leaves the simulator: by
 ``new_basis_state``, at the end of ``apply_circuit``, by ``project_measure``
@@ -184,6 +185,13 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amplitudes)
 
 
+# Peak bytes per amplitude of a full simulation: the input state and the
+# buffer ``apply_circuit`` owns, 16 each, and one state of kernel scratch:
+# a 2x2 gate's two half-state arrays, or a QFT's output.  A QFT on qubits
+# other than the leading ones in order also copies its input; the built
+# circuits run it on the leading estimation register.
+SIMULATION_BYTES_PER_AMPLITUDE = 48
+
 _H = 1.0 / math.sqrt(2.0)
 _HADAMARD = ((_H, _H), (_H, -_H))
 _PAULI_X = ((0.0, 1.0), (1.0, 0.0))
@@ -198,32 +206,20 @@ def _view(psi: np.ndarray, pins: dict[int, int]) -> np.ndarray:
     return psi[tuple(index)]
 
 
-def _halves(psi: np.ndarray, target: int,
-            controls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The views of ``psi`` with ``target`` at 0 and at 1, every control at 1."""
+def _apply_2x2(psi: np.ndarray, target: int, controls: tuple[int, ...],
+               matrix) -> None:
+    # In place, with the roundings of a*low + b*high and c*low + d*high;
+    # complex products and sums of two terms commute exactly, so
+    # d*high + c*low rounds the same.  c*low is kept before low is
+    # overwritten: two scratch arrays of the pinned size.
     ones = dict.fromkeys(controls, 1)
-    return _view(psi, {**ones, target: 0}), _view(psi, {**ones, target: 1})
-
-
-def _apply_2x2(src: np.ndarray, dst: np.ndarray, target: int,
-               controls: tuple[int, ...], matrix) -> None:
-    # Writes dst's pinned halves from src's with the roundings of
-    # a*low + b*high and c*low + d*high; complex products and sums of two
-    # terms commute exactly, so d*high + c*low rounds the same.  In place
-    # (dst is src), c*low is kept before low is overwritten: two scratch
-    # arrays of the pinned size, against one when dst is a fresh array.
-    low, high = _halves(src, target, controls)
-    out_low, out_high = _halves(dst, target, controls)
+    low, high = _view(psi, {**ones, target: 0}), _view(psi, {**ones, target: 1})
     (a, b), (c, d) = matrix
-    c_low = np.multiply(c, low, out=None if dst is src else out_high)
-    np.multiply(a, low, out=out_low)
-    scratch = np.multiply(b, high)
-    out_low += scratch
-    if dst is src:
-        high *= d
-        high += c_low
-    else:
-        out_high += np.multiply(d, high, out=scratch)
+    c_low = c * low
+    low *= a
+    low += b * high
+    high *= d
+    high += c_low
 
 
 def _zpow_phase(level: int) -> complex:
@@ -245,51 +241,46 @@ def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
     view *= np.reshape(factors, (2,) * width + (1,) * (psi.ndim - width))
 
 
-def _apply_qft(src: np.ndarray, dst: np.ndarray, register: tuple[int, ...],
-               inverse: bool) -> None:
+def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> None:
     # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft, which
-    # returns a new array, so dst may be src.
+    # returns a new array that is then written back through the moved view.
     transform = np.fft.fft if inverse else np.fft.ifft
-    front = range(len(register))
-    moved = np.moveaxis(src, register, front)
+    moved = np.moveaxis(psi, register, range(len(register)))
     spectrum = transform(moved.reshape(1 << len(register), -1), axis=0, norm="ortho")
-    np.moveaxis(dst, register, front)[...] = spectrum.reshape(moved.shape)
+    moved[...] = spectrum.reshape(moved.shape)
 
 
 def apply_gate(state: StateVector, gate: Gate,
                out: np.ndarray | None = None) -> StateVector:
     """``gate`` applied to ``state``.
 
-    Without ``out`` the result is a new array and ``state`` is left as it
-    is.  ``out=state.amplitudes`` applies the gate in place, which needs a
-    C-contiguous complex128 array; the returned state then holds it.
+    Every kernel updates the one array it is given.  Without ``out`` that
+    array is a copy of the amplitudes, so the result is new and ``state`` is
+    left as it is.  ``out=state.amplitudes`` applies the gate in place, which
+    needs a C-contiguous complex128 array; the returned state then holds it.
     """
     validate_gate(gate, state.num_qubits)
     amps, q = state.amplitudes, state.num_qubits
     if out is None:
-        # A gate that writes only part of the state starts from a copy.
-        whole = isinstance(gate, (Hadamard, PauliX, QFTBlock)) or (
-            isinstance(gate, RotationY) and not gate.controls)
-        out = np.empty(amps.shape, dtype=complex) if whole else np.array(amps, dtype=complex)
+        out = np.array(amps, dtype=complex)
     elif out is not amps or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be the state's own amplitudes, "
                          "a C-contiguous complex128 array")
-    src = amps.reshape((2,) * q)
-    dst = src if out is amps else out.reshape((2,) * q)
+    psi = out.reshape((2,) * q)
     if isinstance(gate, Hadamard):
-        _apply_2x2(src, dst, gate.target, (), _HADAMARD)
+        _apply_2x2(psi, gate.target, (), _HADAMARD)
     elif isinstance(gate, PauliX):
-        _apply_2x2(src, dst, gate.target, (), _PAULI_X)
+        _apply_2x2(psi, gate.target, (), _PAULI_X)
     elif isinstance(gate, RotationY):
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        _apply_2x2(src, dst, gate.target, gate.controls, ((c, -s), (s, c)))
+        _apply_2x2(psi, gate.target, gate.controls, ((c, -s), (s, c)))
     elif isinstance(gate, ControlledZPow):
-        _apply_phases(dst, gate.qubits, (), _zpow_phase(gate.level))
+        _apply_phases(psi, gate.qubits, (), _zpow_phase(gate.level))
     elif isinstance(gate, DiagonalOracle):
         factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
-        _apply_phases(dst, gate.controls, gate.register, factors)
+        _apply_phases(psi, gate.controls, gate.register, factors)
     elif isinstance(gate, QFTBlock):
-        _apply_qft(src, dst, gate.register, gate.inverse)
+        _apply_qft(psi, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
     return StateVector._unchecked(q, out)

@@ -56,19 +56,33 @@ def test_prepare_uniform_probabilistic(tmp_path, capsys):
 
 def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
     # prob mode at n = 2 and epsilon 1e-9 estimates 37 bits: 40 qubits, whose
-    # full simulation needs 32 * 2^40 bytes.
+    # full simulation needs 48 * 2^40 bytes.
     vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
     args = ["prepare", str(vec), "--mode", "prob", "--epsilon", "1e-9",
             "--report", str(tmp_path / "report.json")]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "40 qubits" in err and str(32 << 40) in err and "--fast-path" in err
+    assert "40 qubits" in err and str(48 << 40) in err and "--fast-path" in err
     assert main(args + ["--fast-path"]) == 0
     # The library refusal names no flag of a command its caller did not run.
     x = TargetVector(2, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
     with pytest.raises(ValueError, match="40 qubits") as refused:
         simulate_preparation(build(x, required_precision(2, 1e-9, PROBABILISTIC)))
     assert "--" not in str(refused.value)
+
+
+@pytest.mark.parametrize("spare_pages, refused", [(0, False), (-1, True)])
+def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, spare_pages, refused):
+    # 30 qubits peak at 48 * 2^30 bytes: that much memory passes, one page
+    # less refuses.
+    page = 4096
+    sizes = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": (48 << 30) // page + spare_pages}
+    monkeypatch.setattr(prepare_module.os, "sysconf", sizes.__getitem__)
+    shortfall = prepare_module._memory_shortfall(30)
+    if refused:
+        assert shortfall and "30 qubits" in shortfall and str(48 << 30) in shortfall
+    else:
+        assert shortfall is None
 
 
 def test_full_circuit_accepts_a_valid_19_qubit_state_under_one_blas_thread(tmp_path):

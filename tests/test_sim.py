@@ -277,8 +277,8 @@ def test_state_vector_refuses_nan_amplitudes():
         StateVector(1, np.array([1.0, math.nan], dtype=complex))
 
 
-# apply_gate without out writes a fresh array (a copy for the gates that
-# touch only part of the state); with out=state.amplitudes it runs in place.
+# apply_gate without out runs the in-place kernel on a copy of the state;
+# with out=state.amplitudes it runs that kernel on the state itself.
 EVERY_GATE_KIND = [
     Hadamard(2), PauliX(0), RotationY(0.7, 4), RotationY(-1.9, 1, (3,)),
     RotationY(2.3, 0, (4, 2)), ControlledZPow(3, (1,)), ControlledZPow(-2, (0, 3, 4)),
