@@ -6,7 +6,8 @@ multi-controlled phase gates, simulates everything exactly, and verifies the
 analytic error and success-probability bounds.
 """
 
-from .dyadic import DyadicPhase, PhaseSpec, quantize
+from .dyadic import PhaseSpec, quantize
+from .gateformat import qft_circuit
 from .prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
@@ -35,7 +36,6 @@ from .sim import (
     apply_gate,
     new_basis_state,
     project_measure,
-    qft_circuit,
 )
 from .synth import (
     SynthesisResult,

@@ -214,9 +214,9 @@ def cmd_synth_diag(args) -> int:
     for (arity, level), count in sorted(result.counts.items()):
         kind = "X" if level == 0 else f"CZP(l={level})"
         print(f"  arity {arity:>2}  {kind:<12} x{count}")
-    if result.global_phase.numerator:
-        print(f"  global phase 2*pi*{result.global_phase.numerator}"
-              f"/2^{result.global_phase.level} (as conjugated gate block)")
+    if result.global_phase:
+        print(f"  global phase 2*pi*{result.global_phase}"
+              f"/2^{result.level} (as conjugated gate block)")
     if args.emit:
         save_circuit(args.emit, Circuit(n, result.product_gates()), n)
     if not exact:
@@ -302,8 +302,8 @@ def _suite_bounds(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
 def _check_verify_size(suite: str, n: int, trials: int) -> None:
     """Refuse, before anything is allocated, an ``--n`` or ``--trials`` the
     suite cannot run, including an ``--n`` whose largest circuit (the
-    n-qubit diagonal in the synth suite) would not fit in physical memory
-    as a full simulation."""
+    n-qubit diagonal in the synth suite) would not fit in the memory the
+    process can get as a full simulation."""
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
     least = 2 if suite == "bounds" else 1  # the deterministic width formula

@@ -42,26 +42,6 @@ def floor_fraction(fraction: float, level: int) -> int:
 
 
 @dataclass(frozen=True)
-class DyadicPhase:
-    """The angle 2*pi*numerator/2**level, held exactly as integers."""
-
-    numerator: int
-    level: int
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if not 0 <= self.numerator < (1 << self.level):
-            raise ValueError(
-                f"numerator {self.numerator} outside [0, 2**{self.level})"
-            )
-
-    @property
-    def radians(self) -> float:
-        return TAU * self.numerator / (1 << self.level)
-
-
-@dataclass(frozen=True)
 class PhaseSpec:
     """2**num_qubits grid phases at a common level, one per basis index."""
 
@@ -86,10 +66,6 @@ class PhaseSpec:
                 raise ValueError(
                     f"entry {index}: numerator {p} outside [0, {cells})"
                 )
-
-    @property
-    def entries(self) -> tuple[DyadicPhase, ...]:
-        return tuple(DyadicPhase(p, self.level) for p in self.numerators)
 
     def angles(self) -> tuple[float, ...]:
         cells = 1 << self.level

@@ -12,7 +12,8 @@ Grammar (header first, then gates; later ``#`` lines are comments):
 Angles are written with 17 significant digits, which round-trips doubles
 exactly; angles that are dyadic multiples of 2*pi additionally carry a
 ``p=... m=...`` annotation meaning theta = 2*pi*p/2**m, which the parser
-prefers.  Fourier blocks are expanded into primitive gates on writing.
+prefers.  ``expand_blocks`` is the one pass that writes each Fourier block
+as the basic gates of ``qft_circuit``; the simulator runs it as one FFT.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .sim import (
     PauliX,
     QFTBlock,
     RotationY,
-    qft_circuit,
+    inverse_gate,
 )
 
 _MAX_DYADIC_LEVEL = 32
@@ -58,6 +59,42 @@ def _indices(values: Iterable[int]) -> str:
 
 def _controls(values: tuple[int, ...]) -> str:
     return _indices(values) if values else "-"
+
+
+def _swap_gates(a: int, b: int) -> list[Gate]:
+    # SWAP from the available vocabulary: three CNOTs, each an H-CZ-H sandwich.
+    cnot_ab: list[Gate] = [Hadamard(b), ControlledZPow(1, (a, b)), Hadamard(b)]
+    cnot_ba: list[Gate] = [Hadamard(a), ControlledZPow(1, (a, b)), Hadamard(a)]
+    return cnot_ab + cnot_ba + cnot_ab
+
+
+def qft_circuit(register: tuple[int, ...] | list[int],
+                inverse: bool = False) -> tuple[Gate, ...]:
+    """Fourier transform on ``register`` as Hadamard and phase gates: the
+    gates a ``QFTBlock`` is written as.
+
+    The register is read most-significant first, matching the global bit
+    convention; the trailing bit-reversal is realized with CNOT-triple swaps
+    so the gate list stays inside the simulator vocabulary.
+    """
+    register = tuple(register)
+    if not register:
+        raise ValueError("QFT register must be nonempty")
+    if len(set(register)) != len(register):
+        raise ValueError("QFT register lists duplicate qubits")
+    width = len(register)
+    gates: list[Gate] = []
+    for i in range(width):
+        gates.append(Hadamard(register[i]))
+        for distance in range(2, width - i + 1):
+            gates.append(
+                ControlledZPow(distance, (register[i], register[i + distance - 1]))
+            )
+    for i in range(width // 2):
+        gates.extend(_swap_gates(register[i], register[width - 1 - i]))
+    if inverse:
+        gates = [inverse_gate(g) for g in reversed(gates)]
+    return tuple(gates)
 
 
 def expand_blocks(gates: Iterable[Gate]) -> Iterator[Gate]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,15 +327,31 @@ class PreparedState:
     estimation_residual: float | None
 
 
+CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
 def _memory_shortfall(num_qubits: int) -> str | None:
-    """Why a full simulation of ``num_qubits`` qubits does not fit in physical
-    memory, or None if it does."""
+    """Why a full simulation of ``num_qubits`` qubits does not fit in the
+    memory the process can get, or None if it does.  That memory is the
+    least of physical memory, the soft RLIMIT_AS unless infinite, and a
+    numeric cgroup ``memory.max`` (``max`` there means no limit)."""
     needed = SIMULATION_BYTES_PER_AMPLITUDE << num_qubits
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limits = [(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory")]
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append((soft, "the soft address-space limit RLIMIT_AS"))
+    try:
+        with open(CGROUP_MEMORY_MAX) as handle:
+            cgroup = handle.read().strip()
+    except OSError:  # no cgroup v2 here: no limit from it
+        cgroup = "max"
+    if cgroup.isdigit():
+        limits.append((int(cgroup), f"the cgroup limit {CGROUP_MEMORY_MAX}"))
+    memory, name = min(limits, key=lambda limit: limit[0])
     if needed <= memory:
         return None
     return (f"simulating {num_qubits} qubits needs {needed} bytes, "
-            f"more than the {memory} bytes of physical memory")
+            f"more than the {memory} bytes of {name}")
 
 
 def simulate_preparation(build_result: BuildResult) -> PreparedState:

@@ -18,10 +18,11 @@ Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT its
 output state (and a copy of its input when the register is not the leading
 qubits in order).
 
-Norms are checked where a state enters or leaves the simulator: by
-``new_basis_state``, at the end of ``apply_circuit``, by ``project_measure``
-and wherever a caller builds a ``StateVector``.  ``apply_gate`` does not
-re-check, because its input was checked and every kernel is unitary.
+Every ``StateVector`` passes its constructor's norm check: ``new_basis_state``,
+the pure ``apply_gate``, ``apply_circuit`` (its copy and its result) and
+``project_measure`` each build one.  The in-place ``apply_gate`` returns its
+input unchecked, because that input was checked and every kernel is unitary.
+How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
 """
 
 from __future__ import annotations
@@ -166,15 +167,6 @@ class StateVector:
         if not abs(norm - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
 
-    @classmethod
-    def _unchecked(cls, num_qubits: int, amplitudes: np.ndarray) -> StateVector:
-        """A state from a unitary applied to a checked state, without the
-        O(2^q) norm pass of the constructor."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "num_qubits", num_qubits)
-        object.__setattr__(state, "amplitudes", amplitudes)
-        return state
-
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
     dim = 1 << num_qubits
@@ -255,9 +247,10 @@ def apply_gate(state: StateVector, gate: Gate,
     """``gate`` applied to ``state``.
 
     Every kernel updates the one array it is given.  Without ``out`` that
-    array is a copy of the amplitudes, so the result is new and ``state`` is
-    left as it is.  ``out=state.amplitudes`` applies the gate in place, which
-    needs a C-contiguous complex128 array; the returned state then holds it.
+    array is a copy of the amplitudes, so the result is a new, norm-checked
+    state and ``state`` is left as it is.  ``out=state.amplitudes`` applies
+    the gate in place, which needs a C-contiguous complex128 array, and
+    returns ``state`` itself.
     """
     validate_gate(gate, state.num_qubits)
     amps, q = state.amplitudes, state.num_qubits
@@ -283,21 +276,22 @@ def apply_gate(state: StateVector, gate: Gate,
         _apply_qft(psi, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
-    return StateVector._unchecked(q, out)
+    return state if out is amps else StateVector(q, out)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """``circuit`` applied to ``state``, which is left as it is.
 
     The amplitudes are copied once into a buffer that every gate then
-    updates in place; the norm is checked once, at the end."""
+    updates in place; the norm is checked on that copy and at the end, not
+    per gate."""
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit on {circuit.num_qubits} qubits applied to "
             f"{state.num_qubits}-qubit state"
         )
     buffer = np.array(state.amplitudes, dtype=complex)
-    owned = StateVector._unchecked(state.num_qubits, buffer)
+    owned = StateVector(state.num_qubits, buffer)
     for gate in circuit.gates:
         apply_gate(owned, gate, out=buffer)
     return StateVector(state.num_qubits, buffer)
@@ -315,42 +309,6 @@ def inverse_gate(gate: Gate) -> Gate:
     if isinstance(gate, QFTBlock):
         return QFTBlock(gate.register, not gate.inverse)
     raise TypeError(f"unknown gate type {type(gate).__name__}")
-
-
-def _swap_gates(a: int, b: int) -> list[Gate]:
-    # SWAP from the available vocabulary: three CNOTs, each an H-CZ-H sandwich.
-    cnot_ab: list[Gate] = [Hadamard(b), ControlledZPow(1, (a, b)), Hadamard(b)]
-    cnot_ba: list[Gate] = [Hadamard(a), ControlledZPow(1, (a, b)), Hadamard(a)]
-    return cnot_ab + cnot_ba + cnot_ab
-
-
-def qft_circuit(register: tuple[int, ...] | list[int],
-                inverse: bool = False) -> tuple[Gate, ...]:
-    """Fourier transform on ``register`` as Hadamard and phase gates: the
-    gates a ``QFTBlock`` is written as.
-
-    The register is read most-significant first, matching the global bit
-    convention; the trailing bit-reversal is realized with CNOT-triple swaps
-    so the gate list stays inside the simulator vocabulary.
-    """
-    register = tuple(register)
-    if not register:
-        raise ValueError("QFT register must be nonempty")
-    if len(set(register)) != len(register):
-        raise ValueError("QFT register lists duplicate qubits")
-    width = len(register)
-    gates: list[Gate] = []
-    for i in range(width):
-        gates.append(Hadamard(register[i]))
-        for distance in range(2, width - i + 1):
-            gates.append(
-                ControlledZPow(distance, (register[i], register[i + distance - 1]))
-            )
-    for i in range(width // 2):
-        gates.extend(_swap_gates(register[i], register[width - 1 - i]))
-    if inverse:
-        gates = [inverse_gate(g) for g in reversed(gates)]
-    return tuple(gates)
 
 
 def project_measure(state: StateVector, target: int,

@@ -8,18 +8,18 @@ Moebius inversion makes that solution unique: the integer Moebius transform
 of p(0) - p, n butterfly passes.  Bit b of a word is one gate of level m - b.
 
 No product of these phase gates can touch the all-zeros basis state, so a
-nonzero phase there is split off first and recorded as ``global_phase`` on the
-result.  ``global_phase_gates`` turns that scalar into an explicit gate block
-(the phase applied separately to the 0- and 1-branches of one qubit), and
-``SynthesisResult.product_gates`` prepends it so the materialized gate list
-implements the full diagonal, entry zero included.
+nonzero phase there is split off first and recorded as ``global_phase``, its
+numerator at the result's level.  ``global_phase_gates`` turns that scalar
+into an explicit gate block (the phase applied separately to the 0- and
+1-branches of one qubit), and ``SynthesisResult.product_gates`` prepends it so
+the materialized gate list implements the full diagonal, entry zero included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import DyadicPhase, PhaseSpec
+from .dyadic import PhaseSpec
 from .sim import ControlledZPow, Gate, PauliX
 
 
@@ -28,7 +28,7 @@ class SynthesisResult:
     register: tuple[int, ...]  # the gates' qubits, most significant index bit first
     level: int
     gates: tuple[Gate, ...]
-    global_phase: DyadicPhase
+    global_phase: int  # numerator of 2*pi*global_phase/2**level
 
     @property
     def num_qubits(self) -> int:
@@ -47,7 +47,8 @@ class SynthesisResult:
 
     def product_gates(self) -> tuple[Gate, ...]:
         """Gate list whose product is the full diagonal, global phase included."""
-        return global_phase_gates(self.global_phase, *self.register[:1]) + self.gates
+        return (global_phase_gates(self.global_phase, self.level, *self.register[:1])
+                + self.gates)
 
 
 def count_gate_list(gates: tuple[Gate, ...]) -> dict[tuple[int, int], int]:
@@ -74,15 +75,16 @@ def _phase_bit_gates(numerator: int, level: int,
     return gates
 
 
-def global_phase_gates(phase: DyadicPhase, qubit: int = 0) -> tuple[Gate, ...]:
-    """Gates multiplying every basis state by e^{i * phase.radians}.
+def global_phase_gates(numerator: int, level: int,
+                       qubit: int = 0) -> tuple[Gate, ...]:
+    """Gates multiplying every basis state by e^{2*pi*i * numerator/2**level}.
 
     The phase is applied to the 1-branch of ``qubit`` directly and to its
     0-branch under PauliX conjugation, which together cover every index.
     """
-    if phase.numerator == 0:
+    if numerator == 0:
         return ()
-    branch = _phase_bit_gates(phase.numerator, phase.level, (qubit,))
+    branch = _phase_bit_gates(numerator, level, (qubit,))
     return (*branch, PauliX(qubit), *branch, PauliX(qubit))
 
 
@@ -123,7 +125,7 @@ def peel_synthesize(spec: PhaseSpec,
         bit, emitted = m - level, (1 if level == 1 else -level)
         gates.extend(ControlledZPow(emitted, qubits)
                      for word, qubits in patterns if (word >> bit) & 1)
-    return SynthesisResult(register, m, tuple(gates), DyadicPhase(shift, m))
+    return SynthesisResult(register, m, tuple(gates), shift)
 
 
 def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
@@ -163,7 +165,7 @@ def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
         gates.extend(_phase_bit_gates(p, m, all_qubits))
         for q in flips:
             gates.append(PauliX(q))
-    return SynthesisResult(all_qubits, m, tuple(gates), DyadicPhase(0, m))
+    return SynthesisResult(all_qubits, m, tuple(gates), 0)
 
 
 def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
@@ -182,7 +184,7 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     size = 1 << num_qubits
     modulus = 1 << m
     index_bit = {q: 1 << (num_qubits - 1 - k) for k, q in enumerate(result.register)}
-    accumulated = [result.global_phase.numerator] * size
+    accumulated = [result.global_phase] * size
     flip_mask = 0
     for gate in result.gates:
         if isinstance(gate, PauliX):

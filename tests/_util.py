@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from qprep.dyadic import DyadicPhase, PhaseSpec, quantize
+from qprep.dyadic import PhaseSpec, quantize
 from qprep.sim import (
     ControlledZPow,
     DiagonalOracle,
@@ -142,7 +142,7 @@ def reference_peel(spec: PhaseSpec) -> SynthesisResult:
     size = 1 << n
     modulus = 1 << m
     residual = list(spec.numerators)
-    global_phase = DyadicPhase(residual[0], m)
+    global_phase = residual[0]
     if residual[0]:
         shift = residual[0]
         residual = [(p - shift) % modulus for p in residual]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -71,16 +72,49 @@ def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
     assert "--" not in str(refused.value)
 
 
+PAGE = 4096
+
+
+def pin_memory_limits(monkeypatch, tmp_path, physical, address_space, cgroup):
+    """Fixes the three limits ``_memory_shortfall`` reads, whatever the
+    machine has: physical memory, the soft RLIMIT_AS and memory.max."""
+    sizes = {"SC_PAGE_SIZE": PAGE, "SC_PHYS_PAGES": physical // PAGE}
+    monkeypatch.setattr(prepare_module.os, "sysconf", sizes.__getitem__)
+    monkeypatch.setattr(prepare_module.resource, "getrlimit",
+                        lambda which: (address_space, resource.RLIM_INFINITY))
+    memory_max = tmp_path / "memory.max"
+    memory_max.write_text(f"{cgroup}\n")
+    monkeypatch.setattr(prepare_module, "CGROUP_MEMORY_MAX", str(memory_max))
+
+
 @pytest.mark.parametrize("spare_pages, refused", [(0, False), (-1, True)])
-def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, spare_pages, refused):
+def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, tmp_path, spare_pages,
+                                                  refused):
     # 30 qubits peak at 48 * 2^30 bytes: that much memory passes, one page
     # less refuses.
-    page = 4096
-    sizes = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": (48 << 30) // page + spare_pages}
-    monkeypatch.setattr(prepare_module.os, "sysconf", sizes.__getitem__)
+    pin_memory_limits(monkeypatch, tmp_path, (48 << 30) + spare_pages * PAGE,
+                      resource.RLIM_INFINITY, "max")
     shortfall = prepare_module._memory_shortfall(30)
     if refused:
-        assert shortfall and "30 qubits" in shortfall and str(48 << 30) in shortfall
+        assert shortfall == (f"simulating 30 qubits needs {48 << 30} bytes, more than "
+                             f"the {(48 << 30) - PAGE} bytes of physical memory")
+    else:
+        assert shortfall is None
+
+
+@pytest.mark.parametrize("source", ["RLIMIT_AS", "memory.max"])
+@pytest.mark.parametrize("spare_pages, refused", [(0, False), (-1, True)])
+def test_memory_refusal_takes_the_smallest_limit(monkeypatch, tmp_path, source,
+                                                 spare_pages, refused):
+    # Physical memory is ample; the other limit alone decides and is named.
+    limit = (48 << 30) + spare_pages * PAGE
+    pin_memory_limits(monkeypatch, tmp_path, 1 << 50,
+                      limit if source == "RLIMIT_AS" else resource.RLIM_INFINITY,
+                      limit if source == "memory.max" else "max")
+    shortfall = prepare_module._memory_shortfall(30)
+    if refused:
+        assert shortfall and str(limit) in shortfall and source in shortfall
+        assert "physical memory" not in shortfall
     else:
         assert shortfall is None
 
@@ -481,3 +515,23 @@ def test_emitted_gate_lists_are_the_reference_peel_bytes(tmp_path, command):
         circuit = Circuit(built.circuit.num_qubits, rounds + stage)
     save_circuit(expected, circuit, n)
     assert emitted.read_bytes() == expected.read_bytes()
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["prepare", "vector2.json", "--mode", "det", "--fast-path", "--t", "3",
+      "--t-prime", "3"], "prepare_det.txt"),
+    (["prepare", "vector2.json", "--mode", "prob", "--fast-path", "--t", "3",
+      "--t-prime", "3"], "prepare_prob.txt"),
+    (["synth-diag", "phases3.json", "--m", "3"], "synth_diag.txt"),
+    (["synth-diag", "phases3.json", "--m", "3", "--sparse"], "synth_diag_sparse.txt"),
+], ids=["det", "prob", "synth-diag", "synth-diag-sparse"])
+def test_emitted_gate_lists_are_the_golden_bytes(tmp_path, capsys, argv, golden):
+    # Committed files, not a second save_circuit: a change to how any gate is
+    # written, the QFT expansion included, fails here.
+    emitted = tmp_path / golden
+    args = [str(DATA / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main([*args, "--emit", str(emitted)]) == 0
+    assert emitted.read_bytes() == (DATA / golden).read_bytes()

@@ -18,8 +18,8 @@ from qprep.sim import (
     inverse_gate,
     new_basis_state,
     project_measure,
-    qft_circuit,
 )
+from qprep.gateformat import qft_circuit
 
 TAU = 2.0 * math.pi
 
@@ -277,8 +277,9 @@ def test_state_vector_refuses_nan_amplitudes():
         StateVector(1, np.array([1.0, math.nan], dtype=complex))
 
 
-# apply_gate without out runs the in-place kernel on a copy of the state;
-# with out=state.amplitudes it runs that kernel on the state itself.
+# apply_gate without out runs the in-place kernel on a copy of the state and
+# checks the result; with out=state.amplitudes it runs that kernel on the
+# state itself and returns that state.
 EVERY_GATE_KIND = [
     Hadamard(2), PauliX(0), RotationY(0.7, 4), RotationY(-1.9, 1, (3,)),
     RotationY(2.3, 0, (4, 2)), ControlledZPow(3, (1,)), ControlledZPow(-2, (0, 3, 4)),
@@ -300,8 +301,7 @@ def test_apply_gate_leaves_its_input_unchanged(gate):
 def apply_in_place(state: StateVector, gate) -> np.ndarray:
     """The amplitudes of ``gate`` applied in place to a copy of ``state``."""
     copy = StateVector(state.num_qubits, state.amplitudes.copy())
-    result = apply_gate(copy, gate, out=copy.amplitudes)
-    assert result.amplitudes is copy.amplitudes
+    assert apply_gate(copy, gate, out=copy.amplitudes) is copy
     return copy.amplitudes
 
 
@@ -377,9 +377,15 @@ def test_2x2_kernel_keeps_the_reference_sign_of_every_zero(gate):
 
 
 def test_apply_circuit_checks_the_norm_at_its_end(monkeypatch):
-    # A kernel that loses norm is caught once, at the end of the circuit.
+    # A kernel that loses norm passes the in-place call, which does not check
+    # per gate, and is caught where a state leaves the simulator: by the pure
+    # call and at the end of the circuit.
     monkeypatch.setattr("qprep.sim._HADAMARD", ((0.5, 0.5), (0.5, -0.5)))
+    owned = new_basis_state(2, 0)
+    assert apply_gate(owned, Hadamard(0), out=owned.amplitudes) is owned
+    assert owned.amplitudes[0] == 0.5
     state = new_basis_state(2, 0)
-    assert apply_gate(state, Hadamard(0)).amplitudes[0] == 0.5
+    with pytest.raises(ValueError, match="norm"):
+        apply_gate(state, Hadamard(0))
     with pytest.raises(ValueError, match="norm"):
         apply_circuit(state, Circuit(2, (Hadamard(0), Hadamard(1))))

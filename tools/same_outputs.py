@@ -108,6 +108,11 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
                      "0.2", "--multiplier", multiplier, *out])
     runs.append(["prepare", inputs["zeros4.json"], "--mode", "prob", "--fast-path",
                  "--t", "5", "--t-prime", "70", *out])
+    # RY and DIAG angles finer than level 32, written without p= m=, and a
+    # 34-qubit QFT expansion.
+    for mode in ("det", "prob"):
+        runs.append(["prepare", inputs["complex3.json"], "--mode", mode, "--fast-path",
+                     "--t", "34", "--t-prime", "4", *out])
     for name, m in (("p2.json", "1"), ("p3.csv", "3"), ("p6.json", "10"),
                     ("p6.json", "70"), ("sparse5.json", "6")):
         runs.append(["synth-diag", inputs[name], "--m", m])
