@@ -139,12 +139,19 @@ def cmd_prepare(args) -> int:
             raise UsageError("give --epsilon, or both --t and --t-prime")
         cfg = PrecisionConfig(args.t, args.t_prime, mode, args.multiplier)
 
+    qubits = RegisterMap.layout(x.num_qubits, cfg).num_qubits
     if not args.fast_path:
-        shortfall = _memory_shortfall(RegisterMap.layout(x.num_qubits, cfg).num_qubits)
+        shortfall = _memory_shortfall(qubits)
         if shortfall:
             raise ValueError(f"{shortfall}; use --fast-path")
-    record = analysis.evaluate_bounds(x, cfg, epsilon=args.epsilon,
-                                      fast_path=args.fast_path)
+    try:
+        record = analysis.evaluate_bounds(x, cfg, epsilon=args.epsilon,
+                                          fast_path=args.fast_path)
+    except MemoryError:
+        if args.fast_path:
+            raise
+        # The refusal above passed, but what the process gets can be less.
+        raise MemoryError(f"simulating {qubits} qubits; use --fast-path") from None
     success = record.measured_success_probability
     sampled = None
     if args.sample and mode == PROBABILISTIC:
@@ -393,6 +400,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except LeakageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,12 +29,17 @@ from .dyadic import MAX_LEVEL, TAU, floor_fraction, quantize
 from .sim import (
     SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
+    ControlledZPow,
     DiagonalOracle,
     Gate,
     Hadamard,
+    PauliX,
     QFTBlock,
     RotationY,
+    StateVector,
     apply_circuit,
+    apply_widening,
+    gate_qubits,
     inverse_gate,
     new_basis_state,
     project_measure,
@@ -354,33 +359,60 @@ def _memory_shortfall(num_qubits: int) -> str | None:
             f"more than the {memory} bytes of {name}")
 
 
+def _shifted_down(gate: Gate, offset: int) -> Gate:
+    """A phase-stage gate (``ControlledZPow`` or ``PauliX``, the kinds peel
+    synthesis emits) moved ``offset`` qubits down."""
+    if isinstance(gate, ControlledZPow):
+        return ControlledZPow(gate.level, tuple(q - offset for q in gate.qubits))
+    if isinstance(gate, PauliX):
+        return PauliX(gate.target - offset)
+    raise TypeError(f"unexpected phase-stage gate {gate!r}")
+
+
 def simulate_preparation(build_result: BuildResult) -> PreparedState:
     """Run the circuit on |0...0>, post-select the ancilla (if any) on 0, check
-    the estimation register uncomputed, and return the data-register state."""
+    the estimation register uncomputed, and return the data-register state.
+
+    Each stage runs on the qubits touched so far (``apply_widening``), which
+    gives the amplitudes of the flat simulation: qubits not yet touched are
+    |0> and factor out.  The ancilla is post-selected right after its last
+    gate, the rotation ladder, and dropped.  The estimation register is read
+    off before the phase stage, which then runs on the 2**n data amplitudes.
+    The widest stage is the whole circuit's width, so the memory check is
+    the full simulation's."""
     circuit = build_result.circuit
     registers = build_result.registers
     shortfall = _memory_shortfall(circuit.num_qubits)
     if shortfall:
         raise ValueError(shortfall)
-    state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
+    gates, t, n = circuit.gates, len(registers.estimation), len(registers.data)
+    phase_start = len(gates) - len(build_result.phase_stage)
+    ancilla_end = phase_start
+    if registers.ancilla is not None:
+        ancilla_end = 1 + max(index for index, gate in enumerate(gates[:phase_start])
+                              if registers.ancilla in gate_qubits(gate))
+    state = apply_widening(new_basis_state(1, 0), gates[:ancilla_end])
     success = 1.0
     if registers.ancilla is not None:
         success, projected = project_measure(state, registers.ancilla, 0)
         if projected is None:
             raise ValueError("ancilla outcome 0 has zero probability")
-        state = projected
-    # Estimation qubits are the top bits, so estimation = |0...0> is the
-    # leading block of the amplitude array.
-    t = len(registers.estimation)
-    keep = state.amplitudes[: 1 << (circuit.num_qubits - t)]
+        # The ancilla is the last qubit, the lowest bit of an index.
+        state = StateVector(state.num_qubits - 1, projected.amplitudes[0::2])
+    # Every data qubit is touched before the phase stage, so the state holds
+    # t + n qubits; estimation qubits are the top bits, so estimation =
+    # |0...0> is the leading block of the amplitude array.
+    state = apply_widening(state, gates[ancilla_end:phase_start])
+    keep = state.amplitudes[: 1 << n]
     residual = max(0.0, 1.0 - float(np.sum(np.abs(keep) ** 2)))
     if residual > LEAKAGE_TOLERANCE:
         raise LeakageError(
             f"estimation register failed to uncompute (residual {residual:.3e})"
         )
-    data_amps = keep[0::2] if registers.ancilla is not None else keep
-    data_amps = data_amps / np.linalg.norm(data_amps)
-    return PreparedState(np.asarray(data_amps, dtype=complex), success, residual)
+    data = StateVector(n, keep / np.linalg.norm(keep))
+    phase_stage = tuple(_shifted_down(gate, t) for gate in build_result.phase_stage)
+    prepared = apply_circuit(data, Circuit(n, phase_stage))
+    return PreparedState(prepared.amplitudes, success, residual)
 
 
 def prepare(x: TargetVector, cfg: PrecisionConfig) -> PreparedState:

@@ -18,10 +18,15 @@ Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT its
 output state (and a copy of its input when the register is not the leading
 qubits in order).
 
+``apply_widening`` runs a gate list on a state that holds only the qubits
+touched so far: qubits past its width are |0>, and ``widen`` appends them as
+trailing (least significant) qubits when a gate first needs them.
+
 Every ``StateVector`` passes its constructor's norm check: ``new_basis_state``,
-the pure ``apply_gate``, ``apply_circuit`` (its copy and its result) and
-``project_measure`` each build one.  The in-place ``apply_gate`` returns its
-input unchecked, because that input was checked and every kernel is unitary.
+the pure ``apply_gate``, ``apply_circuit`` (its copy and its result),
+``widen`` and ``project_measure`` each build one.  The in-place
+``apply_gate`` returns its input unchecked, because that input was checked
+and every kernel is unitary.
 How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
 """
 
@@ -228,6 +233,9 @@ def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
     """Multiply in place by factors[i], i read from ``register``
     most-significant first, wherever every control qubit is 1."""
     pinned = _view(psi, dict.fromkeys(controls, 1))
+    if not register:  # one factor for the whole pinned view: every CZP
+        pinned *= factors
+        return
     width = len(register)
     view = np.moveaxis(pinned, register, range(width))
     view *= np.reshape(factors, (2,) * width + (1,) * (psi.ndim - width))
@@ -295,6 +303,41 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         apply_gate(owned, gate, out=buffer)
     return StateVector(state.num_qubits, buffer)
+
+
+def widen(state: StateVector, num_qubits: int) -> StateVector:
+    """``state`` followed by trailing qubits at |0> up to ``num_qubits``.
+
+    Under the MSB convention the new qubits are the low bits of an index, so
+    the old amplitudes land on every 2**(new qubits)-th entry."""
+    extra = num_qubits - state.num_qubits
+    if extra < 0:
+        raise ValueError(f"cannot widen a {state.num_qubits}-qubit state "
+                         f"to {num_qubits} qubits")
+    if extra == 0:
+        return state
+    grown = np.zeros(1 << num_qubits, dtype=complex)
+    grown[:: 1 << extra] = state.amplitudes
+    return StateVector(num_qubits, grown)
+
+
+def apply_widening(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
+    """``gates`` applied to ``state``, which grows only as the gates need.
+
+    Qubits past the state's width start at |0>.  When a gate first touches
+    one, the gates before it run through ``apply_circuit`` and the state is
+    widened to that qubit, so each gate runs on the qubits touched so far.
+    The result, on the widest qubit any gate touched (or the state's own
+    width), equals ``apply_circuit`` on the state widened to that width at
+    the start; ``state`` is left as it is."""
+    start = 0
+    for index, gate in enumerate(gates):
+        width = max(gate_qubits(gate), default=0) + 1
+        if width > state.num_qubits:
+            if start < index:
+                state = apply_circuit(state, Circuit(state.num_qubits, gates[start:index]))
+            state, start = widen(state, width), index
+    return apply_circuit(state, Circuit(state.num_qubits, gates[start:]))
 
 
 def inverse_gate(gate: Gate) -> Gate:

@@ -6,7 +6,9 @@ simulator's gate kernels.  ``reference_2x2`` is the plain expression
 ``a*low + b*high, c*low + d*high`` on index arrays, the bit-exact reference
 for the simulator's 2x2 kernel.  ``reference_peel`` is the peel construction
 as an explicit loop over levels and patterns, the oracle for the transform in
-``qprep.synth.peel_synthesize``.
+``qprep.synth.peel_synthesize``.  ``flat_preparation`` is the full simulation
+on every qubit of the circuit from the first gate to the last, the reference
+for ``qprep.prepare.simulate_preparation``.
 """
 
 import math
@@ -20,6 +22,9 @@ from qprep.sim import (
     Hadamard,
     PauliX,
     RotationY,
+    apply_circuit,
+    new_basis_state,
+    project_measure,
 )
 from qprep.synth import SynthesisResult
 
@@ -126,6 +131,21 @@ def extract_data_amplitudes(amplitudes: np.ndarray, data_qubits: int,
     if has_ancilla:
         keep = keep[0::2]
     return keep / np.linalg.norm(keep)
+
+
+def flat_preparation(build_result) -> tuple[np.ndarray, float, float]:
+    """Amplitudes, success probability and estimation residual of the whole
+    circuit run by ``apply_circuit`` on all its qubits, the ancilla (if any)
+    then post-selected on 0 and the estimation register read off."""
+    circuit, registers = build_result.circuit, build_result.registers
+    state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
+    success = 1.0
+    if registers.ancilla is not None:
+        success, state = project_measure(state, registers.ancilla, 0)
+    keep = state.amplitudes[: 1 << (circuit.num_qubits - len(registers.estimation))]
+    residual = max(0.0, 1.0 - float(np.sum(np.abs(keep) ** 2)))
+    data = keep[0::2] if registers.ancilla is not None else keep
+    return data / np.linalg.norm(data), success, residual
 
 
 def _ones_qubits(index: int, num_qubits: int) -> tuple[int, ...]:

@@ -72,6 +72,23 @@ def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
     assert "--" not in str(refused.value)
 
 
+def test_prepare_out_of_memory_is_one_line_naming_the_qubits(tmp_path, monkeypatch,
+                                                             capsys):
+    # The memory refusal can pass and the simulation still run out, e.g. under
+    # an address-space limit the interpreter already uses part of.
+    def exhausted(built):  # numpy's _ArrayMemoryError is a MemoryError
+        raise MemoryError("Unable to allocate 8.00 MiB for an array with shape "
+                          "(524288,) and data type complex128")
+
+    monkeypatch.setattr(analysis, "simulate_preparation", exhausted)
+    vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
+    args = ["prepare", str(vec), "--mode", "prob", "--t", "6", "--t-prime", "3"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: simulating 9 qubits; use --fast-path\n"
+    assert main(args + ["--fast-path"]) == 0
+
+
 PAGE = 4096
 
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _util import reference_phase_stage
+from _util import flat_preparation, reference_phase_stage
 from qprep.dyadic import TAU
 from qprep.prepare import (
     DETERMINISTIC,
@@ -20,6 +21,7 @@ from qprep.prepare import (
     simulate_preparation,
 )
 from qprep.sim import (
+    SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
     ControlledZPow,
     DiagonalOracle,
@@ -408,6 +410,51 @@ def test_build_gate_order(mode):
     assert [_describe(g) for g in result.circuit.gates[:len(expected)]] == expected
     assert phase_stage == reference_phase_stage(x, cfg.phase_bits, data)
     assert all(set(gate_qubits(g)) <= set(data) for g in phase_stage)
+
+
+@pytest.mark.parametrize("mode, magnitudes", [
+    (DETERMINISTIC, [0.6, 0.8]),  # the root rotation only
+    (DETERMINISTIC, [0.3, 1.0, 0.55, 0.8]),  # one round
+    (DETERMINISTIC, [0.0, 1.3, 0.0, 0.7, 0.0, 0.0, 2.1, 0.0]),
+    (DETERMINISTIC, [1.2, 0.1, 0.9, 0.4, 0.3, 1.0, 0.55, 0.8]),
+    (PROBABILISTIC, [0.6, 0.8]),
+    (PROBABILISTIC, [0.0, 1.0, 0.55, 0.8]),
+    (PROBABILISTIC, [0.0, 1.3, 0.0, 0.7, 0.0, 0.0, 2.1, 0.0]),
+    (PROBABILISTIC, [1.2, 0.1, 0.9, 0.4, 0.3, 1.0, 0.55, 0.8]),
+])
+def test_factored_simulation_is_the_flat_one(mode, magnitudes):
+    # simulate_preparation runs each stage on the qubits touched so far and
+    # the phase stage on the data qubits alone; the flat run keeps every qubit
+    # from the first gate to the last.
+    rng = np.random.default_rng(len(magnitudes))
+    phases = rng.uniform(0.0, TAU, len(magnitudes))
+    x = TargetVector(len(magnitudes).bit_length() - 1, np.array(magnitudes), phases)
+    built = build(x, PrecisionConfig(6, 5, mode))
+    prepared = simulate_preparation(built)
+    amplitudes, success, residual = flat_preparation(built)
+    assert np.max(np.abs(prepared.amplitudes - amplitudes)) < 1e-12
+    assert prepared.success_probability == pytest.approx(success, abs=1e-12)
+    assert prepared.estimation_residual == pytest.approx(residual, abs=1e-12)
+    if mode == PROBABILISTIC:
+        assert success < 1.0 - 1e-3  # the ancilla's 1 branch was really dropped
+
+
+@pytest.mark.parametrize("mode, n, t", [(PROBABILISTIC, 4, 13), (DETERMINISTIC, 6, 12)])
+def test_simulation_peak_is_the_widest_stage(mode, n, t):
+    # 18 qubits: the peak stays within the SIMULATION_BYTES_PER_AMPLITUDE
+    # figure the memory refusal asks for, so no earlier stage's state is kept
+    # alive next to the widest one.
+    rng = np.random.default_rng(n)
+    x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0.0, TAU, 1 << n))
+    built = build(x, PrecisionConfig(t, 8, mode))
+    assert built.circuit.num_qubits == 18
+    tracemalloc.start()
+    try:
+        simulate_preparation(built)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (SIMULATION_BYTES_PER_AMPLITUDE << 18) + (1 << 20)
 
 
 def test_package_attribute_is_the_prepare_module():

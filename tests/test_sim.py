@@ -18,6 +18,7 @@ from qprep.sim import (
     inverse_gate,
     new_basis_state,
     project_measure,
+    widen,
 )
 from qprep.gateformat import qft_circuit
 
@@ -37,6 +38,16 @@ def test_new_basis_state():
     assert np.array_equal(new_basis_state(3, 5).amplitudes, expected)
     with pytest.raises(ValueError):
         new_basis_state(2, 4)
+
+
+def test_widen_appends_trailing_zero_qubits():
+    state = StateVector(1, np.array([0.6, 0.8j]))
+    assert widen(state, 1) is state
+    expected = np.zeros(8, dtype=complex)
+    expected[[0, 4]] = [0.6, 0.8j]
+    assert np.array_equal(widen(state, 3).amplitudes, expected)
+    with pytest.raises(ValueError, match="cannot widen"):
+        widen(widen(state, 3), 2)
 
 
 def test_hadamard_on_zero():
