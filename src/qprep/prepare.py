@@ -29,11 +29,9 @@ from .dyadic import MAX_LEVEL, TAU, floor_fraction, quantize
 from .sim import (
     SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
-    ControlledZPow,
     DiagonalOracle,
     Gate,
     Hadamard,
-    PauliX,
     QFTBlock,
     RotationY,
     StateVector,
@@ -43,6 +41,7 @@ from .sim import (
     inverse_gate,
     new_basis_state,
     project_measure,
+    shifted_gate,
 )
 from .synth import peel_synthesize
 
@@ -359,16 +358,6 @@ def _memory_shortfall(num_qubits: int) -> str | None:
             f"more than the {memory} bytes of {name}")
 
 
-def _shifted_down(gate: Gate, offset: int) -> Gate:
-    """A phase-stage gate (``ControlledZPow`` or ``PauliX``, the kinds peel
-    synthesis emits) moved ``offset`` qubits down."""
-    if isinstance(gate, ControlledZPow):
-        return ControlledZPow(gate.level, tuple(q - offset for q in gate.qubits))
-    if isinstance(gate, PauliX):
-        return PauliX(gate.target - offset)
-    raise TypeError(f"unexpected phase-stage gate {gate!r}")
-
-
 def simulate_preparation(build_result: BuildResult) -> PreparedState:
     """Run the circuit on |0...0>, post-select the ancilla (if any) on 0, check
     the estimation register uncomputed, and return the data-register state.
@@ -399,10 +388,10 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
             raise ValueError("ancilla outcome 0 has zero probability")
         # The ancilla is the last qubit, the lowest bit of an index.
         state = StateVector(state.num_qubits - 1, projected.amplitudes[0::2])
+        state = apply_widening(state, gates[ancilla_end:phase_start])
     # Every data qubit is touched before the phase stage, so the state holds
     # t + n qubits; estimation qubits are the top bits, so estimation =
     # |0...0> is the leading block of the amplitude array.
-    state = apply_widening(state, gates[ancilla_end:phase_start])
     keep = state.amplitudes[: 1 << n]
     residual = max(0.0, 1.0 - float(np.sum(np.abs(keep) ** 2)))
     if residual > LEAKAGE_TOLERANCE:
@@ -410,7 +399,7 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
             f"estimation register failed to uncompute (residual {residual:.3e})"
         )
     data = StateVector(n, keep / np.linalg.norm(keep))
-    phase_stage = tuple(_shifted_down(gate, t) for gate in build_result.phase_stage)
+    phase_stage = tuple(shifted_gate(gate, t) for gate in build_result.phase_stage)
     prepared = apply_circuit(data, Circuit(n, phase_stage))
     return PreparedState(prepared.amplitudes, success, residual)
 

@@ -21,12 +21,14 @@ qubits in order).
 ``apply_widening`` runs a gate list on a state that holds only the qubits
 touched so far: qubits past its width are |0>, and ``widen`` appends them as
 trailing (least significant) qubits when a gate first needs them.
+``shifted_gate`` relabels a gate's qubits, so a stage can run on a state
+without the qubits below it.
 
 Every ``StateVector`` passes its constructor's norm check: ``new_basis_state``,
-the pure ``apply_gate``, ``apply_circuit`` (its copy and its result),
-``widen`` and ``project_measure`` each build one.  The in-place
-``apply_gate`` returns its input unchecked, because that input was checked
-and every kernel is unitary.
+the pure ``apply_gate``, ``apply_circuit`` and ``apply_widening`` (their copy
+and their result), ``widen`` and ``project_measure`` each build one.  The
+in-place ``apply_gate`` returns its input unchecked, because that input was
+checked and every kernel is unitary.
 How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
 """
 
@@ -233,9 +235,6 @@ def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
     """Multiply in place by factors[i], i read from ``register``
     most-significant first, wherever every control qubit is 1."""
     pinned = _view(psi, dict.fromkeys(controls, 1))
-    if not register:  # one factor for the whole pinned view: every CZP
-        pinned *= factors
-        return
     width = len(register)
     view = np.moveaxis(pinned, register, range(width))
     view *= np.reshape(factors, (2,) * width + (1,) * (psi.ndim - width))
@@ -324,20 +323,21 @@ def widen(state: StateVector, num_qubits: int) -> StateVector:
 def apply_widening(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
     """``gates`` applied to ``state``, which grows only as the gates need.
 
-    Qubits past the state's width start at |0>.  When a gate first touches
-    one, the gates before it run through ``apply_circuit`` and the state is
-    widened to that qubit, so each gate runs on the qubits touched so far.
-    The result, on the widest qubit any gate touched (or the state's own
-    width), equals ``apply_circuit`` on the state widened to that width at
-    the start; ``state`` is left as it is."""
-    start = 0
-    for index, gate in enumerate(gates):
+    Qubits past the state's width start at |0>.  Like ``apply_circuit``, the
+    amplitudes are copied once into a buffer that every gate updates in
+    place; when a gate first touches a qubit past the buffer's width,
+    ``widen`` replaces the buffer by one wide enough for that qubit, so each
+    gate runs on the qubits touched so far.  The result, on the widest qubit
+    any gate touched (or the state's own width), equals ``apply_circuit`` on
+    the state widened to that width at the start; ``state`` is left as it
+    is."""
+    owned = StateVector(state.num_qubits, np.array(state.amplitudes, dtype=complex))
+    for gate in gates:
         width = max(gate_qubits(gate), default=0) + 1
-        if width > state.num_qubits:
-            if start < index:
-                state = apply_circuit(state, Circuit(state.num_qubits, gates[start:index]))
-            state, start = widen(state, width), index
-    return apply_circuit(state, Circuit(state.num_qubits, gates[start:]))
+        if width > owned.num_qubits:
+            owned = widen(owned, width)
+        apply_gate(owned, gate, out=owned.amplitudes)
+    return StateVector(owned.num_qubits, owned.amplitudes)
 
 
 def inverse_gate(gate: Gate) -> Gate:
@@ -351,6 +351,25 @@ def inverse_gate(gate: Gate) -> Gate:
         return DiagonalOracle(gate.register, gate.phases, -gate.power, gate.controls)
     if isinstance(gate, QFTBlock):
         return QFTBlock(gate.register, not gate.inverse)
+    raise TypeError(f"unknown gate type {type(gate).__name__}")
+
+
+def shifted_gate(gate: Gate, offset: int) -> Gate:
+    """``gate`` with every qubit index lowered by ``offset``."""
+    def down(qubits: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(q - offset for q in qubits)
+
+    if isinstance(gate, (Hadamard, PauliX)):
+        return type(gate)(gate.target - offset)
+    if isinstance(gate, RotationY):
+        return RotationY(gate.angle, gate.target - offset, down(gate.controls))
+    if isinstance(gate, ControlledZPow):
+        return ControlledZPow(gate.level, down(gate.qubits))
+    if isinstance(gate, DiagonalOracle):
+        return DiagonalOracle(down(gate.register), gate.phases, gate.power,
+                              down(gate.controls))
+    if isinstance(gate, QFTBlock):
+        return QFTBlock(down(gate.register), gate.inverse)
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 

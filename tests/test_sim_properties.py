@@ -1,4 +1,5 @@
-"""Property tests of the widening simulation against the flat one.
+"""Property tests of the widening simulation and of gate relabelling
+against the flat simulation.
 
 Derandomized, so every run draws the same examples.
 """
@@ -24,6 +25,7 @@ from qprep.sim import (
     apply_widening,
     gate_qubits,
     new_basis_state,
+    shifted_gate,
     widen,
 )
 
@@ -78,3 +80,22 @@ def test_widening_is_the_flat_simulation(run):
     flat = apply_circuit(widen(state, num_qubits), Circuit(num_qubits, circuit))
     assert np.max(np.abs(widen(lazy, num_qubits).amplitudes - flat.amplitudes)) < 1e-12
     assert np.array_equal(state.amplitudes, before)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+def test_shifted_gates_run_below_untouched_leading_qubits(num_qubits, offset, seed, data):
+    circuit = tuple(data.draw(st.lists(gates(num_qubits), max_size=8)))
+    raised = tuple(shifted_gate(gate, -offset) for gate in circuit)
+    assert tuple(shifted_gate(gate, offset) for gate in raised) == circuit
+    rng = np.random.default_rng(seed)
+    dim = 1 << num_qubits
+    amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amplitudes /= np.linalg.norm(amplitudes)
+    # Leading qubits at |0>: the state is the first block of the wider array.
+    wide = np.zeros(1 << (offset + num_qubits), dtype=complex)
+    wide[:dim] = amplitudes
+    below = apply_circuit(StateVector(offset + num_qubits, wide),
+                          Circuit(offset + num_qubits, raised))
+    alone = apply_circuit(StateVector(num_qubits, amplitudes), Circuit(num_qubits, circuit))
+    assert np.max(np.abs(below.amplitudes[:dim] - alone.amplitudes)) < 1e-12
