@@ -36,7 +36,6 @@ from .sim import (
     RotationY,
     StateVector,
     apply_circuit,
-    apply_widening,
     gate_qubits,
     inverse_gate,
     new_basis_state,
@@ -332,43 +331,57 @@ class PreparedState:
 
 
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+PROC_SELF_STATM = "/proc/self/statm"
 
 
 def _memory_shortfall(num_qubits: int) -> str | None:
     """Why a full simulation of ``num_qubits`` qubits does not fit in the
     memory the process can get, or None if it does.  That memory is the
-    least of physical memory, the soft RLIMIT_AS unless infinite, and a
-    numeric cgroup ``memory.max`` (``max`` there means no limit)."""
+    least of physical memory, what is left of the soft RLIMIT_AS unless
+    infinite, and a numeric cgroup ``memory.max`` (``max`` there means no
+    limit)."""
     needed = SIMULATION_BYTES_PER_AMPLITUDE << num_qubits
-    limits = [(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory")]
+    page = os.sysconf("SC_PAGE_SIZE")
+    limits = [(page * os.sysconf("SC_PHYS_PAGES"), "of physical memory")]
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
-        limits.append((soft, "the soft address-space limit RLIMIT_AS"))
+        # The interpreter, numpy and BLAS already map part of the limit: the
+        # first field of statm, in pages.
+        try:
+            with open(PROC_SELF_STATM) as handle:
+                mapped = int(handle.read().split()[0]) * page
+        except OSError:  # unreadable: the whole limit
+            limits.append((soft, "of the soft address-space limit RLIMIT_AS"))
+        else:
+            limits.append((max(0, soft - mapped),
+                           f"left of the soft address-space limit RLIMIT_AS "
+                           f"({soft} bytes, {mapped} already mapped)"))
     try:
         with open(CGROUP_MEMORY_MAX) as handle:
             cgroup = handle.read().strip()
     except OSError:  # no cgroup v2 here: no limit from it
         cgroup = "max"
     if cgroup.isdigit():
-        limits.append((int(cgroup), f"the cgroup limit {CGROUP_MEMORY_MAX}"))
+        limits.append((int(cgroup), f"of the cgroup limit {CGROUP_MEMORY_MAX}"))
     memory, name = min(limits, key=lambda limit: limit[0])
     if needed <= memory:
         return None
     return (f"simulating {num_qubits} qubits needs {needed} bytes, "
-            f"more than the {memory} bytes of {name}")
+            f"more than the {memory} bytes {name}")
 
 
 def simulate_preparation(build_result: BuildResult) -> PreparedState:
     """Run the circuit on |0...0>, post-select the ancilla (if any) on 0, check
     the estimation register uncomputed, and return the data-register state.
 
-    Each stage runs on the qubits touched so far (``apply_widening``), which
-    gives the amplitudes of the flat simulation: qubits not yet touched are
-    |0> and factor out.  The ancilla is post-selected right after its last
-    gate, the rotation ladder, and dropped.  The estimation register is read
-    off before the phase stage, which then runs on the 2**n data amplitudes.
-    The widest stage is the whole circuit's width, so the memory check is
-    the full simulation's."""
+    Each stage is a ``Circuit`` run by ``apply_circuit``, which widens the
+    state only as gates touch new qubits; that gives the amplitudes of the
+    flat simulation, since qubits not yet touched are |0> and factor out.
+    The ancilla is post-selected right after its last gate, the rotation
+    ladder, and dropped.  The estimation register is read off before the
+    phase stage, which then runs on the 2**n data amplitudes.  The widest
+    stage is the whole circuit's width, so the memory check is the full
+    simulation's."""
     circuit = build_result.circuit
     registers = build_result.registers
     shortfall = _memory_shortfall(circuit.num_qubits)
@@ -380,18 +393,18 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     if registers.ancilla is not None:
         ancilla_end = 1 + max(index for index, gate in enumerate(gates[:phase_start])
                               if registers.ancilla in gate_qubits(gate))
-    state = apply_widening(new_basis_state(1, 0), gates[:ancilla_end])
+    state = apply_circuit(new_basis_state(1, 0),
+                          Circuit(circuit.num_qubits, gates[:ancilla_end]))
     success = 1.0
     if registers.ancilla is not None:
         success, projected = project_measure(state, registers.ancilla, 0)
         if projected is None:
             raise ValueError("ancilla outcome 0 has zero probability")
         # The ancilla is the last qubit, the lowest bit of an index.
-        state = StateVector(state.num_qubits - 1, projected.amplitudes[0::2])
-        state = apply_widening(state, gates[ancilla_end:phase_start])
-    # Every data qubit is touched before the phase stage, so the state holds
-    # t + n qubits; estimation qubits are the top bits, so estimation =
-    # |0...0> is the leading block of the amplitude array.
+        state = StateVector(t + n, projected.amplitudes[0::2])
+        state = apply_circuit(state, Circuit(t + n, gates[ancilla_end:phase_start]))
+    # The state holds t + n qubits; estimation qubits are the top bits, so
+    # estimation = |0...0> is the leading block of the amplitude array.
     keep = state.amplitudes[: 1 << n]
     residual = max(0.0, 1.0 - float(np.sum(np.abs(keep) ** 2)))
     if residual > LEAKAGE_TOLERANCE:

@@ -18,17 +18,17 @@ Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT its
 output state (and a copy of its input when the register is not the leading
 qubits in order).
 
-``apply_widening`` runs a gate list on a state that holds only the qubits
-touched so far: qubits past its width are |0>, and ``widen`` appends them as
-trailing (least significant) qubits when a gate first needs them.
+``apply_circuit`` takes a state on the circuit's leading qubits: the others
+start at |0> and join as trailing (least significant) qubits when a gate
+first touches one, so each gate runs on the qubits touched so far.
 ``shifted_gate`` relabels a gate's qubits, so a stage can run on a state
 without the qubits below it.
 
 Every ``StateVector`` passes its constructor's norm check: ``new_basis_state``,
-the pure ``apply_gate``, ``apply_circuit`` and ``apply_widening`` (their copy
-and their result), ``widen`` and ``project_measure`` each build one.  The
-in-place ``apply_gate`` returns its input unchecked, because that input was
-checked and every kernel is unitary.
+the pure ``apply_gate``, ``apply_circuit`` (its copy, each widening and its
+result) and ``project_measure`` each build one.  The in-place ``apply_gate``
+returns its input unchecked, because that input was checked and every kernel
+is unitary.
 How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
 """
 
@@ -184,12 +184,15 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amplitudes)
 
 
-# Peak bytes per amplitude of a full simulation: the input state and the
-# buffer ``apply_circuit`` owns, 16 each, and one state of kernel scratch:
-# a 2x2 gate's two half-state arrays, or a QFT's output.  A QFT on qubits
-# other than the leading ones in order also copies its input; the built
-# circuits run it on the leading estimation register.
-SIMULATION_BYTES_PER_AMPLITUDE = 48
+# Peak bytes per amplitude of a full simulation, as tracemalloc measures
+# ``prepare.simulate_preparation`` at 19-21 qubits.  Deterministic mode peaks
+# at 32-33: the buffer ``apply_circuit`` owns (16) and a 2x2 gate's two
+# half-state scratch arrays.  Probabilistic mode peaks at 40.0, in
+# ``project_measure``: the state and its projection, 16 each, and an 8 B
+# temporary (the renormalized half state, then the norm check's squares).
+# A QFT on qubits other than the leading ones in order also copies its
+# input; the built circuits run it on the leading estimation register.
+SIMULATION_BYTES_PER_AMPLITUDE = 40
 
 _H = 1.0 / math.sqrt(2.0)
 _HADAMARD = ((_H, _H), (_H, -_H))
@@ -286,57 +289,39 @@ def apply_gate(state: StateVector, gate: Gate,
     return state if out is amps else StateVector(q, out)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """``circuit`` applied to ``state``, which is left as it is.
-
-    The amplitudes are copied once into a buffer that every gate then
-    updates in place; the norm is checked on that copy and at the end, not
-    per gate."""
-    if circuit.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"circuit on {circuit.num_qubits} qubits applied to "
-            f"{state.num_qubits}-qubit state"
-        )
-    buffer = np.array(state.amplitudes, dtype=complex)
-    owned = StateVector(state.num_qubits, buffer)
-    for gate in circuit.gates:
-        apply_gate(owned, gate, out=buffer)
-    return StateVector(state.num_qubits, buffer)
-
-
-def widen(state: StateVector, num_qubits: int) -> StateVector:
+def _widen(state: StateVector, num_qubits: int) -> StateVector:
     """``state`` followed by trailing qubits at |0> up to ``num_qubits``.
 
     Under the MSB convention the new qubits are the low bits of an index, so
     the old amplitudes land on every 2**(new qubits)-th entry."""
-    extra = num_qubits - state.num_qubits
-    if extra < 0:
-        raise ValueError(f"cannot widen a {state.num_qubits}-qubit state "
-                         f"to {num_qubits} qubits")
-    if extra == 0:
-        return state
     grown = np.zeros(1 << num_qubits, dtype=complex)
-    grown[:: 1 << extra] = state.amplitudes
+    grown[:: 1 << (num_qubits - state.num_qubits)] = state.amplitudes
     return StateVector(num_qubits, grown)
 
 
-def apply_widening(state: StateVector, gates: tuple[Gate, ...]) -> StateVector:
-    """``gates`` applied to ``state``, which grows only as the gates need.
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """``circuit`` applied to ``state``, which holds the circuit's leading
+    qubits and is left as it is.
 
-    Qubits past the state's width start at |0>.  Like ``apply_circuit``, the
-    amplitudes are copied once into a buffer that every gate updates in
-    place; when a gate first touches a qubit past the buffer's width,
-    ``widen`` replaces the buffer by one wide enough for that qubit, so each
-    gate runs on the qubits touched so far.  The result, on the widest qubit
-    any gate touched (or the state's own width), equals ``apply_circuit`` on
-    the state widened to that width at the start; ``state`` is left as it
-    is."""
+    The circuit's other qubits start at |0>.  The amplitudes are copied once
+    into a buffer that every gate then updates in place; when a gate first
+    touches a qubit past the buffer's width, ``_widen`` replaces the buffer
+    by one wide enough for that qubit, so each gate runs on the qubits
+    touched so far.  The result is on ``circuit.num_qubits``.  The norm is
+    checked on the copy, at each widening and at the end, not per gate."""
+    if state.num_qubits > circuit.num_qubits:
+        raise ValueError(
+            f"circuit on {circuit.num_qubits} qubits applied to "
+            f"{state.num_qubits}-qubit state"
+        )
     owned = StateVector(state.num_qubits, np.array(state.amplitudes, dtype=complex))
-    for gate in gates:
-        width = max(gate_qubits(gate), default=0) + 1
+    for gate in circuit.gates:
+        width = max(gate_qubits(gate)) + 1
         if width > owned.num_qubits:
-            owned = widen(owned, width)
+            owned = _widen(owned, width)
         apply_gate(owned, gate, out=owned.amplitudes)
+    if owned.num_qubits < circuit.num_qubits:
+        return _widen(owned, circuit.num_qubits)
     return StateVector(owned.num_qubits, owned.amplitudes)
 
 

@@ -57,13 +57,13 @@ def test_prepare_uniform_probabilistic(tmp_path, capsys):
 
 def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
     # prob mode at n = 2 and epsilon 1e-9 estimates 37 bits: 40 qubits, whose
-    # full simulation needs 48 * 2^40 bytes.
+    # full simulation needs 40 * 2^40 bytes.
     vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
     args = ["prepare", str(vec), "--mode", "prob", "--epsilon", "1e-9",
             "--report", str(tmp_path / "report.json")]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "40 qubits" in err and str(48 << 40) in err and "--fast-path" in err
+    assert "40 qubits" in err and str(40 << 40) in err and "--fast-path" in err
     assert main(args + ["--fast-path"]) == 0
     # The library refusal names no flag of a command its caller did not run.
     x = TargetVector(2, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
@@ -92,9 +92,11 @@ def test_prepare_out_of_memory_is_one_line_naming_the_qubits(tmp_path, monkeypat
 PAGE = 4096
 
 
-def pin_memory_limits(monkeypatch, tmp_path, physical, address_space, cgroup):
+def pin_memory_limits(monkeypatch, tmp_path, physical, address_space, cgroup,
+                      mapped_pages=0):
     """Fixes the three limits ``_memory_shortfall`` reads, whatever the
-    machine has: physical memory, the soft RLIMIT_AS and memory.max."""
+    machine has: physical memory, the soft RLIMIT_AS and memory.max, and the
+    address space the process maps (statm's first field, in pages)."""
     sizes = {"SC_PAGE_SIZE": PAGE, "SC_PHYS_PAGES": physical // PAGE}
     monkeypatch.setattr(prepare_module.os, "sysconf", sizes.__getitem__)
     monkeypatch.setattr(prepare_module.resource, "getrlimit",
@@ -102,19 +104,22 @@ def pin_memory_limits(monkeypatch, tmp_path, physical, address_space, cgroup):
     memory_max = tmp_path / "memory.max"
     memory_max.write_text(f"{cgroup}\n")
     monkeypatch.setattr(prepare_module, "CGROUP_MEMORY_MAX", str(memory_max))
+    statm = tmp_path / "statm"
+    statm.write_text(f"{mapped_pages} 700 300 1 0 900 0\n")
+    monkeypatch.setattr(prepare_module, "PROC_SELF_STATM", str(statm))
 
 
 @pytest.mark.parametrize("spare_pages, refused", [(0, False), (-1, True)])
 def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, tmp_path, spare_pages,
                                                   refused):
-    # 30 qubits peak at 48 * 2^30 bytes: that much memory passes, one page
+    # 30 qubits peak at 40 * 2^30 bytes: that much memory passes, one page
     # less refuses.
-    pin_memory_limits(monkeypatch, tmp_path, (48 << 30) + spare_pages * PAGE,
+    pin_memory_limits(monkeypatch, tmp_path, (40 << 30) + spare_pages * PAGE,
                       resource.RLIM_INFINITY, "max")
     shortfall = prepare_module._memory_shortfall(30)
     if refused:
-        assert shortfall == (f"simulating 30 qubits needs {48 << 30} bytes, more than "
-                             f"the {(48 << 30) - PAGE} bytes of physical memory")
+        assert shortfall == (f"simulating 30 qubits needs {40 << 30} bytes, more than "
+                             f"the {(40 << 30) - PAGE} bytes of physical memory")
     else:
         assert shortfall is None
 
@@ -124,7 +129,7 @@ def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, tmp_path, spare_p
 def test_memory_refusal_takes_the_smallest_limit(monkeypatch, tmp_path, source,
                                                  spare_pages, refused):
     # Physical memory is ample; the other limit alone decides and is named.
-    limit = (48 << 30) + spare_pages * PAGE
+    limit = (40 << 30) + spare_pages * PAGE
     pin_memory_limits(monkeypatch, tmp_path, 1 << 50,
                       limit if source == "RLIMIT_AS" else resource.RLIM_INFINITY,
                       limit if source == "memory.max" else "max")
@@ -134,6 +139,32 @@ def test_memory_refusal_takes_the_smallest_limit(monkeypatch, tmp_path, source,
         assert "physical memory" not in shortfall
     else:
         assert shortfall is None
+
+
+def test_memory_refusal_counts_the_address_space_already_mapped(monkeypatch, tmp_path,
+                                                                capsys):
+    # prob n = 2 at t = 6 is 9 qubits, 40 * 2^9 bytes.  The soft RLIMIT_AS
+    # alone would pass; what is left of it after the mapped pages does not.
+    needed, limit = 40 << 9, 1 << 30
+    mapped = (limit - needed) // PAGE + 1
+    pin_memory_limits(monkeypatch, tmp_path, 1 << 50, limit, "max", mapped)
+    left = limit - mapped * PAGE
+    vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
+    args = ["prepare", str(vec), "--mode", "prob", "--t", "6", "--t-prime", "3"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: simulating 9 qubits needs {needed} bytes, more than the {left} bytes "
+        f"left of the soft address-space limit RLIMIT_AS ({limit} bytes, "
+        f"{mapped * PAGE} already mapped); use --fast-path\n")
+    assert main(args + ["--fast-path"]) == 0
+    # Unreadable statm: the whole soft limit is compared, and it passes.
+    monkeypatch.setattr(prepare_module, "PROC_SELF_STATM", str(tmp_path / "missing"))
+    assert prepare_module._memory_shortfall(9) is None
+    pin_memory_limits(monkeypatch, tmp_path, 1 << 50, needed - 1, "max", 0)
+    monkeypatch.setattr(prepare_module, "PROC_SELF_STATM", str(tmp_path / "missing"))
+    assert prepare_module._memory_shortfall(9) == (
+        f"simulating 9 qubits needs {needed} bytes, more than the {needed - 1} "
+        f"bytes of the soft address-space limit RLIMIT_AS")
 
 
 def test_full_circuit_accepts_a_valid_19_qubit_state_under_one_blas_thread(tmp_path):

@@ -18,7 +18,6 @@ from qprep.sim import (
     inverse_gate,
     new_basis_state,
     project_measure,
-    widen,
 )
 from qprep.gateformat import qft_circuit
 
@@ -40,14 +39,31 @@ def test_new_basis_state():
         new_basis_state(2, 4)
 
 
-def test_widen_appends_trailing_zero_qubits():
+def test_empty_circuit_appends_trailing_zero_qubits():
     state = StateVector(1, np.array([0.6, 0.8j]))
-    assert widen(state, 1) is state
+    same = apply_circuit(state, Circuit(1, ()))
+    assert np.array_equal(same.amplitudes, state.amplitudes)
+    assert not np.shares_memory(same.amplitudes, state.amplitudes)
     expected = np.zeros(8, dtype=complex)
     expected[[0, 4]] = [0.6, 0.8j]
-    assert np.array_equal(widen(state, 3).amplitudes, expected)
-    with pytest.raises(ValueError, match="cannot widen"):
-        widen(widen(state, 3), 2)
+    wide = apply_circuit(state, Circuit(3, ()))
+    assert wide.num_qubits == 3 and np.array_equal(wide.amplitudes, expected)
+    with pytest.raises(ValueError, match="circuit on 2 qubits applied to 3-qubit state"):
+        apply_circuit(wide, Circuit(2, ()))
+
+
+def test_apply_circuit_runs_each_gate_on_the_qubits_touched_so_far(monkeypatch):
+    widths = []
+
+    def spy(state, gate, out=None):
+        widths.append(state.num_qubits)
+        return apply_gate(state, gate, out)
+
+    monkeypatch.setattr("qprep.sim.apply_gate", spy)
+    gates = (PauliX(0), Hadamard(2), RotationY(0.3, 1, (2,)), ControlledZPow(1, (0,)))
+    out = apply_circuit(new_basis_state(1, 0), Circuit(5, gates))
+    assert widths == [1, 3, 3, 3]
+    assert out.num_qubits == 5
 
 
 def test_hadamard_on_zero():
@@ -275,7 +291,7 @@ def test_gate_validation_errors():
     with pytest.raises(ValueError, match="level"):
         apply_gate(state, ControlledZPow(0, (0,)))
     with pytest.raises(ValueError, match="dimension|qubits"):
-        apply_circuit(state, Circuit(3, ()))
+        apply_circuit(new_basis_state(3, 0), Circuit(2, ()))
 
 
 def test_state_vector_rejects_unnormalized_input():

@@ -1,5 +1,6 @@
-"""Property tests of the widening simulation and of gate relabelling
-against the flat simulation.
+"""Property tests of the simulation: widening and gate relabelling against
+the flat simulation, written gate lists against the gates they were written
+from, and the full preparation against the fast path.
 
 Derandomized, so every run draws the same examples.
 """
@@ -12,6 +13,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from qprep.dyadic import TAU
+from qprep.gateformat import circuit_lines, parse_circuit
+from qprep.prepare import (
+    DETERMINISTIC,
+    PROBABILISTIC,
+    PrecisionConfig,
+    TargetVector,
+    build,
+    fast_path_prepare,
+    simulate_preparation,
+)
 from qprep.sim import (
     Circuit,
     ControlledZPow,
@@ -22,11 +34,8 @@ from qprep.sim import (
     RotationY,
     StateVector,
     apply_circuit,
-    apply_widening,
-    gate_qubits,
     new_basis_state,
     shifted_gate,
-    widen,
 )
 
 MAX_QUBITS = 5
@@ -66,7 +75,7 @@ def runs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(runs())
 def test_widening_is_the_flat_simulation(run):
-    num_qubits, start, seed, circuit = run
+    num_qubits, start, seed, gate_list = run
     if seed is None:
         state = new_basis_state(start, 0)
     else:
@@ -74,11 +83,14 @@ def test_widening_is_the_flat_simulation(run):
         amplitudes = rng.standard_normal(1 << start) + 1j * rng.standard_normal(1 << start)
         state = StateVector(start, amplitudes / np.linalg.norm(amplitudes))
     before = state.amplitudes.copy()
-    lazy = apply_widening(state, circuit)
-    touched = max((q + 1 for gate in circuit for q in gate_qubits(gate)), default=0)
-    assert lazy.num_qubits == max(start, touched)
-    flat = apply_circuit(widen(state, num_qubits), Circuit(num_qubits, circuit))
-    assert np.max(np.abs(widen(lazy, num_qubits).amplitudes - flat.amplitudes)) < 1e-12
+    circuit = Circuit(num_qubits, gate_list)
+    lazy = apply_circuit(state, circuit)
+    assert lazy.num_qubits == circuit.num_qubits
+    # The flat oracle runs every gate on all qubits: the state times
+    # |0...0> on the trailing qubits it lacks.
+    padded = np.kron(state.amplitudes, np.eye(1 << (num_qubits - start))[0])
+    flat = apply_circuit(StateVector(num_qubits, padded), circuit)
+    assert np.max(np.abs(lazy.amplitudes - flat.amplitudes)) < 1e-12
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -99,3 +111,45 @@ def test_shifted_gates_run_below_untouched_leading_qubits(num_qubits, offset, se
                           Circuit(offset + num_qubits, raised))
     alone = apply_circuit(StateVector(num_qubits, amplitudes), Circuit(num_qubits, circuit))
     assert np.max(np.abs(below.amplitudes[:dim] - alone.amplitudes)) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(runs(), st.data())
+def test_written_gate_list_simulates_as_its_gates(run, data):
+    # QFTBlock is written expanded into H and CZP lines; every other gate is
+    # one line, its angles exact to the bit.
+    num_qubits, _, _, gate_list = run
+    circuit = Circuit(num_qubits, gate_list)
+    data_qubits = data.draw(st.integers(1, num_qubits))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    parsed_data, parsed = parse_circuit("\n".join(circuit_lines(circuit, data_qubits)))
+    assert (parsed_data, parsed.num_qubits) == (data_qubits, num_qubits)
+    rng = np.random.default_rng(seed)
+    dim = 1 << num_qubits
+    amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    state = StateVector(num_qubits, amplitudes / np.linalg.norm(amplitudes))
+    expected = apply_circuit(state, circuit).amplitudes
+    assert np.max(np.abs(apply_circuit(state, parsed).amplitudes - expected)) < 1e-12
+
+
+@st.composite
+def preparations(draw):
+    n = draw(st.integers(1, 3))
+    magnitude = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    magnitudes = draw(st.lists(magnitude, min_size=1 << n, max_size=1 << n)
+                      .filter(lambda values: max(values) > 0.0))
+    phases = draw(st.lists(st.floats(0.0, TAU, exclude_max=True),
+                           min_size=1 << n, max_size=1 << n))
+    mode = draw(st.sampled_from((DETERMINISTIC, PROBABILISTIC)))
+    cfg = PrecisionConfig(draw(st.integers(1, 8)), draw(st.integers(1, 8)), mode)
+    return TargetVector(n, np.array(magnitudes), np.array(phases)), cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(preparations())
+def test_full_simulation_is_the_fast_path(preparation):
+    x, cfg = preparation
+    full = simulate_preparation(build(x, cfg))
+    fast = fast_path_prepare(x, cfg)
+    assert np.max(np.abs(full.amplitudes - fast.amplitudes)) <= 1e-9
+    assert abs(full.success_probability - fast.success_probability) <= 1e-12
