@@ -54,7 +54,7 @@ def as_dyadic(angle: float) -> tuple[int, int] | None:
 
 
 def _indices(values: Iterable[int]) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def _controls(values: tuple[int, ...]) -> str:
@@ -117,7 +117,7 @@ def gate_lines(gate: Gate) -> list[str]:
     if isinstance(gate, PauliX):
         return [f"X q={gate.target}"]
     if isinstance(gate, ControlledZPow):
-        return [f"CZP l={gate.level} q={_indices(gate.qubits)}"]
+        return [_czp_line(gate, {})]
     if isinstance(gate, RotationY):
         line = (f"RY theta={format_float(gate.angle)} q={gate.target} "
                 f"c={_controls(gate.controls)}")
@@ -128,6 +128,14 @@ def gate_lines(gate: Gate) -> list[str]:
     if isinstance(gate, DiagonalOracle):
         return [_diag_line(gate, {})]
     raise TypeError(f"unknown gate type {type(gate).__name__}")
+
+
+def _czp_line(gate: ControlledZPow, qubits_fields: dict[tuple[int, ...], str]) -> str:
+    """The gate's line, its qubit list memoized by value in ``qubits_fields``."""
+    field = qubits_fields.get(gate.qubits)
+    if field is None:
+        field = qubits_fields[gate.qubits] = _indices(gate.qubits)
+    return f"CZP l={gate.level} q={field}"
 
 
 def _diag_line(gate: DiagonalOracle, phases_fields: dict[int, str]) -> str:
@@ -151,8 +159,13 @@ def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
     # Reuse goes by identity, as 0.0 == -0.0 but they print "0" and "-0"; the
     # circuit keeps every tuple alive, so no id is reused during the call.
     phases_fields: dict[int, str] = {}
+    # Peel reuses one qubits tuple across every level of a pattern: format
+    # each CZP qubit list once.  Ints print alike, so reuse goes by value.
+    qubits_fields: dict[tuple[int, ...], str] = {}
     for gate in expand_blocks(circuit.gates):
-        if isinstance(gate, DiagonalOracle):
+        if isinstance(gate, ControlledZPow):
+            lines.append(_czp_line(gate, qubits_fields))
+        elif isinstance(gate, DiagonalOracle):
             lines.append(_diag_line(gate, phases_fields))
         else:
             lines.extend(gate_lines(gate))
@@ -160,10 +173,10 @@ def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
 
 
 def save_circuit(path, circuit: Circuit, data_qubits: int) -> None:
+    lines = circuit_lines(circuit, data_qubits)
+    lines.append("")
     with open(path, "w") as handle:
-        for line in circuit_lines(circuit, data_qubits):
-            handle.write(line)
-            handle.write("\n")
+        handle.write("\n".join(lines))
 
 
 def _parse_fields(parts: list[str]) -> dict[str, str]:

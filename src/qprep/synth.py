@@ -13,6 +13,13 @@ numerator at the result's level.  ``global_phase_gates`` turns that scalar
 into an explicit gate block (the phase applied separately to the 0- and
 1-branches of one qubit), and ``SynthesisResult.product_gates`` prepends it so
 the materialized gate list implements the full diagonal, entry zero included.
+
+``reconstruct`` is the integer-exact check that a result realizes its
+diagonal.  It runs the opposite transform: one word per pattern from a pass
+over the gates, then the subset sums (zeta transform), n butterfly passes at
+most, so O(gates + n*2**n) for a peel result and O(gates + 2**n) for a sparse
+one.  It is written apart from the peel transform and shares no code with it,
+so the check stays independent of what it checks.
 """
 
 from __future__ import annotations
@@ -171,10 +178,22 @@ def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
 def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     """Integer-exact phase accumulated per basis index by the result's gates.
 
-    PauliX gates flip which side of a qubit later phase gates see, so the
-    sparse conjugation pattern reconstructs correctly.  Index bits are read
-    through the result's register.  The recorded global phase is added to
-    every entry; reconstruct(peel_synthesize(s)) == s.
+    A ControlledZPow on pattern P adds +-2**(m - |level|) to every index that
+    is a superset of P.  One pass over the gates sums these onto one word per
+    pattern, the global phase onto word 0.  The phases are the subset sums
+    of the words (zeta transform, n butterfly passes), reduced mod 2**m once;
+    a pass runs only along a bit that some word's pattern leaves clear.
+    PauliX gates flip which side of a qubit later phase gates see.  A gate
+    flipped on one of its own qubits (sparse synthesis emits these, on full
+    patterns) is added directly at its 2**(n - |P|) indices.  The cost is
+    O(gates + n*2**n) for a peel result and O(gates + 2**n) for a sparse
+    one.  The transform shares no code with ``peel_synthesize``, which it
+    checks.
+
+    Index bits are read through the result's register.  A qubit outside it
+    raises KeyError, a gate other than PauliX and ControlledZPow TypeError,
+    and a global phase outside [0, 2**m) ValueError.
+    reconstruct(peel_synthesize(s)) == s.
     """
     if num_qubits != result.num_qubits:
         raise ValueError(
@@ -183,8 +202,18 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     m = result.level
     size = 1 << num_qubits
     modulus = 1 << m
+    if not 0 <= result.global_phase < modulus:
+        raise ValueError(
+            f"global phase {result.global_phase} outside [0, {modulus})"
+        )
     index_bit = {q: 1 << (num_qubits - 1 - k) for k, q in enumerate(result.register)}
-    accumulated = [result.global_phase] * size
+    masks: dict[tuple[int, ...], int] = {}
+    words = [0] * size
+    words[0] = result.global_phase
+    # Bits set in every pattern that holds a word (the global phase holds
+    # pattern 0): a butterfly along one of them would add only zeros.
+    common = size - 1 if result.global_phase == 0 else 0
+    flipped: list[tuple[int, int, int]] = []
     flip_mask = 0
     for gate in result.gates:
         if isinstance(gate, PauliX):
@@ -192,15 +221,29 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
         elif isinstance(gate, ControlledZPow):
             magnitude = 1 << (m - abs(gate.level))
             contribution = magnitude if gate.level > 0 else -magnitude
-            mask = 0
-            for q in gate.qubits:
-                mask |= index_bit[q]
-            # Gate phase lands where the flipped index is a superset of mask.
-            superset = mask
-            while superset < size:
-                index = superset ^ flip_mask
-                accumulated[index] = (accumulated[index] + contribution) % modulus
-                superset = (superset + 1) | mask
+            mask = masks.get(gate.qubits)
+            if mask is None:
+                mask = 0
+                for q in gate.qubits:
+                    mask |= index_bit[q]
+                masks[gate.qubits] = mask
+            if mask & flip_mask:
+                flipped.append((mask, flip_mask, contribution))
+            else:
+                words[mask] += contribution
+                common &= mask
         else:
             raise TypeError(f"unexpected gate in synthesis result: {gate!r}")
-    return PhaseSpec(num_qubits, m, tuple(accumulated))
+    for half in (1 << b for b in range(num_qubits)):
+        if half & common:
+            continue
+        for start in range(half, size, 2 * half):
+            words[start:start + half] = [high + low for high, low in zip(
+                words[start:start + half], words[start - half:start])]
+    for mask, flip, contribution in flipped:
+        # The phase lands where the flipped index is a superset of mask.
+        superset = mask
+        while superset < size:
+            words[superset ^ flip] += contribution
+            superset = (superset + 1) | mask
+    return PhaseSpec(num_qubits, m, tuple([word % modulus for word in words]))

@@ -6,7 +6,9 @@ simulator's gate kernels.  ``reference_2x2`` is the plain expression
 ``a*low + b*high, c*low + d*high`` on index arrays, the bit-exact reference
 for the simulator's 2x2 kernel.  ``reference_peel`` is the peel construction
 as an explicit loop over levels and patterns, the oracle for the transform in
-``qprep.synth.peel_synthesize``.  ``flat_preparation`` is the full simulation
+``qprep.synth.peel_synthesize``.  ``reference_reconstruct`` walks every
+index each gate's phase lands on, the oracle for the subset-sum transform in
+``qprep.synth.reconstruct``.  ``flat_preparation`` is the full simulation
 on every qubit of the circuit from the first gate to the last, the reference
 for ``qprep.prepare.simulate_preparation``.
 """
@@ -182,6 +184,38 @@ def reference_peel(spec: PhaseSpec) -> SynthesisResult:
                     residual[superset] = (residual[superset] + step) % modulus
                     superset = (superset + 1) | index
     return SynthesisResult(tuple(range(n)), m, tuple(gates), global_phase)
+
+
+def reference_reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
+    """Phase per basis index by a direct walk: each ControlledZPow adds its
+    phase to every index whose flipped bits are a superset of its pattern."""
+    if num_qubits != result.num_qubits:
+        raise ValueError(
+            f"result is on {result.num_qubits} qubits, asked for {num_qubits}"
+        )
+    m = result.level
+    size = 1 << num_qubits
+    modulus = 1 << m
+    index_bit = {q: 1 << (num_qubits - 1 - k) for k, q in enumerate(result.register)}
+    accumulated = [result.global_phase] * size
+    flip_mask = 0
+    for gate in result.gates:
+        if isinstance(gate, PauliX):
+            flip_mask ^= index_bit[gate.target]
+        elif isinstance(gate, ControlledZPow):
+            magnitude = 1 << (m - abs(gate.level))
+            contribution = magnitude if gate.level > 0 else -magnitude
+            mask = 0
+            for q in gate.qubits:
+                mask |= index_bit[q]
+            superset = mask
+            while superset < size:
+                index = superset ^ flip_mask
+                accumulated[index] = (accumulated[index] + contribution) % modulus
+                superset = (superset + 1) | mask
+        else:
+            raise TypeError(f"unexpected gate in synthesis result: {gate!r}")
+    return PhaseSpec(num_qubits, m, tuple(accumulated))
 
 
 def onto_register(gates, register: tuple[int, ...]) -> tuple:

@@ -5,17 +5,24 @@ from itertools import product
 import numpy as np
 import pytest
 
-from _util import dense_circuit_matrix, onto_register, reference_peel
+from _util import (
+    dense_circuit_matrix,
+    onto_register,
+    reference_peel,
+    reference_reconstruct,
+)
 from qprep.dyadic import PhaseSpec, quantize
 from qprep.sim import (
     Circuit,
     ControlledZPow,
     DiagonalOracle,
+    Hadamard,
     PauliX,
     StateVector,
     apply_circuit,
 )
 from qprep.synth import (
+    SynthesisResult,
     count_gate_list,
     global_phase_gates,
     peel_synthesize,
@@ -198,6 +205,40 @@ def test_reconstruct_round_trip_many_random_specs():
     for _ in range(200):
         spec = random_spec(rng, max_qubits=4, max_level=4)
         assert reconstruct(peel_synthesize(spec), spec.num_qubits) == spec
+
+
+def test_reconstruct_round_trips_peel_at_twelve_qubits():
+    rng = random.Random(1412)
+    spec = PhaseSpec(12, 10, tuple(rng.getrandbits(10) for _ in range(1 << 12)))
+    assert reconstruct(peel_synthesize(spec), 12) == spec
+
+
+def test_reconstruct_spreads_the_global_phase_under_full_patterns():
+    # Every word sits on the full pattern, so only the global phase in word 0
+    # needs the butterflies.
+    spec = PhaseSpec(2, 2, (1, 1, 1, 2))
+    result = peel_synthesize(spec)
+    assert result.global_phase == 1
+    assert all(gate.qubits == (0, 1) for gate in result.gates)
+    assert reconstruct(result, 2) == spec
+    sparse = sparse_synthesize(PhaseSpec(2, 2, (0, 0, 0, 1)), [3])
+    shifted = SynthesisResult(sparse.register, 2, sparse.gates, 3)
+    assert reconstruct(shifted, 2) == PhaseSpec(2, 2, (3, 3, 3, 0))
+
+
+@pytest.mark.parametrize("result, num_qubits, error", [
+    (SynthesisResult((0, 1), 2, (), 0), 3, ValueError),
+    (SynthesisResult((0, 1), 2, (Hadamard(0),), 0), 2, TypeError),
+    (SynthesisResult((0, 1), 2, (ControlledZPow(1, (0, 5)),), 0), 2, KeyError),
+    (SynthesisResult((0, 1), 2, (PauliX(5),), 0), 2, KeyError),
+    (SynthesisResult((0, 1), 2, (ControlledZPow(1, (0,)),), 4), 2, ValueError),
+    (SynthesisResult((0, 1), 2, (), -1), 2, ValueError),
+], ids=["width", "gate-kind", "czp-qubit", "x-qubit", "global-high", "global-low"])
+def test_reconstruct_refuses_what_the_reference_refuses(result, num_qubits, error):
+    with pytest.raises(error):
+        reference_reconstruct(result, num_qubits)
+    with pytest.raises(error):
+        reconstruct(result, num_qubits)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["peel", "sparse"])

@@ -66,6 +66,8 @@ def _write_inputs(root: Path) -> dict[str, str]:
     phases("p3.csv", 3)
     phases("p6.json", 6)
     phases("sparse5.json", 5, support={1, 7, 18, 30})
+    phases("p8.json", 8)
+    phases("sparse8.json", 8, support={0, 37, 128, 200, 255})
     bad = {
         "negative.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0},'
                          ' {"magnitude": -2.0, "phase": 0.0}]}',
@@ -118,6 +120,11 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         runs.append(["synth-diag", inputs[name], "--m", m])
         runs.append(["synth-diag", inputs[name], "--m", m, "--emit", "gates.txt"])
         runs.append(["synth-diag", inputs[name], "--m", m, "--sparse", "--emit", "gates.txt"])
+    # A 256-entry peel at level 70, and a sparse support holding the indices
+    # that flip every qubit and none.
+    runs.append(["synth-diag", inputs["p8.json"], "--m", "70", "--emit", "gates.txt"])
+    runs.append(["synth-diag", inputs["sparse8.json"], "--m", "12", "--sparse",
+                 "--emit", "gates.txt"])
     for suite, n, trials in (("synth", "3", "5"), ("synth", "4", "3"),
                              ("dualpath", "2", "2"), ("bounds", "2", "1"),
                              ("bounds", "3", "1")):
