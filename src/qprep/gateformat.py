@@ -173,10 +173,10 @@ def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
 
 
 def save_circuit(path, circuit: Circuit, data_qubits: int) -> None:
-    lines = circuit_lines(circuit, data_qubits)
-    lines.append("")
     with open(path, "w") as handle:
-        handle.write("\n".join(lines))
+        for line in circuit_lines(circuit, data_qubits):
+            handle.write(line)
+            handle.write("\n")
 
 
 def _parse_fields(parts: list[str]) -> dict[str, str]:
