@@ -61,11 +61,10 @@ class PhaseSpec:
                 f"got {len(self.numerators)}"
             )
         cells = 1 << self.level
-        for index, p in enumerate(self.numerators):
-            if not 0 <= p < cells:
-                raise ValueError(
-                    f"entry {index}: numerator {p} outside [0, {cells})"
-                )
+        if not (0 <= min(self.numerators) and max(self.numerators) < cells):
+            index, p = next((index, p) for index, p in enumerate(self.numerators)
+                            if not 0 <= p < cells)
+            raise ValueError(f"entry {index}: numerator {p} outside [0, {cells})")
 
     def angles(self) -> tuple[float, ...]:
         cells = 1 << self.level

@@ -107,8 +107,18 @@ def expand_blocks(gates: Iterable[Gate]) -> Iterator[Gate]:
 
 
 def written_gate_count(circuit: Circuit) -> int:
-    """Number of gate lines ``save_circuit`` writes for ``circuit``."""
-    return sum(1 for _ in expand_blocks(circuit.gates))
+    """Number of gate lines ``save_circuit`` writes for ``circuit``.
+
+    A width-w ``QFTBlock`` is written as ``qft_circuit`` writes it: w(w+1)/2
+    H and CZP gates, then 9 gates for each of its w//2 swaps."""
+    count = 0
+    for gate in circuit.gates:
+        if isinstance(gate, QFTBlock):
+            width = len(gate.register)
+            count += width * (width + 1) // 2 + 9 * (width // 2)
+        else:
+            count += 1
+    return count
 
 
 def gate_lines(gate: Gate) -> list[str]:

@@ -6,17 +6,22 @@ sum(q_k << (n - 1 - k)).  ``apply_gate(state, gate)`` returns a new state and
 never mutates its input; ``apply_gate(state, gate, out=state.amplitudes)``
 applies the gate in place.
 
-The kernels work on amplitudes reshaped to (2,)*q, whose axis k is qubit k
-under that same convention.  A 2x2 kernel serves H, X and (controlled) R_Y,
-and a phase kernel serves the diagonal gates CZP and DIAG; all pin control
-qubits to 1 with length-1 slices, so a controlled gate touches only its
-pinned part.  A ``QFTBlock`` is simulated as one FFT along its register's
-axes.  Every kernel updates the one array it is given: ``apply_circuit``
-copies its input once and runs every gate in place on that copy, and
-``apply_gate`` without ``out`` runs the same kernel on a copy of its own.
-Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT its
-output state (and a copy of its input when the register is not the leading
-qubits in order).
+Each kernel works on a view of the flat amplitudes split only at the gate's
+own qubits: each of them gets a length-2 axis, in ascending qubit order,
+and each run of other qubits between them one merged axis, so a view has at
+most 2k+1 axes for a gate on k qubits, whatever the state's width.  A 2x2
+kernel serves H, X and (controlled) R_Y, and a phase kernel serves the
+diagonal gates CZP and DIAG; both pin control qubits to 1 with integer
+indices, so a controlled gate touches only its pinned part.  The phase
+kernel never moves the state's axes: it puts the small factor table of a
+DIAG into ascending qubit order and broadcasts it.  A ``QFTBlock`` is
+simulated as one FFT along its register's axes, transposed to lead in
+register order.  Every kernel updates the one array it is given:
+``apply_circuit`` copies its input once and runs every gate in place on that
+copy, and ``apply_gate`` without ``out`` runs the same kernel on a copy of
+its own.  Scratch per gate: the 2x2 kernel two arrays of half a state, the
+FFT its output state, and a copy of its input unless the register is the
+leading qubits in register order.
 
 ``apply_circuit`` takes a state on the circuit's leading qubits: the others
 start at |0> and join as trailing (least significant) qubits when a gate
@@ -199,13 +204,35 @@ _HADAMARD = ((_H, _H), (_H, -_H))
 _PAULI_X = ((0.0, 1.0), (1.0, 0.0))
 
 
-def _view(psi: np.ndarray, pins: dict[int, int]) -> np.ndarray:
-    """``psi`` with each pinned qubit fixed to its bit by a length-1 slice,
-    so the result is always a writable view."""
-    index = [slice(None)] * psi.ndim
-    for qubit, bit in pins.items():
-        index[qubit] = slice(bit, bit + 1)
-    return psi[tuple(index)]
+def _split(amps: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+    """The flat ``amps`` reshaped so that each of ``qubits`` has its own
+    length-2 axis, in ascending qubit order, and each run of other qubits
+    between them one merged axis; with the axis of each of ``qubits``, in
+    the order given.  The result is a view only of a C-contiguous array;
+    of any other it is a copy, which only a reader may use."""
+    shape: list[int] = []
+    axis: dict[int, int] = {}
+    edge = 0
+    for qubit in sorted(qubits):
+        if qubit > edge:
+            shape.append(1 << (qubit - edge))
+        axis[qubit] = len(shape)
+        shape.append(2)
+        edge = qubit + 1
+    rest = amps.size >> edge
+    if rest > 1:
+        shape.append(rest)
+    return amps.reshape(shape), [axis[qubit] for qubit in qubits]
+
+
+def _at(view: np.ndarray, pins) -> np.ndarray:
+    """``view`` with each (axis, bit) of ``pins`` fixed by an integer index;
+    the trailing Ellipsis keeps the result a view even when every axis is
+    pinned."""
+    index: list = [slice(None)] * view.ndim + [Ellipsis]
+    for axis, bit in pins:
+        index[axis] = bit
+    return view[tuple(index)]
 
 
 def _apply_2x2(psi: np.ndarray, target: int, controls: tuple[int, ...],
@@ -214,8 +241,9 @@ def _apply_2x2(psi: np.ndarray, target: int, controls: tuple[int, ...],
     # complex products and sums of two terms commute exactly, so
     # d*high + c*low rounds the same.  c*low is kept before low is
     # overwritten: two scratch arrays of the pinned size.
-    ones = dict.fromkeys(controls, 1)
-    low, high = _view(psi, {**ones, target: 0}), _view(psi, {**ones, target: 1})
+    view, (target_axis, *control_axes) = _split(psi, (target, *controls))
+    ones = [(axis, 1) for axis in control_axes]
+    low, high = _at(view, [*ones, (target_axis, 0)]), _at(view, [*ones, (target_axis, 1)])
     (a, b), (c, d) = matrix
     c_low = c * low
     low *= a
@@ -236,18 +264,29 @@ def _zpow_phase(level: int) -> complex:
 def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
                   register: tuple[int, ...], factors) -> None:
     """Multiply in place by factors[i], i read from ``register``
-    most-significant first, wherever every control qubit is 1."""
-    pinned = _view(psi, dict.fromkeys(controls, 1))
-    width = len(register)
-    view = np.moveaxis(pinned, register, range(width))
-    view *= np.reshape(factors, (2,) * width + (1,) * (psi.ndim - width))
+    most-significant first, wherever every control qubit is 1.
+
+    The state's axes stay where they are: the 2**w factor table is put
+    into ascending qubit order instead and broadcast over the pinned view."""
+    view, axes = _split(psi, controls + register)
+    control_axes, register_axes = axes[:len(controls)], axes[len(controls):]
+    pinned = _at(view, [(axis, 1) for axis in control_axes])
+    if register:
+        ascending = sorted(range(len(register)), key=register.__getitem__)
+        table = np.reshape(factors, (2,) * len(register)).transpose(ascending)
+        factors = table.reshape([2 if axis in register_axes else 1
+                                 for axis in range(view.ndim) if axis not in control_axes])
+    pinned *= factors
 
 
 def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> None:
     # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft, which
-    # returns a new array that is then written back through the moved view.
+    # returns a new array that is then written back through the transposed
+    # view.  Its rows are a view only when the register is the leading
+    # qubits in order; any other register is copied first.
     transform = np.fft.fft if inverse else np.fft.ifft
-    moved = np.moveaxis(psi, register, range(len(register)))
+    view, axes = _split(psi, register)
+    moved = view.transpose(*axes, *(a for a in range(view.ndim) if a not in axes))
     spectrum = transform(moved.reshape(1 << len(register), -1), axis=0, norm="ortho")
     moved[...] = spectrum.reshape(moved.shape)
 
@@ -269,21 +308,20 @@ def apply_gate(state: StateVector, gate: Gate,
     elif out is not amps or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be the state's own amplitudes, "
                          "a C-contiguous complex128 array")
-    psi = out.reshape((2,) * q)
     if isinstance(gate, Hadamard):
-        _apply_2x2(psi, gate.target, (), _HADAMARD)
+        _apply_2x2(out, gate.target, (), _HADAMARD)
     elif isinstance(gate, PauliX):
-        _apply_2x2(psi, gate.target, (), _PAULI_X)
+        _apply_2x2(out, gate.target, (), _PAULI_X)
     elif isinstance(gate, RotationY):
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        _apply_2x2(psi, gate.target, gate.controls, ((c, -s), (s, c)))
+        _apply_2x2(out, gate.target, gate.controls, ((c, -s), (s, c)))
     elif isinstance(gate, ControlledZPow):
-        _apply_phases(psi, gate.qubits, (), _zpow_phase(gate.level))
+        _apply_phases(out, gate.qubits, (), _zpow_phase(gate.level))
     elif isinstance(gate, DiagonalOracle):
         factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
-        _apply_phases(psi, gate.controls, gate.register, factors)
+        _apply_phases(out, gate.controls, gate.register, factors)
     elif isinstance(gate, QFTBlock):
-        _apply_qft(psi, gate.register, gate.inverse)
+        _apply_qft(out, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
     return state if out is amps else StateVector(q, out)
@@ -368,12 +406,11 @@ def project_measure(state: StateVector, target: int,
         raise ValueError(f"qubit {target} outside [0, {state.num_qubits})")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    shape = (2,) * state.num_qubits
-    pins = {target: outcome}
-    kept = _view(state.amplitudes.reshape(shape), pins)
+    view, (axis,) = _split(state.amplitudes, (target,))
+    kept = _at(view, [(axis, outcome)])
     probability = float(np.sum(np.abs(kept) ** 2))
     if probability == 0.0:
         return 0.0, None
     post = np.zeros_like(state.amplitudes)
-    _view(post.reshape(shape), pins)[...] = kept / math.sqrt(probability)
+    _at(post.reshape(view.shape), [(axis, outcome)])[...] = kept / math.sqrt(probability)
     return probability, StateVector(state.num_qubits, post)

@@ -4,15 +4,19 @@ The dense-matrix oracles build full 2^n x 2^n matrices from first principles
 (kron products and explicit index arithmetic) so they share no code with the
 simulator's gate kernels.  ``reference_2x2`` is the plain expression
 ``a*low + b*high, c*low + d*high`` on index arrays, the bit-exact reference
-for the simulator's 2x2 kernel.  ``reference_peel`` is the peel construction
-as an explicit loop over levels and patterns, the oracle for the transform in
-``qprep.synth.peel_synthesize``.  ``reference_reconstruct`` walks every
-index each gate's phase lands on, the oracle for the subset-sum transform in
-``qprep.synth.reconstruct``.  ``flat_preparation`` is the full simulation
-on every qubit of the circuit from the first gate to the last, the reference
-for ``qprep.prepare.simulate_preparation``.
+for the simulator's 2x2 kernel.  ``reference_apply`` runs every gate kind on
+the amplitudes reshaped to (2,)*q, pinning qubits with length-1 slices and
+moving register axes to the front: the byte-for-byte reference for the
+simulator's kernels on their split views.  ``reference_peel`` is the peel
+construction as an explicit loop over levels and patterns, the oracle for the
+transform in ``qprep.synth.peel_synthesize``.  ``reference_reconstruct``
+walks every index each gate's phase lands on, the oracle for the subset-sum
+transform in ``qprep.synth.reconstruct``.  ``flat_preparation`` is the full
+simulation on every qubit of the circuit from the first gate to the last,
+the reference for ``qprep.prepare.simulate_preparation``.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -23,6 +27,7 @@ from qprep.sim import (
     DiagonalOracle,
     Hadamard,
     PauliX,
+    QFTBlock,
     RotationY,
     apply_circuit,
     new_basis_state,
@@ -84,20 +89,24 @@ def dense_gate_matrix(gate, num_qubits: int) -> np.ndarray:
     raise TypeError(f"no dense oracle for {type(gate).__name__}")
 
 
+def _matrix_2x2(gate):
+    """((a, b), (c, d)) and the controls of H, X or (controlled) R_Y."""
+    if isinstance(gate, Hadamard):
+        h = 1.0 / math.sqrt(2.0)
+        return (h, h), (h, -h), ()
+    if isinstance(gate, PauliX):
+        return (0.0, 1.0), (1.0, 0.0), ()
+    if isinstance(gate, RotationY):
+        cos, sin = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        return (cos, -sin), (sin, cos), gate.controls
+    raise TypeError(f"{type(gate).__name__} is not a 2x2 gate")
+
+
 def reference_2x2(amplitudes: np.ndarray, gate, num_qubits: int) -> np.ndarray:
     """H, X or (controlled) R_Y as a*low + b*high, c*low + d*high evaluated
     on a copy; ``low`` and ``high`` are gathered by explicit index arithmetic
     (target bit 0 or 1, every control bit 1)."""
-    if isinstance(gate, Hadamard):
-        h = 1.0 / math.sqrt(2.0)
-        (a, b), (c, d), controls = (h, h), (h, -h), ()
-    elif isinstance(gate, PauliX):
-        (a, b), (c, d), controls = (0.0, 1.0), (1.0, 0.0), ()
-    elif isinstance(gate, RotationY):
-        cos, sin = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        (a, b), (c, d), controls = (cos, -sin), (sin, cos), gate.controls
-    else:
-        raise TypeError(f"{type(gate).__name__} is not a 2x2 gate")
+    (a, b), (c, d), controls = _matrix_2x2(gate)
     tbit = 1 << (num_qubits - 1 - gate.target)
     cmask = sum(1 << (num_qubits - 1 - q) for q in controls)
     index = np.arange(1 << num_qubits)
@@ -106,6 +115,56 @@ def reference_2x2(amplitudes: np.ndarray, gate, num_qubits: int) -> np.ndarray:
     out = amplitudes.copy()
     low, high = amplitudes[low_index], amplitudes[high_index]
     out[low_index], out[high_index] = a * low + b * high, c * low + d * high
+    return out
+
+
+def _pinned(psi: np.ndarray, pins: dict[int, int]) -> np.ndarray:
+    index = [slice(None)] * psi.ndim
+    for qubit, bit in pins.items():
+        index[qubit] = slice(bit, bit + 1)
+    return psi[tuple(index)]
+
+
+def reference_apply(amplitudes: np.ndarray, gate, num_qubits: int) -> np.ndarray:
+    """``gate`` applied to a copy of ``amplitudes`` on the (2,)*q axis view
+    (axis k is qubit k): controls and target pinned by length-1 slices,
+    register axes moved to the front.  The operations and their order are
+    the simulator's, so the result must match it byte for byte."""
+    out = np.array(amplitudes, dtype=complex)
+    psi = out.reshape((2,) * num_qubits)
+    if isinstance(gate, (Hadamard, PauliX, RotationY)):
+        (a, b), (c, d), controls = _matrix_2x2(gate)
+        ones = dict.fromkeys(controls, 1)
+        low = _pinned(psi, {**ones, gate.target: 0})
+        high = _pinned(psi, {**ones, gate.target: 1})
+        c_low = c * low
+        low *= a
+        low += b * high
+        high *= d
+        high += c_low
+    elif isinstance(gate, (ControlledZPow, DiagonalOracle)):
+        if isinstance(gate, ControlledZPow):
+            level = abs(gate.level)
+            if level == 1:
+                factors = -1.0 + 0.0j
+            elif level == 2:
+                factors = 1.0j if gate.level > 0 else -1.0j
+            else:
+                factors = cmath.exp(1.0j * math.copysign(TAU / (1 << level), gate.level))
+            controls, register = gate.qubits, ()
+        else:
+            factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
+            controls, register = gate.controls, gate.register
+        width = len(register)
+        view = np.moveaxis(_pinned(psi, dict.fromkeys(controls, 1)), register, range(width))
+        view *= np.reshape(factors, (2,) * width + (1,) * (num_qubits - width))
+    elif isinstance(gate, QFTBlock):
+        transform = np.fft.fft if gate.inverse else np.fft.ifft
+        moved = np.moveaxis(psi, gate.register, range(len(gate.register)))
+        rows = moved.reshape(1 << len(gate.register), -1)
+        moved[...] = transform(rows, axis=0, norm="ortho").reshape(moved.shape)
+    else:
+        raise TypeError(f"unknown gate type {type(gate).__name__}")
     return out
 
 

@@ -71,6 +71,17 @@ def test_phase_spec_validation():
         PhaseSpec(1, 1, (0, 2))
 
 
+@pytest.mark.parametrize("numerators, first", [
+    ((0, -1, 4, 1), "entry 1: numerator -1 outside"),
+    ((0, 4, -1, 1), "entry 1: numerator 4 outside"),
+    ((0, 3, 1, -2, 1, 8, 0, 2), "entry 3: numerator -2 outside"),
+])
+def test_phase_spec_names_the_first_numerator_out_of_range(numerators, first):
+    num_qubits = len(numerators).bit_length() - 1
+    with pytest.raises(ValueError, match=f"^{first} \\[0, 4\\)$"):
+        PhaseSpec(num_qubits, 2, numerators)
+
+
 def test_max_level_is_the_finest_grid_with_finite_angles():
     top = (1 << MAX_LEVEL) - 1
     assert floor_fraction(1.0, MAX_LEVEL) == top

@@ -6,6 +6,7 @@ import pytest
 from qprep.gateformat import (
     as_dyadic,
     circuit_lines,
+    expand_blocks,
     gate_lines,
     parse_circuit,
     parse_gate_line,
@@ -114,6 +115,14 @@ def test_qft_block_expands_to_primitives():
     direct = apply_circuit(state, circuit)
     reparsed = apply_circuit(state, parsed)
     assert np.allclose(direct.amplitudes, reparsed.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_written_count_of_a_qft_block_is_its_closed_form(inverse):
+    for width in range(1, 41):
+        block = QFTBlock(tuple(range(width)), inverse)
+        circuit = Circuit(width, (block, Hadamard(0)))
+        assert written_gate_count(circuit) == sum(1 for _ in expand_blocks(circuit.gates))
 
 
 def test_parse_rejects_bad_input():

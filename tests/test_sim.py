@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _util import dense_circuit_matrix, dft_matrix, reference_2x2
+from _util import dense_circuit_matrix, dft_matrix, reference_2x2, reference_apply
 from qprep.sim import (
     Circuit,
     ControlledZPow,
@@ -323,6 +323,19 @@ def test_apply_gate_leaves_its_input_unchanged(gate):
     out = apply_gate(state, gate)
     assert state.amplitudes.tobytes() == before.tobytes()
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
+def test_apply_gate_runs_on_a_copy_of_strided_amplitudes(gate):
+    # The kernels reshape the array they run on, which is only a view of a
+    # C-contiguous array; the pure call's copy is one.
+    wide = np.zeros(64, dtype=complex)
+    wide[::2] = random_state(5, np.random.default_rng(15)).amplitudes
+    state = StateVector(5, wide[::2])
+    before = wide.tobytes()
+    out = apply_gate(state, gate)
+    assert wide.tobytes() == before
+    assert out.amplitudes.tobytes() == reference_apply(wide[::2], gate, 5).tobytes()
 
 
 def apply_in_place(state: StateVector, gate) -> np.ndarray:

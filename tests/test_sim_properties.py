@@ -1,6 +1,7 @@
-"""Property tests of the simulation: widening and gate relabelling against
-the flat simulation, written gate lists against the gates they were written
-from, and the full preparation against the fast path.
+"""Property tests of the simulation: each kernel against the (2,)*q axis
+reference byte for byte, widening and gate relabelling against the flat
+simulation, written gate lists against the gates they were written from, and
+the full preparation against the fast path.
 
 Derandomized, so every run draws the same examples.
 """
@@ -13,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from _util import reference_apply
 from qprep.dyadic import TAU
 from qprep.gateformat import circuit_lines, parse_circuit
 from qprep.prepare import (
@@ -34,6 +36,7 @@ from qprep.sim import (
     RotationY,
     StateVector,
     apply_circuit,
+    apply_gate,
     new_basis_state,
     shifted_gate,
 )
@@ -61,6 +64,53 @@ def gates(draw, num_qubits):
     phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1 << split,
                            max_size=1 << split))
     return DiagonalOracle(register, tuple(phases), draw(st.integers(-4, 4)), controls)
+
+
+@st.composite
+def split_cases(draw):
+    """A state of 1-10 qubits, some amplitude parts signed zeros, and one
+    gate on unsorted, mostly non-adjacent qubits: 0-3 controls, DIAG
+    registers in any order, QFT registers leading in order or permuted."""
+    num_qubits = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(("H", "X", "RY", "CZP", "DIAG", "QFT")))
+    qubits = draw(st.permutations(range(num_qubits)))
+    controls = tuple(qubits[1:1 + draw(st.integers(0, min(3, num_qubits - 1)))])
+    if kind in ("H", "X"):
+        gate = (Hadamard if kind == "H" else PauliX)(qubits[0])
+    elif kind == "RY":
+        gate = RotationY(draw(st.floats(-TAU, TAU)), qubits[0], controls)
+    elif kind == "CZP":
+        level = draw(st.integers(1, 6)) * draw(st.sampled_from((-1, 1)))
+        gate = ControlledZPow(level, (qubits[0], *controls))
+    elif kind == "DIAG":
+        free = (qubits[0], *qubits[1 + len(controls):])
+        register = tuple(free[:draw(st.integers(1, min(4, len(free))))])
+        phases = draw(st.lists(st.floats(0.0, TAU), min_size=1 << len(register),
+                               max_size=1 << len(register)))
+        gate = DiagonalOracle(register, tuple(phases), draw(st.integers(-4, 4)), controls)
+    else:
+        width = draw(st.integers(1, num_qubits))
+        leading = draw(st.booleans())
+        register = tuple(range(width)) if leading else tuple(qubits[:width])
+        gate = QFTBlock(register, draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << num_qubits
+    amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amplitudes.real[rng.random(dim) < 0.2] = -0.0
+    amplitudes.imag[rng.random(dim) < 0.2] = 0.0
+    amplitudes[0] = 1.0
+    return StateVector(num_qubits, amplitudes / np.linalg.norm(amplitudes)), gate
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(split_cases())
+def test_kernels_on_split_views_are_the_axis_reference_byte_for_byte(case):
+    state, gate = case
+    expected = reference_apply(state.amplitudes, gate, state.num_qubits).tobytes()
+    assert apply_gate(state, gate).amplitudes.tobytes() == expected
+    owned = StateVector(state.num_qubits, state.amplitudes.copy())
+    apply_gate(owned, gate, out=owned.amplitudes)
+    assert owned.amplitudes.tobytes() == expected
 
 
 @st.composite
