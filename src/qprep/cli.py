@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -24,9 +26,9 @@ from .prepare import (
     PrecisionConfig,
     RegisterMap,
     TargetVector,
-    _memory_shortfall,
     build,
     fast_path_prepare,
+    memory_shortfall,
     required_precision,
     simulate_preparation,
 )
@@ -124,7 +126,21 @@ def load_phases(path: str) -> list[float]:
     return phases.tolist()
 
 
+def _refuse_one_file_twice(*named: tuple[str, str | None]) -> None:
+    """Refuse two (option, path) pairs that name one file, before any work."""
+    given = [(option, path) for option, path in named if path]
+    for (first, a), (second, b) in itertools.combinations(given, 2):
+        try:
+            same = os.path.samefile(a, b)
+        except OSError:  # one of them does not exist yet
+            same = os.path.realpath(a) == os.path.realpath(b)
+        if same:
+            raise UsageError(f"{first} and {second} name the same file {b}")
+
+
 def cmd_prepare(args) -> int:
+    _refuse_one_file_twice(("the input", args.input), ("--report", args.report),
+                           ("--emit", args.emit))
     x = load_vector(args.input)
     mode = _MODES[args.mode]
     if args.epsilon is not None:
@@ -141,7 +157,7 @@ def cmd_prepare(args) -> int:
 
     qubits = RegisterMap.layout(x.num_qubits, cfg).num_qubits
     if not args.fast_path:
-        shortfall = _memory_shortfall(qubits)
+        shortfall = memory_shortfall(qubits)
         if shortfall:
             raise ValueError(f"{shortfall}; use --fast-path")
     try:
@@ -209,6 +225,7 @@ def _synthesize_checked(spec: PhaseSpec, support: list[int] | None = None):
 
 
 def cmd_synth_diag(args) -> int:
+    _refuse_one_file_twice(("the input", args.input), ("--emit", args.emit))
     if args.m < 1:
         raise UsageError(f"--m must be >= 1, got {args.m}")
     angles = load_phases(args.input)
@@ -323,7 +340,7 @@ def _check_verify_size(suite: str, n: int, trials: int) -> None:
         except ValueError as exc:  # widths past PrecisionConfig's limits
             raise UsageError(f"--n {n}: {exc}") from None
         configs = (*fixed, *by_epsilon)
-    shortfall = _memory_shortfall(
+    shortfall = memory_shortfall(
         max([n] + [RegisterMap.layout(n, cfg).num_qubits for cfg in configs]))
     if shortfall:
         raise UsageError(f"--n {n}: {shortfall}")

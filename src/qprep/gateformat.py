@@ -121,46 +121,41 @@ def written_gate_count(circuit: Circuit) -> int:
     return count
 
 
-def gate_lines(gate: Gate) -> list[str]:
-    if isinstance(gate, Hadamard):
-        return [f"H q={gate.target}"]
-    if isinstance(gate, PauliX):
-        return [f"X q={gate.target}"]
+def _dyadic_field(angles: tuple[float, ...]) -> str:
+    """`` p=<numerators> m=<level>`` for angles that are all dyadic multiples
+    of 2*pi, on their common level; otherwise empty."""
+    dyadics = [as_dyadic(angle) for angle in angles]
+    if not all(d is not None for d in dyadics):
+        return ""
+    level = max(d[1] for d in dyadics)
+    return f" p={_indices(d[0] << (level - d[1]) for d in dyadics)} m={level}"
+
+
+def _gate_line(gate: Gate, phases_fields: dict[int, str],
+               qubits_fields: dict[tuple[int, ...], str]) -> str:
+    """The gate's line.  A CZP qubit list is memoized by value in
+    ``qubits_fields``, a DIAG phases field by tuple id in ``phases_fields``."""
     if isinstance(gate, ControlledZPow):
-        return [_czp_line(gate, {})]
+        field = qubits_fields.get(gate.qubits)
+        if field is None:
+            field = qubits_fields[gate.qubits] = _indices(gate.qubits)
+        return f"CZP l={gate.level} q={field}"
+    if isinstance(gate, Hadamard):
+        return f"H q={gate.target}"
+    if isinstance(gate, PauliX):
+        return f"X q={gate.target}"
     if isinstance(gate, RotationY):
-        line = (f"RY theta={format_float(gate.angle)} q={gate.target} "
-                f"c={_controls(gate.controls)}")
-        dyadic = as_dyadic(gate.angle)
-        if dyadic is not None:
-            line += f" p={dyadic[0]} m={dyadic[1]}"
-        return [line]
+        return (f"RY theta={format_float(gate.angle)} q={gate.target} "
+                f"c={_controls(gate.controls)}{_dyadic_field((gate.angle,))}")
     if isinstance(gate, DiagonalOracle):
-        return [_diag_line(gate, {})]
+        field = phases_fields.get(id(gate.phases))
+        if field is None:
+            field = phases_fields[id(gate.phases)] = (
+                f"phases={','.join(map(format_float, gate.phases))}"
+                f"{_dyadic_field(gate.phases)}")
+        return (f"DIAG j={gate.power} reg={_indices(gate.register)} "
+                f"c={_controls(gate.controls)} {field}")
     raise TypeError(f"unknown gate type {type(gate).__name__}")
-
-
-def _czp_line(gate: ControlledZPow, qubits_fields: dict[tuple[int, ...], str]) -> str:
-    """The gate's line, its qubit list memoized by value in ``qubits_fields``."""
-    field = qubits_fields.get(gate.qubits)
-    if field is None:
-        field = qubits_fields[gate.qubits] = _indices(gate.qubits)
-    return f"CZP l={gate.level} q={field}"
-
-
-def _diag_line(gate: DiagonalOracle, phases_fields: dict[int, str]) -> str:
-    """The gate's line, its phases field memoized by tuple id in ``phases_fields``."""
-    key = id(gate.phases)
-    if key not in phases_fields:
-        field = f"phases={','.join(format_float(p) for p in gate.phases)}"
-        dyadics = [as_dyadic(p) for p in gate.phases]
-        if all(d is not None for d in dyadics):
-            level = max(d[1] for d in dyadics)
-            numerators = [d[0] << (level - d[1]) for d in dyadics]
-            field += f" p={_indices(numerators)} m={level}"
-        phases_fields[key] = field
-    return (f"DIAG j={gate.power} reg={_indices(gate.register)} "
-            f"c={_controls(gate.controls)} {phases_fields[key]}")
 
 
 def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
@@ -172,13 +167,8 @@ def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
     # Peel reuses one qubits tuple across every level of a pattern: format
     # each CZP qubit list once.  Ints print alike, so reuse goes by value.
     qubits_fields: dict[tuple[int, ...], str] = {}
-    for gate in expand_blocks(circuit.gates):
-        if isinstance(gate, ControlledZPow):
-            lines.append(_czp_line(gate, qubits_fields))
-        elif isinstance(gate, DiagonalOracle):
-            lines.append(_diag_line(gate, phases_fields))
-        else:
-            lines.extend(gate_lines(gate))
+    lines.extend(_gate_line(gate, phases_fields, qubits_fields)
+                 for gate in expand_blocks(circuit.gates))
     return lines
 
 

@@ -334,7 +334,7 @@ CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 PROC_SELF_STATM = "/proc/self/statm"
 
 
-def _memory_shortfall(num_qubits: int) -> str | None:
+def memory_shortfall(num_qubits: int) -> str | None:
     """Why a full simulation of ``num_qubits`` qubits does not fit in the
     memory the process can get, or None if it does.  That memory is the
     least of physical memory, what is left of the soft RLIMIT_AS unless
@@ -384,7 +384,7 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     simulation's."""
     circuit = build_result.circuit
     registers = build_result.registers
-    shortfall = _memory_shortfall(circuit.num_qubits)
+    shortfall = memory_shortfall(circuit.num_qubits)
     if shortfall:
         raise ValueError(shortfall)
     gates, t, n = circuit.gates, len(registers.estimation), len(registers.data)
@@ -397,11 +397,9 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
                           Circuit(circuit.num_qubits, gates[:ancilla_end]))
     success = 1.0
     if registers.ancilla is not None:
-        success, projected = project_measure(state, registers.ancilla, 0)
-        if projected is None:
+        success, state = project_measure(state, registers.ancilla, 0)
+        if state is None:
             raise ValueError("ancilla outcome 0 has zero probability")
-        # The ancilla is the last qubit, the lowest bit of an index.
-        state = StateVector(t + n, projected.amplitudes[0::2])
         state = apply_circuit(state, Circuit(t + n, gates[ancilla_end:phase_start]))
     # The state holds t + n qubits; estimation qubits are the top bits, so
     # estimation = |0...0> is the leading block of the amplitude array.

@@ -2,9 +2,9 @@
 
 Bit convention, shared by every module: qubit 0 is the MOST significant bit of
 a basis index, so the basis state |q0 q1 ... q_{n-1}> has index
-sum(q_k << (n - 1 - k)).  ``apply_gate(state, gate)`` returns a new state and
-never mutates its input; ``apply_gate(state, gate, out=state.amplitudes)``
-applies the gate in place.
+sum(q_k << (n - 1 - k)).  ``apply_gate(state, gate)`` applies the gate in
+place to ``state.amplitudes`` and returns ``state``; applying one gate
+without changing the input is ``apply_circuit`` on a one-gate circuit.
 
 Each kernel works on a view of the flat amplitudes split only at the gate's
 own qubits: each of them gets a length-2 axis, in ascending qubit order,
@@ -18,22 +18,21 @@ DIAG into ascending qubit order and broadcasts it.  A ``QFTBlock`` is
 simulated as one FFT along its register's axes, transposed to lead in
 register order.  Every kernel updates the one array it is given:
 ``apply_circuit`` copies its input once and runs every gate in place on that
-copy, and ``apply_gate`` without ``out`` runs the same kernel on a copy of
-its own.  Scratch per gate: the 2x2 kernel two arrays of half a state, the
-FFT its output state, and a copy of its input unless the register is the
+copy.  Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT
+its output state, and a copy of its input unless the register is the
 leading qubits in register order.
 
 ``apply_circuit`` takes a state on the circuit's leading qubits: the others
 start at |0> and join as trailing (least significant) qubits when a gate
 first touches one, so each gate runs on the qubits touched so far.
 ``shifted_gate`` relabels a gate's qubits, so a stage can run on a state
-without the qubits below it.
+without the qubits below it.  ``project_measure`` drops the qubit it reads.
 
-Every ``StateVector`` passes its constructor's norm check: ``new_basis_state``,
-the pure ``apply_gate``, ``apply_circuit`` (its copy, each widening and its
-result) and ``project_measure`` each build one.  The in-place ``apply_gate``
-returns its input unchecked, because that input was checked and every kernel
-is unitary.
+Every ``StateVector`` holds C-contiguous complex128 amplitudes, ready for
+the kernels, and passes its constructor's norm check: ``new_basis_state``,
+``apply_circuit`` (its copy, each widening and its result) and
+``project_measure`` each build one.  ``apply_gate`` returns its input
+unchecked, because that input was checked and every kernel is unitary.
 How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
 """
 
@@ -166,6 +165,9 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        # Ready for the kernels: only float or strided input is copied.
+        object.__setattr__(self, "amplitudes",
+                           np.ascontiguousarray(self.amplitudes, dtype=complex))
         if self.amplitudes.shape != (1 << self.num_qubits,):
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, "
@@ -190,14 +192,14 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
 
 
 # Peak bytes per amplitude of a full simulation, as tracemalloc measures
-# ``prepare.simulate_preparation`` at 19-21 qubits.  Deterministic mode peaks
-# at 32-33: the buffer ``apply_circuit`` owns (16) and a 2x2 gate's two
-# half-state scratch arrays.  Probabilistic mode peaks at 40.0, in
-# ``project_measure``: the state and its projection, 16 each, and an 8 B
-# temporary (the renormalized half state, then the norm check's squares).
-# A QFT on qubits other than the leading ones in order also copies its
-# input; the built circuits run it on the leading estimation register.
-SIMULATION_BYTES_PER_AMPLITUDE = 40
+# ``prepare.simulate_preparation`` at 18-22 qubits in either mode: 32.0-33.0,
+# at the widest stage's 2x2 gates, which hold the buffer ``apply_circuit``
+# owns (16) and two half-state scratch arrays (8 each).  The post-selection
+# in probabilistic mode peaks below it, at 28: the state (16), the kept half
+# (8) and the norm check's squares of its real parts (4).  A QFT on qubits
+# other than the leading ones in order also copies its input; the built
+# circuits run it on the leading estimation register.
+SIMULATION_BYTES_PER_AMPLITUDE = 33
 
 _H = 1.0 / math.sqrt(2.0)
 _HADAMARD = ((_H, _H), (_H, -_H))
@@ -291,40 +293,30 @@ def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> Non
     moved[...] = spectrum.reshape(moved.shape)
 
 
-def apply_gate(state: StateVector, gate: Gate,
-               out: np.ndarray | None = None) -> StateVector:
-    """``gate`` applied to ``state``.
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """``gate`` applied in place to ``state.amplitudes``; returns ``state``.
 
-    Every kernel updates the one array it is given.  Without ``out`` that
-    array is a copy of the amplitudes, so the result is a new, norm-checked
-    state and ``state`` is left as it is.  ``out=state.amplitudes`` applies
-    the gate in place, which needs a C-contiguous complex128 array, and
-    returns ``state`` itself.
+    The norm is not checked: every kernel is unitary.
     """
     validate_gate(gate, state.num_qubits)
-    amps, q = state.amplitudes, state.num_qubits
-    if out is None:
-        out = np.array(amps, dtype=complex)
-    elif out is not amps or out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError("out must be the state's own amplitudes, "
-                         "a C-contiguous complex128 array")
+    amps = state.amplitudes
     if isinstance(gate, Hadamard):
-        _apply_2x2(out, gate.target, (), _HADAMARD)
+        _apply_2x2(amps, gate.target, (), _HADAMARD)
     elif isinstance(gate, PauliX):
-        _apply_2x2(out, gate.target, (), _PAULI_X)
+        _apply_2x2(amps, gate.target, (), _PAULI_X)
     elif isinstance(gate, RotationY):
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        _apply_2x2(out, gate.target, gate.controls, ((c, -s), (s, c)))
+        _apply_2x2(amps, gate.target, gate.controls, ((c, -s), (s, c)))
     elif isinstance(gate, ControlledZPow):
-        _apply_phases(out, gate.qubits, (), _zpow_phase(gate.level))
+        _apply_phases(amps, gate.qubits, (), _zpow_phase(gate.level))
     elif isinstance(gate, DiagonalOracle):
         factors = np.exp(1.0j * gate.power * np.asarray(gate.phases, dtype=float))
-        _apply_phases(out, gate.controls, gate.register, factors)
+        _apply_phases(amps, gate.controls, gate.register, factors)
     elif isinstance(gate, QFTBlock):
-        _apply_qft(out, gate.register, gate.inverse)
+        _apply_qft(amps, gate.register, gate.inverse)
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
-    return state if out is amps else StateVector(q, out)
+    return state
 
 
 def _widen(state: StateVector, num_qubits: int) -> StateVector:
@@ -339,10 +331,11 @@ def _widen(state: StateVector, num_qubits: int) -> StateVector:
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """``circuit`` applied to ``state``, which holds the circuit's leading
-    qubits and is left as it is.
+    qubits and is left as it is; a one-gate circuit applies that gate
+    without changing ``state``.
 
     The circuit's other qubits start at |0>.  The amplitudes are copied once
-    into a buffer that every gate then updates in place; when a gate first
+    into a buffer that ``apply_gate`` then updates in place; when a gate first
     touches a qubit past the buffer's width, ``_widen`` replaces the buffer
     by one wide enough for that qubit, so each gate runs on the qubits
     touched so far.  The result is on ``circuit.num_qubits``.  The norm is
@@ -357,7 +350,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         width = max(gate_qubits(gate)) + 1
         if width > owned.num_qubits:
             owned = _widen(owned, width)
-        apply_gate(owned, gate, out=owned.amplitudes)
+        apply_gate(owned, gate)
     if owned.num_qubits < circuit.num_qubits:
         return _widen(owned, circuit.num_qubits)
     return StateVector(owned.num_qubits, owned.amplitudes)
@@ -398,9 +391,9 @@ def shifted_gate(gate: Gate, offset: int) -> Gate:
 
 def project_measure(state: StateVector, target: int,
                     outcome: int) -> tuple[float, StateVector | None]:
-    """Probability of ``outcome`` on ``target`` and the renormalized projection.
-
-    A zero-probability outcome returns (0.0, None) rather than renormalizing.
+    """Probability of ``outcome`` on ``target``, and the renormalized state of
+    the other qubits in their order: ``target`` is dropped, so ``state``
+    needs two qubits or more.  A zero-probability outcome returns (0.0, None).
     """
     if not 0 <= target < state.num_qubits:
         raise ValueError(f"qubit {target} outside [0, {state.num_qubits})")
@@ -411,6 +404,5 @@ def project_measure(state: StateVector, target: int,
     probability = float(np.sum(np.abs(kept) ** 2))
     if probability == 0.0:
         return 0.0, None
-    post = np.zeros_like(state.amplitudes)
-    _at(post.reshape(view.shape), [(axis, outcome)])[...] = kept / math.sqrt(probability)
-    return probability, StateVector(state.num_qubits, post)
+    return probability, StateVector(state.num_qubits - 1,
+                                    (kept / math.sqrt(probability)).reshape(-1))

@@ -13,7 +13,10 @@ transform in ``qprep.synth.peel_synthesize``.  ``reference_reconstruct``
 walks every index each gate's phase lands on, the oracle for the subset-sum
 transform in ``qprep.synth.reconstruct``.  ``flat_preparation`` is the full
 simulation on every qubit of the circuit from the first gate to the last,
-the reference for ``qprep.prepare.simulate_preparation``.
+post-selected by its own slice, the reference for
+``qprep.prepare.simulate_preparation``.  ``dense_projection`` measures one
+qubit with a dense projector matrix, the oracle for
+``qprep.sim.project_measure``.
 """
 
 import cmath
@@ -31,7 +34,6 @@ from qprep.sim import (
     RotationY,
     apply_circuit,
     new_basis_state,
-    project_measure,
 )
 from qprep.synth import SynthesisResult
 
@@ -194,19 +196,36 @@ def extract_data_amplitudes(amplitudes: np.ndarray, data_qubits: int,
     return keep / np.linalg.norm(keep)
 
 
+def dense_projection(amplitudes: np.ndarray, num_qubits: int, target: int,
+                     outcome: int) -> tuple[float, np.ndarray]:
+    """Probability that ``target`` reads ``outcome``, and the renormalized
+    amplitudes of the other qubits in their order: the dense projector
+    |outcome><outcome| on ``target`` applied to the state, then the indices
+    whose ``target`` bit is ``outcome`` kept."""
+    bit = np.zeros((2, 2), dtype=complex)
+    bit[outcome, outcome] = 1.0
+    projected = embed_single(bit, target, num_qubits) @ amplitudes
+    probability = float(np.vdot(projected, projected).real)
+    index = np.arange(1 << num_qubits)
+    kept = projected[(index >> (num_qubits - 1 - target)) & 1 == outcome]
+    return probability, kept / math.sqrt(probability)
+
+
 def flat_preparation(build_result) -> tuple[np.ndarray, float, float]:
     """Amplitudes, success probability and estimation residual of the whole
     circuit run by ``apply_circuit`` on all its qubits, the ancilla (if any)
     then post-selected on 0 and the estimation register read off."""
     circuit, registers = build_result.circuit, build_result.registers
-    state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
+    amplitudes = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit).amplitudes
     success = 1.0
     if registers.ancilla is not None:
-        success, state = project_measure(state, registers.ancilla, 0)
-    keep = state.amplitudes[: 1 << (circuit.num_qubits - len(registers.estimation))]
+        # The ancilla is the last qubit: outcome 0 is every even index.
+        amplitudes = amplitudes[0::2]
+        success = float(np.sum(np.abs(amplitudes) ** 2))
+        amplitudes = amplitudes / math.sqrt(success)
+    keep = amplitudes[: 1 << len(registers.data)]
     residual = max(0.0, 1.0 - float(np.sum(np.abs(keep) ** 2)))
-    data = keep[0::2] if registers.ancilla is not None else keep
-    return data / np.linalg.norm(data), success, residual
+    return keep / np.linalg.norm(keep), success, residual
 
 
 def _ones_qubits(index: int, num_qubits: int) -> tuple[int, ...]:

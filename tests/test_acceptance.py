@@ -34,7 +34,6 @@ from qprep.sim import (
     StateVector,
     apply_circuit,
     new_basis_state,
-    project_measure,
 )
 from qprep.synth import peel_synthesize, reconstruct, sparse_synthesize
 
@@ -214,8 +213,6 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
         report = json.loads(outputs[0][0])
         data_qubits, circuit = load_circuit(tmp_path / f"{mode}-a.gates")
         state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
-        if has_ancilla:
-            _, state = project_measure(state, circuit.num_qubits - 1, 0)
         resimulated = extract_data_amplitudes(state.amplitudes, data_qubits,
                                               has_ancilla)
         reported = np.array([complex(re, im)

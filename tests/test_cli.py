@@ -23,7 +23,12 @@ from qprep.prepare import (
     required_precision,
     simulate_preparation,
 )
-from qprep.sim import Circuit, apply_circuit, new_basis_state, project_measure
+from qprep.sim import (
+    SIMULATION_BYTES_PER_AMPLITUDE,
+    Circuit,
+    apply_circuit,
+    new_basis_state,
+)
 
 TAU = 2.0 * math.pi
 
@@ -57,13 +62,14 @@ def test_prepare_uniform_probabilistic(tmp_path, capsys):
 
 def test_prepare_refuses_a_simulation_larger_than_memory(tmp_path, capsys):
     # prob mode at n = 2 and epsilon 1e-9 estimates 37 bits: 40 qubits, whose
-    # full simulation needs 40 * 2^40 bytes.
+    # full simulation needs SIMULATION_BYTES_PER_AMPLITUDE * 2^40 bytes.
     vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
     args = ["prepare", str(vec), "--mode", "prob", "--epsilon", "1e-9",
             "--report", str(tmp_path / "report.json")]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "40 qubits" in err and str(40 << 40) in err and "--fast-path" in err
+    assert "40 qubits" in err and "--fast-path" in err
+    assert str(SIMULATION_BYTES_PER_AMPLITUDE << 40) in err
     assert main(args + ["--fast-path"]) == 0
     # The library refusal names no flag of a command its caller did not run.
     x = TargetVector(2, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
@@ -94,7 +100,7 @@ PAGE = 4096
 
 def pin_memory_limits(monkeypatch, tmp_path, physical, address_space, cgroup,
                       mapped_pages=0):
-    """Fixes the three limits ``_memory_shortfall`` reads, whatever the
+    """Fixes the three limits ``memory_shortfall`` reads, whatever the
     machine has: physical memory, the soft RLIMIT_AS and memory.max, and the
     address space the process maps (statm's first field, in pages)."""
     sizes = {"SC_PAGE_SIZE": PAGE, "SC_PHYS_PAGES": physical // PAGE}
@@ -112,14 +118,15 @@ def pin_memory_limits(monkeypatch, tmp_path, physical, address_space, cgroup,
 @pytest.mark.parametrize("spare_pages, refused", [(0, False), (-1, True)])
 def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, tmp_path, spare_pages,
                                                   refused):
-    # 30 qubits peak at 40 * 2^30 bytes: that much memory passes, one page
-    # less refuses.
-    pin_memory_limits(monkeypatch, tmp_path, (40 << 30) + spare_pages * PAGE,
+    # 30 qubits peak at SIMULATION_BYTES_PER_AMPLITUDE * 2^30 bytes: that
+    # much memory passes, one page less refuses.
+    peak = SIMULATION_BYTES_PER_AMPLITUDE << 30
+    pin_memory_limits(monkeypatch, tmp_path, peak + spare_pages * PAGE,
                       resource.RLIM_INFINITY, "max")
-    shortfall = prepare_module._memory_shortfall(30)
+    shortfall = prepare_module.memory_shortfall(30)
     if refused:
-        assert shortfall == (f"simulating 30 qubits needs {40 << 30} bytes, more than "
-                             f"the {(40 << 30) - PAGE} bytes of physical memory")
+        assert shortfall == (f"simulating 30 qubits needs {peak} bytes, more than "
+                             f"the {peak - PAGE} bytes of physical memory")
     else:
         assert shortfall is None
 
@@ -129,11 +136,11 @@ def test_memory_refusal_is_at_the_simulation_peak(monkeypatch, tmp_path, spare_p
 def test_memory_refusal_takes_the_smallest_limit(monkeypatch, tmp_path, source,
                                                  spare_pages, refused):
     # Physical memory is ample; the other limit alone decides and is named.
-    limit = (40 << 30) + spare_pages * PAGE
+    limit = (SIMULATION_BYTES_PER_AMPLITUDE << 30) + spare_pages * PAGE
     pin_memory_limits(monkeypatch, tmp_path, 1 << 50,
                       limit if source == "RLIMIT_AS" else resource.RLIM_INFINITY,
                       limit if source == "memory.max" else "max")
-    shortfall = prepare_module._memory_shortfall(30)
+    shortfall = prepare_module.memory_shortfall(30)
     if refused:
         assert shortfall and str(limit) in shortfall and source in shortfall
         assert "physical memory" not in shortfall
@@ -143,9 +150,10 @@ def test_memory_refusal_takes_the_smallest_limit(monkeypatch, tmp_path, source,
 
 def test_memory_refusal_counts_the_address_space_already_mapped(monkeypatch, tmp_path,
                                                                 capsys):
-    # prob n = 2 at t = 6 is 9 qubits, 40 * 2^9 bytes.  The soft RLIMIT_AS
-    # alone would pass; what is left of it after the mapped pages does not.
-    needed, limit = 40 << 9, 1 << 30
+    # prob n = 2 at t = 6 is 9 qubits, SIMULATION_BYTES_PER_AMPLITUDE * 2^9
+    # bytes.  The soft RLIMIT_AS alone would pass; what is left of it after
+    # the mapped pages does not.
+    needed, limit = SIMULATION_BYTES_PER_AMPLITUDE << 9, 1 << 30
     mapped = (limit - needed) // PAGE + 1
     pin_memory_limits(monkeypatch, tmp_path, 1 << 50, limit, "max", mapped)
     left = limit - mapped * PAGE
@@ -159,10 +167,10 @@ def test_memory_refusal_counts_the_address_space_already_mapped(monkeypatch, tmp
     assert main(args + ["--fast-path"]) == 0
     # Unreadable statm: the whole soft limit is compared, and it passes.
     monkeypatch.setattr(prepare_module, "PROC_SELF_STATM", str(tmp_path / "missing"))
-    assert prepare_module._memory_shortfall(9) is None
+    assert prepare_module.memory_shortfall(9) is None
     pin_memory_limits(monkeypatch, tmp_path, 1 << 50, needed - 1, "max", 0)
     monkeypatch.setattr(prepare_module, "PROC_SELF_STATM", str(tmp_path / "missing"))
-    assert prepare_module._memory_shortfall(9) == (
+    assert prepare_module.memory_shortfall(9) == (
         f"simulating 9 qubits needs {needed} bytes, more than the {needed - 1} "
         f"bytes of the soft address-space limit RLIMIT_AS")
 
@@ -228,6 +236,35 @@ def test_prepare_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, outputs, named", [
+    ("prepare", ["--report", "out", "--emit", "out"], "--report and --emit"),
+    ("prepare", ["--report", "in.json"], "the input and --report"),
+    ("prepare", ["--emit", "in.json"], "the input and --emit"),
+    ("prepare", ["--report", "missing/../in.json"], "the input and --report"),
+    ("prepare", ["--emit", "link.json"], "the input and --emit"),
+    ("synth-diag", ["--emit", "in.json"], "the input and --emit"),
+    ("synth-diag", ["--emit", "link.json"], "the input and --emit"),
+], ids=["report-is-emit", "report-is-input", "emit-is-input", "report-resolves-to-input",
+        "emit-links-to-input", "synth-emit-is-input", "synth-emit-links-to-input"])
+def test_files_named_twice_are_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                      command, outputs, named):
+    # Writing the later file would replace the input or the other output.
+    monkeypatch.chdir(tmp_path)
+    if command == "prepare":
+        write_vector(tmp_path / "in.json", [1, 2, 3, 4])
+        argv = ["prepare", "in.json", "--mode", "det", "--epsilon", "0.1"]
+    else:
+        write_phases(tmp_path / "in.json", [0.0, 0.5, 1.0, 1.5])
+        argv = ["synth-diag", "in.json", "--m", "3"]
+    (tmp_path / "link.json").symlink_to("in.json")
+    before = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+    assert main(argv + outputs) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and named in captured.err
+    assert captured.out == ""
+    assert sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir()) == before
+
+
 def test_prepare_malformed_input_names_entry(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 1, "entries": [
@@ -280,10 +317,7 @@ def test_emitted_gate_list_resimulates_to_reported_amplitudes(tmp_path, mode):
     assert (circuit.num_qubits, len(circuit.gates)) == (report["qubits"],
                                                         report["gate_count"])
     state = apply_circuit(new_basis_state(circuit.num_qubits, 0), circuit)
-    has_ancilla = mode == "prob"
-    if has_ancilla:
-        _, state = project_measure(state, circuit.num_qubits - 1, 0)
-    resimulated = extract_data_amplitudes(state.amplitudes, data_qubits, has_ancilla)
+    resimulated = extract_data_amplitudes(state.amplitudes, data_qubits, mode == "prob")
     reported = np.array([complex(re, im)
                          for re, im in report["prepared_amplitudes"]])
     assert np.max(np.abs(resimulated - reported)) <= 1e-10

@@ -7,7 +7,6 @@ from qprep.gateformat import (
     as_dyadic,
     circuit_lines,
     expand_blocks,
-    gate_lines,
     parse_circuit,
     parse_gate_line,
     written_gate_count,
@@ -27,24 +26,30 @@ from qprep.sim import (
 TAU = 2.0 * math.pi
 
 
+def gate_line(gate) -> str:
+    """The one line ``circuit_lines`` writes for ``gate`` alone."""
+    _, line = circuit_lines(Circuit(4, (gate,)), 1)
+    return line
+
+
 def test_simple_gate_lines():
-    assert gate_lines(Hadamard(3)) == ["H q=3"]
-    assert gate_lines(PauliX(0)) == ["X q=0"]
-    assert gate_lines(ControlledZPow(-2, (0, 2))) == ["CZP l=-2 q=0,2"]
+    assert gate_line(Hadamard(3)) == "H q=3"
+    assert gate_line(PauliX(0)) == "X q=0"
+    assert gate_line(ControlledZPow(-2, (0, 2))) == "CZP l=-2 q=0,2"
 
 
 def test_rotation_line_carries_dyadic_annotation():
-    line = gate_lines(RotationY(TAU / 8, 1, controls=(0,)))[0]
+    line = gate_line(RotationY(TAU / 8, 1, controls=(0,)))
     assert line.startswith("RY theta=0.78539816339744828 q=1 c=0")
     assert line.endswith("p=1 m=3")
-    plain = gate_lines(RotationY(1.0, 2))[0]
+    plain = gate_line(RotationY(1.0, 2))
     assert plain == "RY theta=1 q=2 c=-"
 
 
 def test_diag_line_carries_common_level_annotation():
     gate = DiagonalOracle((1, 2), (0.0, TAU / 4, TAU / 8, TAU * 3 / 8),
                           power=4, controls=(0,))
-    line = gate_lines(gate)[0]
+    line = gate_line(gate)
     assert "j=4 reg=1,2 c=0" in line
     assert line.endswith("p=0,2,1,3 m=3")
 
@@ -57,7 +62,7 @@ def test_diag_gates_sharing_phases_write_as_each_alone():
              DiagonalOracle((1, 2), shared, power=-2, controls=(0,)),
              DiagonalOracle((1, 2), signed, power=4, controls=(0,)))
     lines = circuit_lines(Circuit(3, gates), 2)
-    assert lines[1:] == [gate_lines(gate)[0] for gate in gates]
+    assert lines[1:] == [gate_line(gate) for gate in gates]
     assert "phases=0," in lines[2] and "phases=-0," in lines[3]
 
 

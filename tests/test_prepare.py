@@ -439,22 +439,27 @@ def test_factored_simulation_is_the_flat_one(mode, magnitudes):
         assert success < 1.0 - 1e-3  # the ancilla's 1 branch was really dropped
 
 
-@pytest.mark.parametrize("mode, n, t", [(PROBABILISTIC, 4, 13), (DETERMINISTIC, 6, 12)])
-def test_simulation_peak_is_the_widest_stage(mode, n, t):
-    # 18 qubits: the peak stays within the SIMULATION_BYTES_PER_AMPLITUDE
-    # figure the memory refusal asks for, so no earlier stage's state is kept
-    # alive next to the widest one.
-    rng = np.random.default_rng(n)
-    x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0.0, TAU, 1 << n))
-    built = build(x, PrecisionConfig(t, 8, mode))
-    assert built.circuit.num_qubits == 18
-    tracemalloc.start()
-    try:
-        simulate_preparation(built)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (SIMULATION_BYTES_PER_AMPLITUDE << 18) + (1 << 20)
+def test_simulation_peak_is_the_widest_stage():
+    # 18 qubits in each mode: the peak stays within the
+    # SIMULATION_BYTES_PER_AMPLITUDE figure the memory refusal asks for, so
+    # no earlier stage's state is kept alive next to the widest one; and the
+    # worse mode peaks within 1 B per amplitude of it, so the refusal does
+    # not ask for more than a simulation takes.
+    peaks = []
+    for mode, n, t in ((PROBABILISTIC, 4, 13), (DETERMINISTIC, 6, 12)):
+        rng = np.random.default_rng(n)
+        x = TargetVector(n, np.abs(rng.standard_normal(1 << n)),
+                         rng.uniform(0.0, TAU, 1 << n))
+        built = build(x, PrecisionConfig(t, 8, mode))
+        assert built.circuit.num_qubits == 18
+        tracemalloc.start()
+        try:
+            simulate_preparation(built)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= (SIMULATION_BYTES_PER_AMPLITUDE << 18) + (1 << 20), mode
+    assert max(peaks) >= (SIMULATION_BYTES_PER_AMPLITUDE - 1) << 18, peaks
 
 
 def test_package_attribute_is_the_prepare_module():

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from _util import dense_circuit_matrix, dft_matrix, reference_2x2, reference_apply
+from _util import (
+    dense_circuit_matrix,
+    dense_projection,
+    dft_matrix,
+    reference_2x2,
+    reference_apply,
+)
 from qprep.sim import (
     Circuit,
     ControlledZPow,
@@ -55,9 +61,9 @@ def test_empty_circuit_appends_trailing_zero_qubits():
 def test_apply_circuit_runs_each_gate_on_the_qubits_touched_so_far(monkeypatch):
     widths = []
 
-    def spy(state, gate, out=None):
+    def spy(state, gate):
         widths.append(state.num_qubits)
-        return apply_gate(state, gate, out)
+        return apply_gate(state, gate)
 
     monkeypatch.setattr("qprep.sim.apply_gate", spy)
     gates = (PauliX(0), Hadamard(2), RotationY(0.3, 1, (2,)), ControlledZPow(1, (0,)))
@@ -161,6 +167,11 @@ def test_random_circuits_match_dense_matrices():
     assert {("RY", 1), ("RY", 2), ("DIAG", 1), ("DIAG", 2)} <= drawn
 
 
+def one_gate(state: StateVector, gate) -> StateVector:
+    """``gate`` applied to ``state`` without changing it."""
+    return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
+
+
 def test_every_gate_variant_inverts():
     rng = np.random.default_rng(7)
     gates = [
@@ -173,7 +184,7 @@ def test_every_gate_variant_inverts():
     ]
     for gate in gates:
         state = random_state(6, rng)
-        out = apply_gate(apply_gate(state, gate), inverse_gate(gate))
+        out = apply_circuit(state, Circuit(6, (gate, inverse_gate(gate))))
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-10), gate
 
 
@@ -196,10 +207,8 @@ def test_oracle_power_equals_repeated_application():
     phases = tuple(rng.uniform(0, TAU, 4))
     state = random_state(2, rng)
     for power in range(1, 17):
-        powered = apply_gate(state, DiagonalOracle((0, 1), phases, power=power))
-        repeated = state
-        for _ in range(power):
-            repeated = apply_gate(repeated, DiagonalOracle((0, 1), phases))
+        powered = one_gate(state, DiagonalOracle((0, 1), phases, power=power))
+        repeated = apply_circuit(state, Circuit(2, (DiagonalOracle((0, 1), phases),) * power))
         assert np.allclose(powered.amplitudes, repeated.amplitudes, atol=1e-10)
 
 
@@ -241,7 +250,7 @@ def test_qft_block_gate_equals_circuit(inverse, register, num_qubits):
     # non-contiguous register inside a larger state checks the axis order.
     rng = np.random.default_rng(29)
     state = random_state(num_qubits, rng)
-    via_block = apply_gate(state, QFTBlock(register, inverse=inverse))
+    via_block = one_gate(state, QFTBlock(register, inverse=inverse))
     gates = qft_circuit(register, inverse=inverse)
     via_circuit = apply_circuit(state, Circuit(num_qubits, gates))
     assert np.allclose(via_block.amplitudes, via_circuit.amplitudes, atol=1e-12)
@@ -260,7 +269,8 @@ def test_project_measure_bell_state():
     bell[0] = bell[3] = 1 / math.sqrt(2)
     probability, post = project_measure(StateVector(2, bell), 0, 0)
     assert probability == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(post.amplitudes, [1, 0, 0, 0], atol=1e-12)
+    assert post.num_qubits == 1
+    assert np.allclose(post.amplitudes, [1, 0], atol=1e-12)
 
 
 def test_project_measure_impossible_outcome():
@@ -278,6 +288,27 @@ def test_project_measure_uniform_cosine_state():
         dtype=complex) / math.sqrt(2)
     probability, _ = project_measure(StateVector(2, amplitudes), 1, 0)
     assert probability == pytest.approx(25 / 32, abs=1e-12)
+
+
+@pytest.mark.parametrize("outcome", [0, 1])
+@pytest.mark.parametrize("target", [0, 2, 4], ids=["first", "middle", "last"])
+def test_project_measure_is_the_dense_projection(target, outcome):
+    state = random_state(5, np.random.default_rng(31 + target))
+    before = state.amplitudes.tobytes()
+    probability, post = project_measure(state, target, outcome)
+    expected_probability, expected = dense_projection(state.amplitudes, 5, target, outcome)
+    assert state.amplitudes.tobytes() == before
+    assert probability == pytest.approx(expected_probability, abs=1e-14)
+    assert post.num_qubits == 4 and post.amplitudes.flags.c_contiguous
+    assert np.max(np.abs(post.amplitudes - expected)) < 1e-14
+
+
+def test_project_measure_refuses_bad_arguments():
+    state = new_basis_state(2, 0)
+    with pytest.raises(ValueError, match="outside"):
+        project_measure(state, 2, 0)
+    with pytest.raises(ValueError, match="outcome"):
+        project_measure(state, 0, 2)
 
 
 def test_gate_validation_errors():
@@ -304,9 +335,8 @@ def test_state_vector_refuses_nan_amplitudes():
         StateVector(1, np.array([1.0, math.nan], dtype=complex))
 
 
-# apply_gate without out runs the in-place kernel on a copy of the state and
-# checks the result; with out=state.amplitudes it runs that kernel on the
-# state itself and returns that state.
+# apply_gate runs the gate's kernel in place on the state and returns that
+# state; a one-gate circuit applies it to a copy and checks the result.
 EVERY_GATE_KIND = [
     Hadamard(2), PauliX(0), RotationY(0.7, 4), RotationY(-1.9, 1, (3,)),
     RotationY(2.3, 0, (4, 2)), ControlledZPow(3, (1,)), ControlledZPow(-2, (0, 3, 4)),
@@ -317,52 +347,51 @@ EVERY_GATE_KIND = [
 
 
 @pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
-def test_apply_gate_leaves_its_input_unchanged(gate):
+def test_one_gate_circuit_leaves_its_input_unchanged(gate):
     state = random_state(5, np.random.default_rng(12))
     before = state.amplitudes.copy()
-    out = apply_gate(state, gate)
+    out = one_gate(state, gate)
     assert state.amplitudes.tobytes() == before.tobytes()
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
 @pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
-def test_apply_gate_runs_on_a_copy_of_strided_amplitudes(gate):
+def test_apply_gate_runs_on_a_contiguous_copy_of_strided_amplitudes(gate):
     # The kernels reshape the array they run on, which is only a view of a
-    # C-contiguous array; the pure call's copy is one.
+    # C-contiguous array: the state stores a copy of strided input.
     wide = np.zeros(64, dtype=complex)
     wide[::2] = random_state(5, np.random.default_rng(15)).amplitudes
     state = StateVector(5, wide[::2])
     before = wide.tobytes()
-    out = apply_gate(state, gate)
+    assert apply_gate(state, gate) is state
     assert wide.tobytes() == before
-    assert out.amplitudes.tobytes() == reference_apply(wide[::2], gate, 5).tobytes()
+    assert state.amplitudes.tobytes() == reference_apply(wide[::2], gate, 5).tobytes()
+
+
+@pytest.mark.parametrize("amplitudes, shared", [
+    (np.full(32, 32 ** -0.5, dtype=complex), True),
+    (np.full(32, 32 ** -0.5), False),
+    (np.full(64, 32 ** -0.5, dtype=complex)[::2], False),
+], ids=["complex", "float64", "strided"])
+def test_state_vector_stores_contiguous_complex_amplitudes(amplitudes, shared):
+    state = StateVector(5, amplitudes)
+    assert state.amplitudes.dtype == complex and state.amplitudes.flags.c_contiguous
+    assert np.shares_memory(state.amplitudes, amplitudes) == shared
+    assert np.array_equal(state.amplitudes, amplitudes)
 
 
 def apply_in_place(state: StateVector, gate) -> np.ndarray:
     """The amplitudes of ``gate`` applied in place to a copy of ``state``."""
     copy = StateVector(state.num_qubits, state.amplitudes.copy())
-    assert apply_gate(copy, gate, out=copy.amplitudes) is copy
+    assert apply_gate(copy, gate) is copy
     return copy.amplitudes
 
 
 @pytest.mark.parametrize("gate", EVERY_GATE_KIND, ids=repr)
-def test_apply_gate_in_place_gives_the_bytes_of_a_fresh_result(gate):
+def test_apply_gate_gives_the_bytes_of_a_one_gate_circuit(gate):
     state = random_state(5, np.random.default_rng(14))
-    expected = apply_gate(state, gate).amplitudes
+    expected = one_gate(state, gate).amplitudes
     assert apply_in_place(state, gate).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("amplitudes, out", [
-    (np.full(32, 32 ** -0.5, dtype=complex), np.zeros(32, dtype=complex)),
-    (np.full(32, 32 ** -0.5), None),
-    (np.full(64, 32 ** -0.5, dtype=complex)[::2], None),
-], ids=["separate array", "float64", "strided"])
-def test_apply_gate_refuses_an_out_it_cannot_run_in_place_on(amplitudes, out):
-    state = StateVector(5, amplitudes)
-    before = amplitudes.tobytes()
-    with pytest.raises(ValueError, match="state's own amplitudes, a C-contiguous complex128"):
-        apply_gate(state, Hadamard(1), out=state.amplitudes if out is None else out)
-    assert amplitudes.tobytes() == before
 
 
 def test_apply_circuit_copies_its_input_once():
@@ -371,9 +400,9 @@ def test_apply_circuit_copies_its_input_once():
     out = apply_circuit(state, Circuit(5, tuple(EVERY_GATE_KIND)))
     assert state.amplitudes.tobytes() == before
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
-    expected = state
+    expected = StateVector(5, state.amplitudes.copy())
     for gate in EVERY_GATE_KIND:
-        expected = apply_gate(expected, gate)
+        apply_gate(expected, gate)
     assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
@@ -392,7 +421,7 @@ def test_2x2_kernel_is_the_reference_expression_bit_for_bit(gate):
     amplitudes[rng.random(32) < 0.2] = complex(-0.0, 0.0)
     state = StateVector(5, amplitudes / np.linalg.norm(amplitudes))
     expected = reference_2x2(state.amplitudes, gate, 5)
-    for out in (apply_gate(state, gate).amplitudes, apply_in_place(state, gate)):
+    for out in (one_gate(state, gate).amplitudes, apply_in_place(state, gate)):
         # tobytes also tells a negative zero from a positive one.
         assert np.array_equal(out, expected) and out.tobytes() == expected.tobytes()
 
@@ -412,20 +441,18 @@ def test_2x2_kernel_keeps_the_reference_sign_of_every_zero(gate):
         half.real, half.imag = zip(*side)
     state = StateVector(9, amplitudes / np.linalg.norm(amplitudes))
     expected = reference_2x2(state.amplitudes, gate, 9).tobytes()
-    assert apply_gate(state, gate).amplitudes.tobytes() == expected
+    assert one_gate(state, gate).amplitudes.tobytes() == expected
     assert apply_in_place(state, gate).tobytes() == expected
 
 
 def test_apply_circuit_checks_the_norm_at_its_end(monkeypatch):
-    # A kernel that loses norm passes the in-place call, which does not check
-    # per gate, and is caught where a state leaves the simulator: by the pure
-    # call and at the end of the circuit.
+    # A kernel that loses norm passes apply_gate, which does not check per
+    # gate, and is caught where a state leaves the simulator: at the end of
+    # the circuit.
     monkeypatch.setattr("qprep.sim._HADAMARD", ((0.5, 0.5), (0.5, -0.5)))
     owned = new_basis_state(2, 0)
-    assert apply_gate(owned, Hadamard(0), out=owned.amplitudes) is owned
+    assert apply_gate(owned, Hadamard(0)) is owned
     assert owned.amplitudes[0] == 0.5
     state = new_basis_state(2, 0)
-    with pytest.raises(ValueError, match="norm"):
-        apply_gate(state, Hadamard(0))
     with pytest.raises(ValueError, match="norm"):
         apply_circuit(state, Circuit(2, (Hadamard(0), Hadamard(1))))
