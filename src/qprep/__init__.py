@@ -33,7 +33,6 @@ from .sim import (
     RotationY,
     StateVector,
     apply_circuit,
-    apply_gate,
     new_basis_state,
     project_measure,
 )

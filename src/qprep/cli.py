@@ -33,7 +33,7 @@ from .prepare import (
     simulate_preparation,
 )
 from .sim import Circuit
-from .synth import peel_synthesize, reconstruct, sparse_synthesize
+from .synth import count_gate_list, peel_synthesize, reconstruct, sparse_synthesize
 
 _MODES = {"det": DETERMINISTIC, "prob": PROBABILISTIC}
 
@@ -200,8 +200,7 @@ def cmd_prepare(args) -> int:
     text = json.dumps(report, indent=2)
     if args.report:
         with open(args.report, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
+            handle.write(text + "\n")
     else:
         print(text)
     if args.emit:
@@ -235,7 +234,7 @@ def cmd_synth_diag(args) -> int:
     result, bound, exact = _synthesize_checked(spec, support)
     ceiling = "m*(2^n - 1)" if support is None else "|support|*(2n+m)"
     print(f"n={n} m={args.m} gates={len(result.gates)} bound {ceiling} = {bound}")
-    for (arity, level), count in sorted(result.counts.items()):
+    for (arity, level), count in sorted(count_gate_list(result.gates).items()):
         kind = "X" if level == 0 else f"CZP(l={level})"
         print(f"  arity {arity:>2}  {kind:<12} x{count}")
     if result.global_phase:

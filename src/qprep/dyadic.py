@@ -19,8 +19,8 @@ TAU = 2.0 * math.pi
 # angles are computed as TAU * p / 2**level.
 MAX_LEVEL = sys.float_info.max_exp - math.ceil(math.log2(TAU))
 
-# Grid points recomputed through floats land within a few ulps of an integer
-# cell count; snap them back up so float(2*pi*p/2**m) quantizes to exactly p.
+# A grid point 2*pi*p/2**m recomputed through floats lands within a few ulps
+# of p cells: a non-integer cell count within 8 eps of itself below p snaps to p.
 _SNAP = 8.0 * sys.float_info.epsilon
 
 
@@ -37,7 +37,10 @@ def floor_fraction(fraction: float, level: int) -> int:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction!r} outside [0, 1]")
     cells = 1 << level
-    p = math.floor(fraction * cells + cells * _SNAP)
+    scaled = fraction * cells  # exact: cells is a power of two
+    p = math.floor(scaled)
+    if scaled - p >= 1.0 - scaled * _SNAP and scaled != p:
+        p += 1
     return min(p, cells - 1)
 
 

@@ -158,18 +158,18 @@ def _gate_line(gate: Gate, phases_fields: dict[int, str],
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-def circuit_lines(circuit: Circuit, data_qubits: int) -> list[str]:
-    lines = [f"# qprep v1 n={data_qubits} qubits={circuit.num_qubits}"]
+def circuit_lines(circuit: Circuit, data_qubits: int) -> Iterator[str]:
+    """The header, then one line per written gate, made as it is asked for."""
+    yield f"# qprep v1 n={data_qubits} qubits={circuit.num_qubits}"
     # An estimation round's 2t oracles share one phases tuple: format it once.
     # Reuse goes by identity, as 0.0 == -0.0 but they print "0" and "-0"; the
-    # circuit keeps every tuple alive, so no id is reused during the call.
+    # circuit keeps every tuple alive, so no id is reused while this runs.
     phases_fields: dict[int, str] = {}
     # Peel reuses one qubits tuple across every level of a pattern: format
     # each CZP qubit list once.  Ints print alike, so reuse goes by value.
     qubits_fields: dict[tuple[int, ...], str] = {}
-    lines.extend(_gate_line(gate, phases_fields, qubits_fields)
-                 for gate in expand_blocks(circuit.gates))
-    return lines
+    for gate in expand_blocks(circuit.gates):
+        yield _gate_line(gate, phases_fields, qubits_fields)
 
 
 def save_circuit(path, circuit: Circuit, data_qubits: int) -> None:

@@ -81,7 +81,9 @@ class TargetVector:
         if phases.shape != (size,):
             raise ValueError(f"expected {size} phases, got {phases.shape}")
         for index, value in enumerate(magnitudes):
-            if not value >= 0.0:
+            if not math.isfinite(value):
+                raise ValueError(f"entry {index}: magnitude {float(value)!r} is not finite")
+            if value < 0.0:
                 raise ValueError(f"entry {index}: magnitude {float(value)!r} is negative")
         if not np.any(magnitudes > 0.0):
             raise ValueError("all magnitudes are zero")

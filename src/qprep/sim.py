@@ -2,9 +2,9 @@
 
 Bit convention, shared by every module: qubit 0 is the MOST significant bit of
 a basis index, so the basis state |q0 q1 ... q_{n-1}> has index
-sum(q_k << (n - 1 - k)).  ``apply_gate(state, gate)`` applies the gate in
-place to ``state.amplitudes`` and returns ``state``; applying one gate
-without changing the input is ``apply_circuit`` on a one-gate circuit.
+sum(q_k << (n - 1 - k)).  Callers run gates with ``apply_circuit``, whose
+``Circuit`` checked each gate once; ``apply_gate`` is its unchecked in-place
+step.  Applying one gate without changing the input is a one-gate circuit.
 
 Each kernel works on a view of the flat amplitudes split only at the gate's
 own qubits: each of them gets a length-2 axis, in ascending qubit order,
@@ -296,9 +296,9 @@ def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> Non
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """``gate`` applied in place to ``state.amplitudes``; returns ``state``.
 
-    The norm is not checked: every kernel is unitary.
+    Unchecked: ``gate`` comes from a ``Circuit``, which checked it, and its
+    qubits lie below ``state.num_qubits``; every kernel is unitary.
     """
-    validate_gate(gate, state.num_qubits)
     amps = state.amplitudes
     if isinstance(gate, Hadamard):
         _apply_2x2(amps, gate.target, (), _HADAMARD)

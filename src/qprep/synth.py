@@ -48,10 +48,6 @@ class SynthesisResult:
                     f"gate level {gate.level} exceeds synthesis level {self.level}"
                 )
 
-    @property
-    def counts(self) -> dict[tuple[int, int], int]:
-        return count_gate_list(self.gates)
-
     def product_gates(self) -> tuple[Gate, ...]:
         """Gate list whose product is the full diagonal, global phase included."""
         return (global_phase_gates(self.global_phase, self.level, *self.register[:1])
@@ -75,11 +71,8 @@ def count_gate_list(gates: tuple[Gate, ...]) -> dict[tuple[int, int], int]:
 def _phase_bit_gates(numerator: int, level: int,
                      qubits: tuple[int, ...]) -> list[Gate]:
     # One gate per set bit of the numerator: 2*pi*2**b/2**m = 2*pi/2**(m-b).
-    gates: list[Gate] = []
-    for b in reversed(range(level)):
-        if (numerator >> b) & 1:
-            gates.append(ControlledZPow(level - b, qubits))
-    return gates
+    return [ControlledZPow(level - b, qubits) for b in reversed(range(level))
+            if (numerator >> b) & 1]
 
 
 def global_phase_gates(numerator: int, level: int,

@@ -93,3 +93,11 @@ def test_max_level_is_the_finest_grid_with_finite_angles():
         floor_fraction(0.5, MAX_LEVEL + 1)
     with pytest.raises(ValueError, match="exceeds the limit"):
         quantize([0.5, 1.0], MAX_LEVEL + 1)
+
+
+def test_floor_fraction_is_a_floor_past_level_48():
+    # An absolute snap of 8 eps per unit fraction is 2**(level - 49) whole
+    # cells from level 49 up; the snap is relative to the scaled value.
+    assert floor_fraction(2.0 ** -70, 70) == 1
+    assert floor_fraction(0.5, 70) == 1 << 69
+    assert floor_fraction(2.0 ** -1021, MAX_LEVEL) == 1

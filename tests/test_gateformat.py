@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from qprep.gateformat import (
     expand_blocks,
     parse_circuit,
     parse_gate_line,
+    save_circuit,
     written_gate_count,
 )
+from qprep.prepare import DETERMINISTIC, PROBABILISTIC, TargetVector, build, required_precision
 from qprep.sim import (
     Circuit,
     ControlledZPow,
@@ -61,7 +64,7 @@ def test_diag_gates_sharing_phases_write_as_each_alone():
     gates = (DiagonalOracle((1, 2), shared, power=1, controls=(0,)),
              DiagonalOracle((1, 2), shared, power=-2, controls=(0,)),
              DiagonalOracle((1, 2), signed, power=4, controls=(0,)))
-    lines = circuit_lines(Circuit(3, gates), 2)
+    lines = list(circuit_lines(Circuit(3, gates), 2))
     assert lines[1:] == [gate_line(gate) for gate in gates]
     assert "phases=0," in lines[2] and "phases=-0," in lines[3]
 
@@ -109,7 +112,7 @@ def test_round_trip_preserves_gates_exactly():
 
 def test_qft_block_expands_to_primitives():
     circuit = Circuit(3, (QFTBlock((0, 1, 2)), Hadamard(1)))
-    lines = circuit_lines(circuit, 3)
+    lines = list(circuit_lines(circuit, 3))
     assert lines[0] == "# qprep v1 n=3 qubits=3"
     assert all(line.split()[0] in ("H", "CZP") for line in lines[1:])
     assert written_gate_count(circuit) == len(lines) - 1
@@ -148,3 +151,19 @@ def test_comment_lines_are_ignored():
 def test_annotation_wins_over_decimal_field():
     gate = parse_gate_line("RY theta=0.78539816339744828 q=0 c=- p=1 m=3")
     assert gate.angle == TAU / 8
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_save_circuit_holds_no_copy_of_the_whole_text(mode, tmp_path):
+    rng = np.random.default_rng(8)
+    x = TargetVector(8, rng.random(256), rng.uniform(0.0, TAU, 256))
+    circuit = build(x, required_precision(8, 0.1, mode)).circuit
+    path = tmp_path / "gates.txt"
+    tracemalloc.start()
+    try:
+        save_circuit(path, circuit, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert peak < written / 2, (peak, written)

@@ -47,6 +47,13 @@ def test_target_vector_validation():
         TargetVector(2, np.ones(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("value, text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_target_vector_refuses_non_finite_magnitudes(value, text):
+    with pytest.raises(ValueError, match=f"^entry 0: magnitude {text} is not finite$"):
+        TargetVector(1, np.array([value, 1.0]), np.zeros(2))
+
+
 def test_marginals_uniform():
     levels = compute_marginals(TargetVector.from_magnitudes([1, 1, 1, 1]))
     assert np.allclose(levels[1], [0.25] * 4)

@@ -312,17 +312,26 @@ def test_project_measure_refuses_bad_arguments():
 
 
 def test_gate_validation_errors():
-    state = new_basis_state(2, 0)
+    # A gate is checked when its circuit is made, before any state exists.
     with pytest.raises(ValueError, match="outside"):
-        apply_gate(state, Hadamard(2))
+        Circuit(2, (Hadamard(2),))
     with pytest.raises(ValueError, match="duplicate"):
-        apply_gate(state, ControlledZPow(1, (0, 0)))
+        Circuit(2, (ControlledZPow(1, (0, 0)),))
     with pytest.raises(ValueError, match="phases"):
-        apply_gate(state, DiagonalOracle((0, 1), (0.0, 0.0)))
+        Circuit(2, (DiagonalOracle((0, 1), (0.0, 0.0)),))
     with pytest.raises(ValueError, match="level"):
-        apply_gate(state, ControlledZPow(0, (0,)))
+        Circuit(2, (ControlledZPow(0, (0,)),))
     with pytest.raises(ValueError, match="dimension|qubits"):
         apply_circuit(new_basis_state(3, 0), Circuit(2, ()))
+
+
+def test_apply_circuit_checks_no_gate_of_a_built_circuit(monkeypatch):
+    circuit = Circuit(5, tuple(EVERY_GATE_KIND))
+    calls = []
+    monkeypatch.setattr("qprep.sim.validate_gate", lambda *args: calls.append(args))
+    out = apply_circuit(random_state(5, np.random.default_rng(17)), circuit)
+    assert calls == []
+    assert out.num_qubits == 5
 
 
 def test_state_vector_rejects_unnormalized_input():

@@ -148,6 +148,16 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["prepare", vector, "--mode", "prob", "--epsilon", "1e-9"],
         ["synth-diag", inputs["p2.json"], "--m", "0"],
         ["verify", "--suite", "nope"],
+        # Refusals before any work: memory, one file named twice (both
+        # names in the command's own working directory), and bad verify
+        # arguments.
+        ["prepare", vector, "--mode", "prob", "--t", "40", "--t-prime", "4"],
+        ["prepare", vector, "--mode", "det", "--epsilon", "0.1",
+         "--report", "report.json", "--emit", "report.json"],
+        ["verify", "--suite", "synth", "--trials", "-1"],
+        ["verify", "--suite", "bounds", "--n", "1"],
+        ["verify", "--suite", "bounds", "--n", "31", "--trials", "0"],
+        ["verify", "--suite", "synth", "--n", "40"],
     ]
     return runs
 
