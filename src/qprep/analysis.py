@@ -87,8 +87,8 @@ class BoundReport:
     """One measured-versus-bound cell: a ``verify`` row or a ``prepare`` report.
 
     The fields after ``error`` are not part of a row; they carry the
-    prepared state and circuit that ``qprep prepare`` reports and emits, and
-    are unset on a failed cell.
+    prepared state and circuit that ``qprep prepare`` reports and emits (and
+    the state the dualpath suite compares), and are unset on a failed cell.
     """
 
     config: dict
@@ -228,20 +228,14 @@ def sweep(vectors: list[TargetVector],
 
 
 def random_target_vector(num_qubits: int, rng: np.random.Generator,
-                         complex_phases: bool = True,
-                         zero_fraction: float = 0.0) -> TargetVector:
+                         complex_phases: bool = True) -> TargetVector:
     """Magnitudes from absolute normal deviates, phases uniform in [0, 2*pi)."""
     size = 1 << num_qubits
     magnitudes = np.abs(rng.standard_normal(size))
-    if zero_fraction > 0.0:
-        zeros = rng.random(size) < zero_fraction
-        zeros[int(np.argmax(magnitudes))] = False  # keep at least one nonzero
-        magnitudes[zeros] = 0.0
     if complex_phases:
         phases = rng.uniform(0.0, 2.0 * math.pi, size)
         # uniform() can return the upper endpoint after float rounding
         phases = np.where(phases >= 2.0 * math.pi, 0.0, phases)
-        phases[magnitudes == 0.0] = 0.0
     else:
         phases = np.zeros(size)
     return TargetVector(num_qubits, magnitudes, phases)

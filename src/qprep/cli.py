@@ -26,11 +26,9 @@ from .prepare import (
     PrecisionConfig,
     RegisterMap,
     TargetVector,
-    build,
     fast_path_prepare,
     memory_shortfall,
     required_precision,
-    simulate_preparation,
 )
 from .sim import Circuit
 from .synth import count_gate_list, peel_synthesize, reconstruct, sparse_synthesize
@@ -57,18 +55,28 @@ def _number(where: str, name: str, value) -> float:
     return number
 
 
+def _reads_as_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndarray:
     """One column of finite numbers per name in ``fields``, one row per basis
     index, read from JSON {"n", key} (``values`` unpacks each entry; n must be
     a JSON integer and every value a JSON number) or from CSV rows
     index,<fields> in any order under an optional header, whose cells are
-    parsed as text.  Every error names the file and the entry or row at fault.
+    parsed as text.  The first CSV row is the header only if none of its
+    cells reads as a number, so a data row is never dropped.  Every error
+    names the file and the entry or row at fault.
     """
     if str(path).endswith(".csv"):
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             rows = [(reader.line_num, row) for row in reader if row]
-        if rows and not rows[0][1][0].strip().lstrip("-").isdigit():
+        if rows and not any(map(_reads_as_number, rows[0][1])):
             rows = rows[1:]  # header row
         size = len(rows)
         if size < 2 or size & (size - 1):
@@ -138,7 +146,14 @@ def _refuse_one_file_twice(*named: tuple[str, str | None]) -> None:
             raise UsageError(f"{first} and {second} name the same file {b}")
 
 
+def _refuse_negative_seed(seed: int | None) -> None:
+    """numpy's generator refuses a negative seed without naming the flag."""
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_prepare(args) -> int:
+    _refuse_negative_seed(args.seed)
     _refuse_one_file_twice(("the input", args.input), ("--report", args.report),
                            ("--emit", args.emit))
     x = load_vector(args.input)
@@ -287,15 +302,15 @@ def _suite_dualpath(n: int, trials: int, rng: np.random.Generator) -> list[dict]
     for trial in range(trials):
         x = analysis.random_target_vector(n, rng)
         for cfg in _DUALPATH_CONFIGS:
-            prepared = simulate_preparation(build(x, cfg))
+            full = analysis.evaluate_bounds(x, cfg)
             fast = fast_path_prepare(x, cfg)
-            deviation = float(np.max(np.abs(prepared.amplitudes - fast.amplitudes)))
+            deviation = float(np.max(np.abs(full.amplitudes - fast.amplitudes)))
             rows.append({
                 "suite": "dualpath", "mode": cfg.mode, "trial": trial,
                 "deviation": deviation,
-                "estimation_residual": prepared.estimation_residual,
+                "estimation_residual": full.estimation_residual,
                 "satisfied": bool(deviation <= 1e-9
-                                  and prepared.estimation_residual <= 1e-10),
+                                  and full.estimation_residual <= 1e-10),
             })
     return rows
 
@@ -346,6 +361,7 @@ def _check_verify_size(suite: str, n: int, trials: int) -> None:
 
 
 def cmd_verify(args) -> int:
+    _refuse_negative_seed(args.seed)
     _check_verify_size(args.suite, args.n, args.trials)
     rng = np.random.default_rng(args.seed)
     if args.suite == "synth":

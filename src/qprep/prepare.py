@@ -27,7 +27,6 @@ import numpy as np
 
 from .dyadic import MAX_LEVEL, TAU, floor_fraction, quantize
 from .sim import (
-    SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
     DiagonalOracle,
     Gate,
@@ -332,6 +331,16 @@ class PreparedState:
     estimation_residual: float | None
 
 
+# Peak bytes per amplitude of a full simulation, as tracemalloc measures
+# ``simulate_preparation`` at 18-22 qubits in either mode: 32.0-33.0,
+# at the widest stage's 2x2 gates, which hold the buffer ``apply_circuit``
+# owns (16) and two half-state scratch arrays (8 each).  The post-selection
+# in probabilistic mode peaks below it, at 28: the state (16), the kept half
+# (8) and the norm check's squares of its real parts (4).  A QFT on qubits
+# other than the leading ones in order also copies its input; the built
+# circuits run it on the leading estimation register.
+SIMULATION_BYTES_PER_AMPLITUDE = 33
+
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 PROC_SELF_STATM = "/proc/self/statm"
 
@@ -415,11 +424,6 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     phase_stage = tuple(shifted_gate(gate, t) for gate in build_result.phase_stage)
     prepared = apply_circuit(data, Circuit(n, phase_stage))
     return PreparedState(prepared.amplitudes, success, residual)
-
-
-def prepare(x: TargetVector, cfg: PrecisionConfig) -> PreparedState:
-    """Build, simulate, and post-select in one call."""
-    return simulate_preparation(build(x, cfg))
 
 
 def fast_path_prepare(x: TargetVector, cfg: PrecisionConfig) -> PreparedState:

@@ -191,16 +191,6 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amplitudes)
 
 
-# Peak bytes per amplitude of a full simulation, as tracemalloc measures
-# ``prepare.simulate_preparation`` at 18-22 qubits in either mode: 32.0-33.0,
-# at the widest stage's 2x2 gates, which hold the buffer ``apply_circuit``
-# owns (16) and two half-state scratch arrays (8 each).  The post-selection
-# in probabilistic mode peaks below it, at 28: the state (16), the kept half
-# (8) and the norm check's squares of its real parts (4).  A QFT on qubits
-# other than the leading ones in order also copies its input; the built
-# circuits run it on the leading estimation register.
-SIMULATION_BYTES_PER_AMPLITUDE = 33
-
 _H = 1.0 / math.sqrt(2.0)
 _HADAMARD = ((_H, _H), (_H, -_H))
 _PAULI_X = ((0.0, 1.0), (1.0, 0.0))

@@ -24,9 +24,10 @@ from qprep.prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
     PrecisionConfig,
+    build,
     fast_path_prepare,
-    prepare,
     required_precision,
+    simulate_preparation,
 )
 from qprep.sim import (
     Circuit,
@@ -118,7 +119,7 @@ def test_criterion_4_deterministic_distance_bound():
         for _ in range(50):
             x = random_target_vector(n, rng, complex_phases=False)
             for t in (6, 8, 10):
-                out = prepare(x, PrecisionConfig(t, 1))
+                out = simulate_preparation(build(x, PrecisionConfig(t, 1)))
                 distance = float(np.linalg.norm(out.amplitudes - x.amplitudes()))
                 assert distance <= deterministic_distance_bound(n, t) + 1e-12
                 cases += 1
@@ -137,7 +138,7 @@ def test_criterion_5_probabilistic_bounds():
             t = 2 * n + math.ceil(math.log2(math.pi / epsilon))
             for _ in range(25):
                 x = random_target_vector(n, rng, complex_phases=False)
-                out = prepare(x, PrecisionConfig(t, 1, PROBABILISTIC))
+                out = simulate_preparation(build(x, PrecisionConfig(t, 1, PROBABILISTIC)))
                 assert out.success_probability >= success_lower_bound(x) - 1e-12
                 distance = float(np.linalg.norm(out.amplitudes - x.amplitudes()))
                 assert distance <= probabilistic_distance_bound(n, t) + 1e-12
@@ -159,7 +160,7 @@ def test_criterion_6_end_to_end_with_phases():
                 cfg = required_precision(n, epsilon, mode)
                 for _ in range(50):
                     x = random_target_vector(n, rng)
-                    out = prepare(x, cfg)
+                    out = simulate_preparation(build(x, cfg))
                     distance = float(np.linalg.norm(out.amplitudes - x.amplitudes()))
                     assert distance <= epsilon
                     cases += 1
@@ -178,7 +179,7 @@ def test_criterion_7_dual_path_equivalence():
         x = random_target_vector(n, rng)
         for mode in (DETERMINISTIC, PROBABILISTIC):
             cfg = PrecisionConfig(8, 6, mode)
-            full = prepare(x, cfg)
+            full = simulate_preparation(build(x, cfg))
             fast = fast_path_prepare(x, cfg)
             assert np.max(np.abs(full.amplitudes - fast.amplitudes)) <= 1e-9
             assert full.estimation_residual < 1e-10

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from qprep.analysis import (
     total_distance_bound,
     write_rows,
 )
+from qprep.cli import _bounds_configs
+from qprep.dyadic import MAX_LEVEL
 from qprep.prepare import (
     DETERMINISTIC,
+    MAX_ESTIMATION_BITS,
     PROBABILISTIC,
     PrecisionConfig,
     TargetVector,
@@ -89,6 +93,51 @@ def test_bound_formulas():
     withphase = TargetVector(2, np.ones(4), np.array([0, 1.0, 0, 0]))
     assert total_distance_bound(withphase, cfg) == pytest.approx(
         deterministic_distance_bound(2, 8) + phase_stage_distance_bound(2, 6))
+
+
+def _is_least_width(bound, width, epsilon):
+    """``width`` is the smallest width whose ``bound`` is at most ``epsilon``."""
+    return bound(width) <= epsilon and (width == 1 or bound(width - 1) > epsilon)
+
+
+def _epsilons(rng):
+    """Epsilons in (0, 1): uniform, log-uniform down to 1e-300, and exact
+    powers of two, powers of ten and pi times powers of two."""
+    drawn = [*rng.uniform(0.0, 1.0, 150), *10.0 ** -rng.uniform(0.0, 300.0, 100)]
+    drawn += [2.0 ** -k for k in range(1, 60)] + [10.0 ** -k for k in range(1, 20)]
+    drawn += [math.pi * 2.0 ** -k for k in range(2, 60)]
+    return [epsilon for epsilon in drawn if 0.0 < epsilon < 1.0]
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_required_precision_inverts_the_bounds(mode):
+    # required_precision inverts the bounds in closed form, spending half of
+    # epsilon on each stage: each width must be the least whose forward bound
+    # fits its half, and a width past its limit is refused.
+    mode_bound = (deterministic_distance_bound if mode == DETERMINISTIC
+                  else probabilistic_distance_bound)
+    epsilons = _epsilons(np.random.default_rng(1912))
+    for n in range(1 if mode == PROBABILISTIC else 2, 25):
+        estimation, phase = partial(mode_bound, n), partial(phase_stage_distance_bound, n)
+        for epsilon in epsilons:
+            half = epsilon / 2
+            try:
+                cfg = required_precision(n, epsilon, mode)
+            except ValueError:
+                assert (estimation(MAX_ESTIMATION_BITS) > half
+                        or phase(MAX_LEVEL) > half), (n, epsilon)
+                continue
+            assert _is_least_width(estimation, cfg.estimation_bits, half), (n, epsilon)
+            assert _is_least_width(phase, cfg.phase_bits, half), (n, epsilon)
+
+
+def test_bounds_suite_probabilistic_widths_are_the_least_meeting_epsilon():
+    for n in range(2, 30):
+        fixed, _ = _bounds_configs(n)
+        widths = [cfg.estimation_bits for cfg in fixed if cfg.mode == PROBABILISTIC]
+        for epsilon, width in zip((0.5, 0.1), widths, strict=True):
+            assert _is_least_width(partial(probabilistic_distance_bound, n), width,
+                                   epsilon), (n, epsilon)
 
 
 def test_evaluate_bounds_deterministic():
@@ -194,7 +243,7 @@ def test_report_serialization(tmp_path):
 
 def test_random_target_vector_properties():
     rng = np.random.default_rng(0)
-    x = random_target_vector(3, rng, zero_fraction=0.4)
+    x = random_target_vector(3, rng)
     assert np.any(x.magnitudes > 0)
     assert np.all(x.magnitudes >= 0)
     assert np.all((x.phases >= 0) & (x.phases < 2 * math.pi))

@@ -11,6 +11,7 @@ import pytest
 
 from _util import extract_data_amplitudes, reference_peel, reference_phase_stage
 from qprep import analysis
+from qprep import cli as cli_module
 from qprep import prepare as prepare_module
 from qprep.cli import load_phases, load_vector, main
 from qprep.dyadic import quantize
@@ -18,13 +19,13 @@ from qprep.gateformat import load_circuit, save_circuit
 from qprep.prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
+    SIMULATION_BYTES_PER_AMPLITUDE,
     TargetVector,
     build,
     required_precision,
     simulate_preparation,
 )
 from qprep.sim import (
-    SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
     apply_circuit,
     new_basis_state,
@@ -236,6 +237,20 @@ def test_prepare_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["verify", "--suite", "synth", "--n", "2", "--trials", "1", "--seed", "-1"], -1),
+    (["prepare", "VECTOR", "--mode", "prob", "--epsilon", "0.5", "--sample",
+      "--seed", "-1"], -1),
+    (["prepare", "VECTOR", "--mode", "det", "--epsilon", "0.1", "--seed", "-5"], -5),
+], ids=["verify", "prepare-sample", "prepare-unsampled"])
+def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv, seed):
+    vec = write_vector(tmp_path / "v.json", [1, 2, 3, 4])
+    assert main([str(vec) if arg == "VECTOR" else arg for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: --seed must be >= 0, got {seed}\n"
+
+
 @pytest.mark.parametrize("command, outputs, named", [
     ("prepare", ["--report", "out", "--emit", "out"], "--report and --emit"),
     ("prepare", ["--report", "in.json"], "the input and --report"),
@@ -345,10 +360,14 @@ def test_extreme_magnitudes_prepare_within_the_bound(tmp_path, magnitudes, mode,
         assert report["success_probability"] >= report["success_lower_bound"] - 1e-12
 
 
-def test_prepare_accepts_csv_vectors(tmp_path):
+@pytest.mark.parametrize("header", ["index,magnitude,phase\n",
+                                    "\ufeffindex,magnitude,phase\n",
+                                    "i,r,theta\n", ""],
+                         ids=["named", "bom", "other-names", "none"])
+def test_prepare_accepts_csv_vectors(tmp_path, header):
     csv_file = tmp_path / "v.csv"
-    csv_file.write_text("index,magnitude,phase\n0,1.0,0.0\n1,1.0,0.0\n"
-                        "2,1.0,0.0\n3,1.0,0.0\n")
+    csv_file.write_text(header + "0,1.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n3,1.0,0.0\n",
+                        encoding="utf-8")
     report_path = tmp_path / "report.json"
     rc = main(["prepare", str(csv_file), "--mode", "det", "--epsilon", "0.5",
                "--report", str(report_path)])
@@ -424,6 +443,31 @@ def test_verify_dualpath_suite(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_dualpath_simulates_only_through_evaluate_bounds(monkeypatch, capsys):
+    evaluate, simulate = analysis.evaluate_bounds, prepare_module.simulate_preparation
+    configs, inside = [], []
+
+    def spy_evaluate(x, cfg, *args, **kwargs):
+        configs.append(cfg)
+        inside.append(None)
+        try:
+            return evaluate(x, cfg, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy_simulate(built):
+        assert inside, "simulate_preparation ran outside evaluate_bounds"
+        return simulate(built)
+
+    monkeypatch.setattr(analysis, "evaluate_bounds", spy_evaluate)
+    for module in (analysis, prepare_module, cli_module):
+        if hasattr(module, "simulate_preparation"):
+            monkeypatch.setattr(module, "simulate_preparation", spy_simulate)
+    assert main(["verify", "--suite", "dualpath", "--n", "2", "--trials", "1"]) == 0
+    assert configs == list(cli_module._DUALPATH_CONFIGS)
+    capsys.readouterr()
+
+
 def test_verify_bounds_suite(tmp_path, capsys):
     out = tmp_path / "rows.jsonl"
     rc = main(["verify", "--suite", "bounds", "--n", "2", "--trials", "2",
@@ -442,6 +486,10 @@ _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
     ("synth-diag", "p.csv", "0,0.1\n0,0.2\n", "row 2"),
     ("synth-diag", "p.csv", "0,0.1\n-1,0.2\n", "row 2"),
     ("synth-diag", "p.csv", "index,phase\n0,0.1\nx,0.2\n", "row 3"),
+    # A first row that holds a number is data, never a header to drop.
+    ("prepare", "v.csv", ",0.5,0.1\n0,1,0\n1,1,0\n2,1,0\n", "row 1: index ''"),
+    ("synth-diag", "p.csv", "x,0.9\n0,0.1\n1,0.2\n2,0.3\n", "row 1: index 'x'"),
+    ("synth-diag", "p.csv", "1.0,0.9\n0,0.1\n1,0.2\n2,0.3\n", "row 1: index '1.0'"),
     ("prepare", "v.json", '{"n": 1, "entries": [%s, {"magnitude": NaN, '
      '"phase": 0.0}]}' % _VECTOR_ENTRIES, "entry 1"),
     ("prepare", "v.json", '{"n": 2, "entries": [%s, %s, %s, {"magnitude": '
@@ -461,7 +509,8 @@ _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
     ("synth-diag", "p.json", '{"n": %d, "phases": [0.5, 1.0]}' % 10 ** 30,
      "n=%d" % 10 ** 30),
 ], ids=["index-out-of-range", "duplicate-index", "negative-index",
-        "non-integer-index", "nan-magnitude", "infinite-magnitude",
+        "non-integer-index", "empty-first-index", "letter-first-index",
+        "fractional-first-index", "nan-magnitude", "infinite-magnitude",
         "invalid-json", "negative-magnitude", "boolean-magnitude", "string-phase",
         "fractional-n", "boolean-n", "boolean-phase", "huge-n"])
 def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,

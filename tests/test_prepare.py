@@ -9,6 +9,7 @@ from qprep.dyadic import TAU
 from qprep.prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
+    SIMULATION_BYTES_PER_AMPLITUDE,
     PrecisionConfig,
     TargetVector,
     build,
@@ -16,12 +17,10 @@ from qprep.prepare import (
     compute_angles,
     compute_marginals,
     fast_path_prepare,
-    prepare,
     required_precision,
     simulate_preparation,
 )
 from qprep.sim import (
-    SIMULATION_BYTES_PER_AMPLITUDE,
     Circuit,
     ControlledZPow,
     DiagonalOracle,
@@ -166,13 +165,14 @@ def test_estimation_block_writes_exact_grid_estimates():
 
 
 def test_deterministic_basis_vector_is_exact():
-    out = prepare(TargetVector.from_magnitudes([1, 0, 0, 0]),
-                  PrecisionConfig(6, 4))
+    out = simulate_preparation(build(TargetVector.from_magnitudes([1, 0, 0, 0]),
+                                     PrecisionConfig(6, 4)))
     assert np.allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_deterministic_single_qubit_needs_only_the_root_rotation():
-    out = prepare(TargetVector.from_magnitudes([1, 1]), PrecisionConfig(4, 4))
+    out = simulate_preparation(build(TargetVector.from_magnitudes([1, 1]),
+                                     PrecisionConfig(4, 4)))
     assert np.allclose(out.amplitudes, np.full(2, 1 / math.sqrt(2)), atol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_deterministic_register_layout():
 
 def test_deterministic_distance_bound_example():
     x = TargetVector.from_magnitudes(np.sqrt([0.1, 0.2, 0.3, 0.4]))
-    out = prepare(x, PrecisionConfig(10, 4))
+    out = simulate_preparation(build(x, PrecisionConfig(10, 4)))
     distance = np.linalg.norm(out.amplitudes - x.amplitudes())
     assert distance <= math.sqrt(2) * math.pi / 512 + 1e-12
     assert out.estimation_residual < 1e-10
@@ -201,7 +201,7 @@ def test_deterministic_bound_random_vectors():
         for _ in range(5):
             x = TargetVector.from_magnitudes(np.abs(rng.standard_normal(1 << n)))
             for t in (6, 8):
-                out = prepare(x, PrecisionConfig(t, 1))
+                out = simulate_preparation(build(x, PrecisionConfig(t, 1)))
                 distance = np.linalg.norm(out.amplitudes - x.amplitudes())
                 bound = (n - 1) * math.sqrt(2) * math.pi / (1 << (t - 1))
                 assert distance <= bound + 1e-12
@@ -211,8 +211,10 @@ def test_deterministic_multiplier_one_matches_default():
     # The ladder's top rotation is a full turn at multiplier 1; it never fires
     # because the estimated fraction stays below one quarter.
     x = TargetVector.from_magnitudes([2, 1, 1, 3])
-    out1 = prepare(x, PrecisionConfig(9, 4, DETERMINISTIC, angle_multiplier=1))
-    out2 = prepare(x, PrecisionConfig(10, 4, DETERMINISTIC, angle_multiplier=2))
+    out1 = simulate_preparation(
+        build(x, PrecisionConfig(9, 4, DETERMINISTIC, angle_multiplier=1)))
+    out2 = simulate_preparation(
+        build(x, PrecisionConfig(10, 4, DETERMINISTIC, angle_multiplier=2)))
     assert np.linalg.norm(out1.amplitudes - out2.amplitudes) < 1e-2
     assert out1.estimation_residual < 1e-10
 
@@ -231,7 +233,7 @@ def test_probabilistic_uniform_succeeds_with_certainty():
 def test_probabilistic_success_probability_three_four():
     x = TargetVector.from_magnitudes([3, 4])
     cfg = PrecisionConfig(12, 4, PROBABILISTIC)
-    out = prepare(x, cfg)
+    out = simulate_preparation(build(x, cfg))
     assert out.success_probability >= 25 / 32 - 1e-12
     assert out.success_probability == pytest.approx(25 / 32, abs=1e-3)
     fast = fast_path_prepare(x, cfg)
@@ -247,7 +249,7 @@ def test_probabilistic_register_layout():
 
 def test_probabilistic_distance_bound_example():
     x = TargetVector.from_magnitudes([1, 2, 3, 4])
-    out = prepare(x, PrecisionConfig(12, 4, PROBABILISTIC))
+    out = simulate_preparation(build(x, PrecisionConfig(12, 4, PROBABILISTIC)))
     distance = np.linalg.norm(out.amplitudes - x.amplitudes())
     assert distance <= (1 << 5) * math.pi / (1 << 13) + 1e-12
 
@@ -258,7 +260,7 @@ def test_probabilistic_success_never_below_lower_bound():
         n = int(rng.integers(1, 4))
         magnitudes = np.abs(rng.standard_normal(1 << n))
         x = TargetVector.from_magnitudes(magnitudes)
-        out = prepare(x, PrecisionConfig(7, 1, PROBABILISTIC))
+        out = simulate_preparation(build(x, PrecisionConfig(7, 1, PROBABILISTIC)))
         lower = np.sum(magnitudes ** 2) / ((1 << n) * np.max(magnitudes) ** 2)
         assert out.success_probability >= lower - 1e-12
 
@@ -268,7 +270,7 @@ def test_vectors_with_zero_components_run_clean():
     for mode in (DETERMINISTIC, PROBABILISTIC):
         magnitudes = np.array([0.0, 1.3, 0.0, 0.7, 0.0, 0.0, 2.1, 0.0])
         x = TargetVector.from_magnitudes(magnitudes)
-        out = prepare(x, PrecisionConfig(8, 1, mode))
+        out = simulate_preparation(build(x, PrecisionConfig(8, 1, mode)))
         distance = np.linalg.norm(out.amplitudes - x.amplitudes())
         if mode == DETERMINISTIC:
             bound = 2 * math.sqrt(2) * math.pi / (1 << 7)
@@ -327,7 +329,7 @@ def test_fast_path_matches_circuit_on_dyadic_angles():
     ])
     x = TargetVector.from_magnitudes(amps)
     cfg = PrecisionConfig(t, 4)
-    full = prepare(x, cfg)
+    full = simulate_preparation(build(x, cfg))
     fast = fast_path_prepare(x, cfg)
     assert np.max(np.abs(full.amplitudes - fast.amplitudes)) < 1e-9
     assert np.max(np.abs(fast.amplitudes - amps)) < 1e-9
@@ -339,7 +341,7 @@ def test_fast_path_matches_circuit_probabilistic():
     phases = rng.uniform(0, TAU / 2, 8)
     x = TargetVector(3, magnitudes, phases)
     cfg = PrecisionConfig(7, 5, PROBABILISTIC)
-    full = prepare(x, cfg)
+    full = simulate_preparation(build(x, cfg))
     fast = fast_path_prepare(x, cfg)
     assert np.max(np.abs(full.amplitudes - fast.amplitudes)) < 1e-9
 
@@ -348,7 +350,7 @@ def test_fast_path_matches_circuit_deterministic_generic():
     rng = np.random.default_rng(82)
     x = TargetVector(3, np.abs(rng.standard_normal(8)), rng.uniform(0, 6.0, 8))
     cfg = PrecisionConfig(8, 6)
-    full = prepare(x, cfg)
+    full = simulate_preparation(build(x, cfg))
     fast = fast_path_prepare(x, cfg)
     assert np.max(np.abs(full.amplitudes - fast.amplitudes)) < 1e-9
 
@@ -358,7 +360,7 @@ def test_end_to_end_with_phases_meets_epsilon():
     x = TargetVector(2, np.abs(rng.standard_normal(4)), rng.uniform(0, 6.0, 4))
     for mode in (DETERMINISTIC, PROBABILISTIC):
         cfg = required_precision(2, 0.1, mode)
-        out = prepare(x, cfg)
+        out = simulate_preparation(build(x, cfg))
         assert np.linalg.norm(out.amplitudes - x.amplitudes()) <= 0.1
 
 

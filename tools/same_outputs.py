@@ -80,6 +80,8 @@ def _write_inputs(root: Path) -> dict[str, str]:
         "duplicate.csv": "0,0.1\n0,0.2\n",
         "range.csv": "0,0.1\n5,0.2\n",
         "index.csv": "index,phase\n0,0.1\nx,0.2\n",
+        "first-row.csv": ",0.5,0.1\n0,1.0,0.0\n1,0.5,0.0\n2,0.25,0.0\n3,0.125,0.0\n",
+        "first-row-phases.csv": ",0.9\n0,0.1\n1,0.2\n",
     }
     for name, text in bad.items():
         (root / name).write_text(text)
@@ -158,6 +160,15 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["verify", "--suite", "bounds", "--n", "1"],
         ["verify", "--suite", "bounds", "--n", "31", "--trials", "0"],
         ["verify", "--suite", "synth", "--n", "40"],
+        # A first CSV row that holds a number is data, not a header to drop,
+        # and a negative --seed is a usage error naming the flag.  Checkouts
+        # from before these refusals differ here: they exit 0, or print
+        # numpy's message.
+        ["prepare", inputs["first-row.csv"], "--mode", "det", "--epsilon", "0.3",
+         "--fast-path"],
+        ["synth-diag", inputs["first-row-phases.csv"], "--m", "2"],
+        ["verify", "--suite", "synth", "--n", "2", "--trials", "1", "--seed", "-1"],
+        ["prepare", vector, "--mode", "det", "--epsilon", "0.1", "--seed", "-5"],
     ]
     return runs
 
