@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -73,7 +74,8 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
     names the file and the entry or row at fault.
     """
     if str(path).endswith(".csv"):
-        with open(path, newline="") as handle:
+        # utf-8-sig drops the byte-order mark spreadsheet programs write.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             rows = [(reader.line_num, row) for row in reader if row]
         if rows and not any(map(_reads_as_number, rows[0][1])):
@@ -380,7 +382,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after:
+    ``parse_args`` keeps no state in it (no append actions, no list
+    defaults)."""
     parser = _Parser(prog="qprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

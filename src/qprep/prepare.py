@@ -332,13 +332,16 @@ class PreparedState:
 
 
 # Peak bytes per amplitude of a full simulation, as tracemalloc measures
-# ``simulate_preparation`` at 18-22 qubits in either mode: 32.0-33.0,
-# at the widest stage's 2x2 gates, which hold the buffer ``apply_circuit``
-# owns (16) and two half-state scratch arrays (8 each).  The post-selection
-# in probabilistic mode peaks below it, at 28: the state (16), the kept half
-# (8) and the norm check's squares of its real parts (4).  A QFT on qubits
-# other than the leading ones in order also copies its input; the built
-# circuits run it on the leading estimation register.
+# ``simulate_preparation`` at 18-21 qubits in either mode: 32.0-33.0
+# (32.0-32.3 at 20-21 qubits; the interpreter's own allocations weigh more
+# at 18).  Three steps of the widest stage reach 32: a 2x2 gate holds the
+# buffer ``apply_circuit`` owns (16) and two half-state scratch arrays (8
+# each); the join of its last qubit holds the state it grows (8), the grown
+# one (16) and the norm check's squares of its real parts (8); a QFT on
+# qubits other than the leading ones in order holds the buffer and the one
+# copy its FFT writes over (16 each).  The post-selection in probabilistic
+# mode peaks below them, at 28: the state (16), the kept half (8) and the
+# norm check's squares of its real parts (4).
 SIMULATION_BYTES_PER_AMPLITUDE = 33
 
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -385,14 +388,17 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     """Run the circuit on |0...0>, post-select the ancilla (if any) on 0, check
     the estimation register uncomputed, and return the data-register state.
 
-    Each stage is a ``Circuit`` run by ``apply_circuit``, which widens the
-    state only as gates touch new qubits; that gives the amplitudes of the
-    flat simulation, since qubits not yet touched are |0> and factor out.
-    The ancilla is post-selected right after its last gate, the rotation
-    ladder, and dropped.  The estimation register is read off before the
-    phase stage, which then runs on the 2**n data amplitudes.  The widest
-    stage is the whole circuit's width, so the memory check is the full
-    simulation's."""
+    Each stage is a ``Circuit`` run by ``apply_circuit``, which joins each
+    qubit in its own place when a gate first touches it; that gives the
+    amplitudes of the flat simulation, since qubits not yet touched are |0>
+    and factor out.  The first stage starts from the empty state, so the
+    leading Hadamards run at the widths they have reached.  In probabilistic
+    mode it numbers the ancilla 0 and every other qubit one higher: the
+    ancilla joins last, as the leading qubit, at its rotation ladder, and is
+    post-selected right after it by keeping the first half of the state and
+    dropped.  The estimation register is read off before the phase stage,
+    which then runs on the 2**n data amplitudes.  The widest stage is the
+    whole circuit's width, so the memory check is the full simulation's."""
     circuit = build_result.circuit
     registers = build_result.registers
     shortfall = memory_shortfall(circuit.num_qubits)
@@ -400,15 +406,17 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
         raise ValueError(shortfall)
     gates, t, n = circuit.gates, len(registers.estimation), len(registers.data)
     phase_start = len(gates) - len(build_result.phase_stage)
-    ancilla_end = phase_start
+    first = gates[:phase_start]
     if registers.ancilla is not None:
         ancilla_end = 1 + max(index for index, gate in enumerate(gates[:phase_start])
                               if registers.ancilla in gate_qubits(gate))
-    state = apply_circuit(new_basis_state(1, 0),
-                          Circuit(circuit.num_qubits, gates[:ancilla_end]))
+        # The ancilla, the circuit's last qubit, runs as qubit 0.
+        leading = (*range(1, circuit.num_qubits), 0)
+        first = tuple(shifted_gate(gate, leading) for gate in gates[:ancilla_end])
+    state = apply_circuit(new_basis_state(0, 0), Circuit(circuit.num_qubits, first))
     success = 1.0
     if registers.ancilla is not None:
-        success, state = project_measure(state, registers.ancilla, 0)
+        success, state = project_measure(state, 0, 0)
         if state is None:
             raise ValueError("ancilla outcome 0 has zero probability")
         state = apply_circuit(state, Circuit(t + n, gates[ancilla_end:phase_start]))
@@ -421,7 +429,8 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
             f"estimation register failed to uncompute (residual {residual:.3e})"
         )
     data = StateVector(n, keep / np.linalg.norm(keep))
-    phase_stage = tuple(shifted_gate(gate, t) for gate in build_result.phase_stage)
+    phase_stage = tuple(shifted_gate(gate, range(-t, n))
+                        for gate in build_result.phase_stage)
     prepared = apply_circuit(data, Circuit(n, phase_stage))
     return PreparedState(prepared.amplitudes, success, residual)
 

@@ -18,19 +18,22 @@ DIAG into ascending qubit order and broadcasts it.  A ``QFTBlock`` is
 simulated as one FFT along its register's axes, transposed to lead in
 register order.  Every kernel updates the one array it is given:
 ``apply_circuit`` copies its input once and runs every gate in place on that
-copy.  Scratch per gate: the 2x2 kernel two arrays of half a state, the FFT
-its output state, and a copy of its input unless the register is the
-leading qubits in register order.
+copy.  Scratch per gate: the 2x2 kernel two arrays of half a state; the FFT
+writes over its input rows, which are a view of the state when the register
+is the leading qubits in register order and one copy of it otherwise.
 
-``apply_circuit`` takes a state on the circuit's leading qubits: the others
-start at |0> and join as trailing (least significant) qubits when a gate
-first touches one, so each gate runs on the qubits touched so far.
-``shifted_gate`` relabels a gate's qubits, so a stage can run on a state
-without the qubits below it.  ``project_measure`` drops the qubit it reads.
+``apply_circuit`` takes a state on the circuit's leading qubits, possibly
+none: the others start at |0> and each joins in its own place among the
+qubits held when a gate first touches it, so each gate runs on the qubits
+touched so far, relabelled by their rank among them.  ``shifted_gate``
+relabels a gate's qubits by any map, so a stage can run on a state without
+the qubits below it or with its qubits reordered.  ``project_measure``
+drops the qubit it reads.
 
 Every ``StateVector`` holds C-contiguous complex128 amplitudes, ready for
-the kernels, and passes its constructor's norm check: ``new_basis_state``,
-``apply_circuit`` (its copy, each widening and its result) and
+the kernels, and passes its constructor's norm check; it may hold no qubit,
+the scalar 1 that ``new_basis_state(0, 0)`` makes.  ``new_basis_state``,
+``apply_circuit`` (its copy, each join and its result) and
 ``project_measure`` each build one.  ``apply_gate`` returns its input
 unchecked, because that input was checked and every kernel is unitary.
 How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
@@ -163,8 +166,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        if self.num_qubits < 0:
+            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
         # Ready for the kernels: only float or strided input is copied.
         object.__setattr__(self, "amplitudes",
                            np.ascontiguousarray(self.amplitudes, dtype=complex))
@@ -174,10 +177,12 @@ class StateVector:
                 f"got shape {self.amplitudes.shape}"
             )
         # numpy's pairwise sum is accurate to ~1e-16 here; a one-thread BLAS
-        # dot (np.linalg.norm) drifts by 1e-12 on 2^19 amplitudes.  The
+        # dot (np.linalg.norm) drifts by 1e-12 on 2^19 amplitudes.  The ufunc
+        # calls are np.sum of the squares without its Python layer.  The
         # negated <= also refuses a NaN norm.
         amps = self.amplitudes
-        norm = math.sqrt(float(np.sum(amps.real ** 2) + np.sum(amps.imag ** 2)))
+        norm = math.sqrt(float(np.add.reduce(np.square(amps.real))
+                               + np.add.reduce(np.square(amps.imag))))
         if not abs(norm - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
 
@@ -273,14 +278,16 @@ def _apply_phases(psi: np.ndarray, controls: tuple[int, ...],
 
 def _apply_qft(psi: np.ndarray, register: tuple[int, ...], inverse: bool) -> None:
     # The forward QFT has the e^{+2*pi*i*j*k/N} kernel of numpy's ifft, which
-    # returns a new array that is then written back through the transposed
-    # view.  Its rows are a view only when the register is the leading
-    # qubits in order; any other register is copied first.
+    # writes over its input rows.  They are a view only when the register is
+    # the leading qubits in order; any other register's rows are a copy,
+    # written back through the transposed view.
     transform = np.fft.fft if inverse else np.fft.ifft
     view, axes = _split(psi, register)
     moved = view.transpose(*axes, *(a for a in range(view.ndim) if a not in axes))
-    spectrum = transform(moved.reshape(1 << len(register), -1), axis=0, norm="ortho")
-    moved[...] = spectrum.reshape(moved.shape)
+    rows = moved.reshape(1 << len(register), -1)
+    transform(rows, axis=0, norm="ortho", out=rows)
+    if not np.may_share_memory(rows, psi):
+        moved[...] = rows.reshape(moved.shape)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -309,14 +316,24 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def _widen(state: StateVector, num_qubits: int) -> StateVector:
-    """``state`` followed by trailing qubits at |0> up to ``num_qubits``.
-
-    Under the MSB convention the new qubits are the low bits of an index, so
-    the old amplitudes land on every 2**(new qubits)-th entry."""
-    grown = np.zeros(1 << num_qubits, dtype=complex)
-    grown[:: 1 << (num_qubits - state.num_qubits)] = state.amplitudes
-    return StateVector(num_qubits, grown)
+def _join(state: StateVector, held: set[int],
+          qubits: tuple[int, ...]) -> tuple[StateVector, dict[int, int] | None]:
+    """``state``, which holds the circuit qubits ``held`` in ascending order,
+    with each of ``qubits`` it lacks joined at |0> in its own place among
+    them; ``held`` takes the new qubits in.  Also each held qubit's rank in
+    the grown state, or None when the held qubits are the leading ones, so
+    that rank and qubit agree."""
+    fresh = set(qubits) - held
+    held |= fresh
+    order = sorted(held)
+    grown = np.zeros(1 << len(order), dtype=complex)
+    view, axes = _split(grown, tuple(rank for rank, q in enumerate(order) if q in fresh))
+    old = _at(view, [(axis, 0) for axis in axes])
+    old[...] = state.amplitudes.reshape(old.shape)
+    joined = StateVector(len(order), grown)
+    if order[-1] == len(order) - 1:
+        return joined, None
+    return joined, {q: rank for rank, q in enumerate(order)}
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -325,24 +342,27 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     without changing ``state``.
 
     The circuit's other qubits start at |0>.  The amplitudes are copied once
-    into a buffer that ``apply_gate`` then updates in place; when a gate first
-    touches a qubit past the buffer's width, ``_widen`` replaces the buffer
-    by one wide enough for that qubit, so each gate runs on the qubits
-    touched so far.  The result is on ``circuit.num_qubits``.  The norm is
-    checked on the copy, at each widening and at the end, not per gate."""
+    into a buffer that ``apply_gate`` then updates in place.  When a gate
+    first touches a qubit the buffer lacks, ``_join`` replaces the buffer by
+    one with that qubit at |0> in its own place among the qubits held, so
+    each gate runs on the qubits touched so far, relabelled by their rank
+    there unless the held qubits are the leading ones.  The result is on
+    ``circuit.num_qubits``.  The norm is checked on the copy, at each join
+    and at the end, not per gate."""
     if state.num_qubits > circuit.num_qubits:
         raise ValueError(
             f"circuit on {circuit.num_qubits} qubits applied to "
             f"{state.num_qubits}-qubit state"
         )
     owned = StateVector(state.num_qubits, np.array(state.amplitudes, dtype=complex))
+    held, places = set(range(state.num_qubits)), None
     for gate in circuit.gates:
-        width = max(gate_qubits(gate)) + 1
-        if width > owned.num_qubits:
-            owned = _widen(owned, width)
-        apply_gate(owned, gate)
-    if owned.num_qubits < circuit.num_qubits:
-        return _widen(owned, circuit.num_qubits)
+        qubits = gate_qubits(gate)
+        if not held.issuperset(qubits):
+            owned, places = _join(owned, held, qubits)
+        apply_gate(owned, gate if places is None else shifted_gate(gate, places))
+    if len(held) < circuit.num_qubits:
+        return _join(owned, held, tuple(range(circuit.num_qubits)))[0]
     return StateVector(owned.num_qubits, owned.amplitudes)
 
 
@@ -360,30 +380,32 @@ def inverse_gate(gate: Gate) -> Gate:
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-def shifted_gate(gate: Gate, offset: int) -> Gate:
-    """``gate`` with every qubit index lowered by ``offset``."""
-    def down(qubits: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(q - offset for q in qubits)
+def shifted_gate(gate: Gate, places) -> Gate:
+    """``gate`` with each qubit q moved to ``places[q]``: a range shifts
+    every qubit by one offset, a permutation or a map of ranks reorders
+    them."""
+    def moved(qubits: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(places[q] for q in qubits)
 
     if isinstance(gate, (Hadamard, PauliX)):
-        return type(gate)(gate.target - offset)
+        return type(gate)(places[gate.target])
     if isinstance(gate, RotationY):
-        return RotationY(gate.angle, gate.target - offset, down(gate.controls))
+        return RotationY(gate.angle, places[gate.target], moved(gate.controls))
     if isinstance(gate, ControlledZPow):
-        return ControlledZPow(gate.level, down(gate.qubits))
+        return ControlledZPow(gate.level, moved(gate.qubits))
     if isinstance(gate, DiagonalOracle):
-        return DiagonalOracle(down(gate.register), gate.phases, gate.power,
-                              down(gate.controls))
+        return DiagonalOracle(moved(gate.register), gate.phases, gate.power,
+                              moved(gate.controls))
     if isinstance(gate, QFTBlock):
-        return QFTBlock(down(gate.register), gate.inverse)
+        return QFTBlock(moved(gate.register), gate.inverse)
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
 def project_measure(state: StateVector, target: int,
                     outcome: int) -> tuple[float, StateVector | None]:
     """Probability of ``outcome`` on ``target``, and the renormalized state of
-    the other qubits in their order: ``target`` is dropped, so ``state``
-    needs two qubits or more.  A zero-probability outcome returns (0.0, None).
+    the other qubits in their order: ``target`` is dropped.  A
+    zero-probability outcome returns (0.0, None).
     """
     if not 0 <= target < state.num_qubits:
         raise ValueError(f"qubit {target} outside [0, {state.num_qubits})")

@@ -362,8 +362,8 @@ def test_extreme_magnitudes_prepare_within_the_bound(tmp_path, magnitudes, mode,
 
 @pytest.mark.parametrize("header", ["index,magnitude,phase\n",
                                     "\ufeffindex,magnitude,phase\n",
-                                    "i,r,theta\n", ""],
-                         ids=["named", "bom", "other-names", "none"])
+                                    "i,r,theta\n", "", "\ufeff"],
+                         ids=["named", "bom", "other-names", "none", "bom-none"])
 def test_prepare_accepts_csv_vectors(tmp_path, header):
     csv_file = tmp_path / "v.csv"
     csv_file.write_text(header + "0,1.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n3,1.0,0.0\n",
@@ -373,6 +373,26 @@ def test_prepare_accepts_csv_vectors(tmp_path, header):
                "--report", str(report_path)])
     assert rc == 0
     assert json.loads(report_path.read_text())["n"] == 2
+
+
+@pytest.mark.parametrize("header", ["", "index,phase\n"], ids=["none", "named"])
+def test_synth_diag_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys, header):
+    phases = tmp_path / "p.csv"
+    phases.write_text("\ufeff" + header + "0,0.5\n1,1.0\n", encoding="utf-8")
+    assert main(["synth-diag", str(phases), "--m", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "reconstruction exact"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    vec = write_vector(tmp_path / "v.json", [0.6, 0.8])
+    reports = [tmp_path / "fast.json", tmp_path / "full.json"]
+    assert main(["prepare", str(vec), "--mode", "det", "--t", "4", "--t-prime", "3",
+                 "--fast-path", "--report", str(reports[0])]) == 0
+    assert main(["prepare", str(vec), "--mode", "det", "--t", "4", "--t-prime", "3",
+                 "--report", str(reports[1])]) == 0
+    residuals = [json.loads(path.read_text())["estimation_residual"] for path in reports]
+    assert residuals[0] is None and residuals[1] is not None
+    assert cli_module.build_parser() is cli_module.build_parser()
 
 
 def test_synth_diag_golden_single_cz(tmp_path, capsys):

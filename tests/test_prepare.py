@@ -427,6 +427,7 @@ def test_build_gate_order(mode):
     (DETERMINISTIC, [0.0, 1.3, 0.0, 0.7, 0.0, 0.0, 2.1, 0.0]),
     (DETERMINISTIC, [1.2, 0.1, 0.9, 0.4, 0.3, 1.0, 0.55, 0.8]),
     (PROBABILISTIC, [0.6, 0.8]),
+    (PROBABILISTIC, [0.0, 0.7]),  # one data qubit, one amplitude zero
     (PROBABILISTIC, [0.0, 1.0, 0.55, 0.8]),
     (PROBABILISTIC, [0.0, 1.3, 0.0, 0.7, 0.0, 0.0, 2.1, 0.0]),
     (PROBABILISTIC, [1.2, 0.1, 0.9, 0.4, 0.3, 1.0, 0.55, 0.8]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qprep.sim import (
     project_measure,
 )
 from qprep.gateformat import qft_circuit
+from qprep.prepare import SIMULATION_BYTES_PER_AMPLITUDE
 
 TAU = 2.0 * math.pi
 
@@ -36,6 +38,7 @@ def random_state(num_qubits, rng):
 
 
 def test_new_basis_state():
+    assert np.array_equal(new_basis_state(0, 0).amplitudes, [1])
     assert np.array_equal(new_basis_state(1, 0).amplitudes, [1, 0])
     assert np.array_equal(new_basis_state(2, 3).amplitudes, [0, 0, 0, 1])
     expected = np.zeros(8)
@@ -68,8 +71,23 @@ def test_apply_circuit_runs_each_gate_on_the_qubits_touched_so_far(monkeypatch):
     monkeypatch.setattr("qprep.sim.apply_gate", spy)
     gates = (PauliX(0), Hadamard(2), RotationY(0.3, 1, (2,)), ControlledZPow(1, (0,)))
     out = apply_circuit(new_basis_state(1, 0), Circuit(5, gates))
-    assert widths == [1, 3, 3, 3]
+    assert widths == [1, 2, 3, 3]
     assert out.num_qubits == 5
+
+
+def test_qft_off_the_leading_qubits_copies_the_state_once():
+    # The FFT writes over its input rows, here the one copy of the moved
+    # register: the peak is the circuit's own buffer, that copy and the
+    # FFT's small scratch, within the full simulation's figure.
+    state = random_state(18, np.random.default_rng(5))
+    circuit = Circuit(18, (QFTBlock((3, 1, 4)),))
+    tracemalloc.start()
+    try:
+        apply_circuit(state, circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (SIMULATION_BYTES_PER_AMPLITUDE << 18) + (1 << 20)
 
 
 def test_hadamard_on_zero():

@@ -116,7 +116,7 @@ def test_kernels_on_split_views_are_the_axis_reference_byte_for_byte(case):
 @st.composite
 def runs(draw):
     num_qubits = draw(st.integers(1, MAX_QUBITS))
-    start = draw(st.integers(1, num_qubits))
+    start = draw(st.integers(0, num_qubits))
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))  # None: |0...0>
     circuit = draw(st.lists(gates(num_qubits), max_size=12))
     return num_qubits, start, seed, tuple(circuit)
@@ -148,8 +148,10 @@ def test_widening_is_the_flat_simulation(run):
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
 def test_shifted_gates_run_below_untouched_leading_qubits(num_qubits, offset, seed, data):
     circuit = tuple(data.draw(st.lists(gates(num_qubits), max_size=8)))
-    raised = tuple(shifted_gate(gate, -offset) for gate in circuit)
-    assert tuple(shifted_gate(gate, offset) for gate in raised) == circuit
+    raised = tuple(shifted_gate(gate, range(offset, offset + num_qubits))
+                   for gate in circuit)
+    assert tuple(shifted_gate(gate, range(-offset, num_qubits))
+                 for gate in raised) == circuit
     rng = np.random.default_rng(seed)
     dim = 1 << num_qubits
     amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -68,6 +68,7 @@ def _write_inputs(root: Path) -> dict[str, str]:
     phases("sparse5.json", 5, support={1, 7, 18, 30})
     phases("p8.json", 8)
     phases("sparse8.json", 8, support={0, 37, 128, 200, 255})
+    vector("one1.json", 1)
     bad = {
         "negative.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0},'
                          ' {"magnitude": -2.0, "phase": 0.0}]}',
@@ -112,6 +113,12 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
                      "0.2", "--multiplier", multiplier, *out])
     runs.append(["prepare", inputs["zeros4.json"], "--mode", "prob", "--fast-path",
                  "--t", "5", "--t-prime", "70", *out])
+    # One data qubit: the full simulation starts from the empty state, and
+    # det mode runs no estimation round.
+    runs.append(["prepare", inputs["one1.json"], "--mode", "prob", "--epsilon", "0.1",
+                 "--full-circuit", *out])
+    runs.append(["prepare", inputs["one1.json"], "--mode", "det", "--t", "5",
+                 "--t-prime", "4", "--full-circuit", *out])
     # RY and DIAG angles finer than level 32, written without p= m=, and a
     # 34-qubit QFT expansion.
     for mode in ("det", "prob"):
