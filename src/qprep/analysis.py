@@ -185,7 +185,7 @@ def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
         theoretical_bound=bound,
         measured_success_probability=success,
         success_lower_bound=lower,
-        gate_counts=count_gate_list(built.phase_stage),
+        gate_counts=count_gate_list(built.circuit.gates[built.phase_start:]),
         satisfied=satisfied,
         seed=seed,
         amplitudes=prepared.amplitudes,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dyadic import PhaseSpec, quantize
+from .dyadic import TAU, PhaseSpec, quantize
 from .gateformat import save_circuit, written_gate_count
 from .prepare import (
     DETERMINISTIC,
@@ -51,6 +52,8 @@ def _number(where: str, name: str, value) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{where}: {name} {value!r} is not a number") from None
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{where}: {name} is an integer too large for a float") from None
     if not math.isfinite(number):
         raise ValueError(f"{where}: {name} {number!r} is not finite")
     return number
@@ -69,15 +72,25 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
     index, read from JSON {"n", key} (``values`` unpacks each entry; n must be
     a JSON integer and every value a JSON number) or from CSV rows
     index,<fields> in any order under an optional header, whose cells are
-    parsed as text.  The first CSV row is the header only if none of its
-    cells reads as a number, so a data row is never dropped.  Every error
-    names the file and the entry or row at fault.
+    parsed as text.  Either is UTF-8, optionally after the byte-order mark
+    spreadsheet programs write.  The first CSV row is the header only if none
+    of its cells reads as a number, so a data row is never dropped.  Every
+    error names the file and, where known, the entry or row at fault.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # its object is the input past any mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {exc.object[exc.start]:#04x} "
+                         f"is not UTF-8") from None
     if str(path).endswith(".csv"):
-        # utf-8-sig drops the byte-order mark spreadsheet programs write.
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
             rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
         if rows and not any(map(_reads_as_number, rows[0][1])):
             rows = rows[1:]  # header row
         size = len(rows)
@@ -99,12 +112,12 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
             cells[index] = (where, row[1:])
     else:
         try:
-            with open(path) as handle:
-                raw = json.load(handle)
+            raw = json.loads(text)
             n = raw["n"]
             cells = [(f"{path}: entry {index}", values(entry))
                      for index, entry in enumerate(raw[key])]
-        except (KeyError, TypeError, ValueError) as exc:
+        # json raises RecursionError on arrays or objects nested too deeply.
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed file {path}: {exc}") from exc
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"{path}: n {json.dumps(n)} is not an integer")
@@ -133,6 +146,10 @@ def load_vector(path: str) -> TargetVector:
 def load_phases(path: str) -> list[float]:
     """Read diagonal phases from JSON {"n", "phases"} or CSV index,phase."""
     (phases,) = _load_table(path, "phases", ("phase",), lambda v: (v,))
+    for index, value in enumerate(phases):
+        if not 0.0 <= value < TAU:
+            raise ValueError(f"{path}: entry {index}: phase {float(value)!r} "
+                             f"outside [0, 2*pi)")
     return phases.tolist()
 
 
@@ -163,6 +180,9 @@ def cmd_prepare(args) -> int:
     if args.epsilon is not None:
         if args.t is not None or args.t_prime is not None:
             raise UsageError("give either --epsilon or --t/--t-prime, not both")
+        if mode == DETERMINISTIC and x.num_qubits < 2:
+            raise UsageError(f"{args.input}: one qubit has no deterministic width "
+                             f"formula for --epsilon; give --t and --t-prime")
         cfg = required_precision(x.num_qubits, args.epsilon, mode)
         if args.multiplier is not None:
             cfg = PrecisionConfig(cfg.estimation_bits, cfg.phase_bits, mode,
@@ -436,7 +456,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's _ArrayMemoryError is one

@@ -35,7 +35,6 @@ from .sim import (
     RotationY,
     StateVector,
     apply_circuit,
-    gate_qubits,
     inverse_gate,
     new_basis_state,
     project_measure,
@@ -241,8 +240,11 @@ class RegisterMap:
 class BuildResult:
     circuit: Circuit
     registers: RegisterMap
-    # The circuit's trailing gates, which apply the quantized target phases.
-    phase_stage: tuple[Gate, ...]
+    # Just past the ancilla's rotation ladder, its last gate; None in
+    # deterministic mode, which has no ancilla.
+    ladder_end: int | None
+    # Where the gates that apply the quantized target phases start.
+    phase_start: int
 
 
 def build_phase_stage(x: TargetVector, phase_bits: int,
@@ -306,16 +308,19 @@ def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
         gates = [Hadamard(q) for q in data]
         rounds = [(data, registers.ancilla)]
 
+    ladder_end = None
     for (register, target), estimates in zip(rounds, table.estimates):
         phases = tuple(TAU * int(y) / (1 << t) for y in estimates)
         estimate = _estimation_block(estimation, register, phases)
         gates.extend(estimate)
         gates.extend(_rotation_ladder(estimation, target, cfg.angle_multiplier))
+        if target == registers.ancilla:
+            ladder_end = len(gates)
         gates.extend(inverse_gate(g) for g in reversed(estimate[t:]))
         gates.extend(estimate[:t])
-    phase_stage = build_phase_stage(x, cfg.phase_bits, data)
-    circuit = Circuit(registers.num_qubits, tuple(gates) + phase_stage)
-    return BuildResult(circuit, registers, phase_stage)
+    circuit = Circuit(registers.num_qubits,
+                      (*gates, *build_phase_stage(x, cfg.phase_bits, data)))
+    return BuildResult(circuit, registers, ladder_end, len(gates))
 
 
 @dataclass(frozen=True)
@@ -388,38 +393,34 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     """Run the circuit on |0...0>, post-select the ancilla (if any) on 0, check
     the estimation register uncomputed, and return the data-register state.
 
-    Each stage is a ``Circuit`` run by ``apply_circuit``, which joins each
-    qubit in its own place when a gate first touches it; that gives the
-    amplitudes of the flat simulation, since qubits not yet touched are |0>
-    and factor out.  The first stage starts from the empty state, so the
-    leading Hadamards run at the widths they have reached.  In probabilistic
-    mode it numbers the ancilla 0 and every other qubit one higher: the
-    ancilla joins last, as the leading qubit, at its rotation ladder, and is
-    post-selected right after it by keeping the first half of the state and
-    dropped.  The estimation register is read off before the phase stage,
-    which then runs on the 2**n data amplitudes.  The widest stage is the
-    whole circuit's width, so the memory check is the full simulation's."""
-    circuit = build_result.circuit
-    registers = build_result.registers
+    Each stage is a slice of the gates at ``build``'s recorded boundaries,
+    run as a ``Circuit`` by ``apply_circuit`` on the qubits touched so far:
+    untouched qubits are |0> and factor out, so the amplitudes are the flat
+    simulation's.  In probabilistic mode the first stage numbers the ancilla
+    0 and every other qubit one higher, so the ancilla joins as the leading
+    qubit at its rotation ladder and is post-selected right after it by
+    keeping the first half of the state.  The estimation register is read
+    off before the phase stage, which runs on the 2**n data amplitudes.  The
+    widest stage is the whole circuit's width, so the memory check is the
+    full simulation's."""
+    circuit, registers = build_result.circuit, build_result.registers
     shortfall = memory_shortfall(circuit.num_qubits)
     if shortfall:
         raise ValueError(shortfall)
     gates, t, n = circuit.gates, len(registers.estimation), len(registers.data)
-    phase_start = len(gates) - len(build_result.phase_stage)
+    ladder_end, phase_start = build_result.ladder_end, build_result.phase_start
     first = gates[:phase_start]
     if registers.ancilla is not None:
-        ancilla_end = 1 + max(index for index, gate in enumerate(gates[:phase_start])
-                              if registers.ancilla in gate_qubits(gate))
         # The ancilla, the circuit's last qubit, runs as qubit 0.
         leading = (*range(1, circuit.num_qubits), 0)
-        first = tuple(shifted_gate(gate, leading) for gate in gates[:ancilla_end])
+        first = tuple(shifted_gate(gate, leading) for gate in gates[:ladder_end])
     state = apply_circuit(new_basis_state(0, 0), Circuit(circuit.num_qubits, first))
     success = 1.0
     if registers.ancilla is not None:
         success, state = project_measure(state, 0, 0)
         if state is None:
             raise ValueError("ancilla outcome 0 has zero probability")
-        state = apply_circuit(state, Circuit(t + n, gates[ancilla_end:phase_start]))
+        state = apply_circuit(state, Circuit(t + n, gates[ladder_end:phase_start]))
     # The state holds t + n qubits; estimation qubits are the top bits, so
     # estimation = |0...0> is the leading block of the amplitude array.
     keep = state.amplitudes[: 1 << n]
@@ -429,8 +430,7 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
             f"estimation register failed to uncompute (residual {residual:.3e})"
         )
     data = StateVector(n, keep / np.linalg.norm(keep))
-    phase_stage = tuple(shifted_gate(gate, range(-t, n))
-                        for gate in build_result.phase_stage)
+    phase_stage = tuple(shifted_gate(gate, range(-t, n)) for gate in gates[phase_start:])
     prepared = apply_circuit(data, Circuit(n, phase_stage))
     return PreparedState(prepared.amplitudes, success, residual)
 

@@ -499,6 +499,8 @@ def test_verify_bounds_suite(tmp_path, capsys):
 
 
 _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
+_DEEP = "[" * 100_000 + "]" * 100_000
+_HUGE = "9" * 401
 
 
 @pytest.mark.parametrize("command, name, content, where", [
@@ -528,15 +530,35 @@ _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
     ("synth-diag", "p.json", '{"n": 1, "phases": [0.5, false]}', "entry 1: phase false"),
     ("synth-diag", "p.json", '{"n": %d, "phases": [0.5, 1.0]}' % 10 ** 30,
      "n=%d" % 10 ** 30),
+    ("prepare", "v.csv", "index,magnitude,phase\n0,1.0,0.0\n1,1.0,0.0 caf\xe9\n",
+     "line 3: byte 0xe9 is not UTF-8"),
+    ("synth-diag", "p.csv", "\xef\xbb\xbf0,0.5\n\xe91,1.0\n",
+     "line 2: byte 0xe9 is not UTF-8"),
+    ("prepare", "v.json", '{"n": 1, "entries": %s}' % _DEEP, "malformed file"),
+    ("synth-diag", "p.json", '{"n": 1, "phases": [0.5, %s]}' % _DEEP, "malformed file"),
+    ("prepare", "v.json", '{"n": 1, "entries": [%s, {"magnitude": %s, "phase": 0.0}]}'
+     % (_VECTOR_ENTRIES, _HUGE), "entry 1: magnitude is an integer too large for a float"),
+    ("synth-diag", "p.json", '{"n": 1, "phases": [%s, 0.5]}' % _HUGE,
+     "entry 0: phase is an integer too large for a float"),
+    ("synth-diag", "p.json", '{"n": 1, "phases": [-3.0, 0.5]}',
+     "entry 0: phase -3.0 outside [0, 2*pi)"),
+    ("synth-diag", "p.csv", "1,0.5\n0,7.0\n", "entry 0: phase 7.0 outside [0, 2*pi)"),
+    ("synth-diag", "p.csv", "0,0.5\n1,%s\n" % ("1" * 200_000),
+     "row 2: field larger than field limit"),
 ], ids=["index-out-of-range", "duplicate-index", "negative-index",
         "non-integer-index", "empty-first-index", "letter-first-index",
         "fractional-first-index", "nan-magnitude", "infinite-magnitude",
         "invalid-json", "negative-magnitude", "boolean-magnitude", "string-phase",
-        "fractional-n", "boolean-n", "boolean-phase", "huge-n"])
+        "fractional-n", "boolean-n", "boolean-phase", "huge-n", "latin-1-csv",
+        "latin-1-after-bom", "deep-json", "deep-json-phases", "huge-integer-magnitude",
+        "huge-integer-phase", "phase-below-zero", "csv-phase-past-two-pi",
+        "csv-field-past-the-csv-limit"])
 def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
                                               content, where):
     path = tmp_path / name
-    path.write_text(content)
+    # Latin-1 writes each character below 256 as that one byte, so a case
+    # can hold bytes that are not UTF-8.
+    path.write_text(content, encoding="latin-1")
     if command == "prepare":
         argv = ["prepare", str(path), "--mode", "det", "--epsilon", "0.1"]
     else:
@@ -544,7 +566,37 @@ def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert str(path) in err and where in err
-    assert "Traceback" not in err and "np.float64" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "np.float64" not in err
+
+
+def test_deterministic_epsilon_on_one_qubit_is_a_usage_error_naming_the_file(
+        tmp_path, capsys):
+    vec = write_vector(tmp_path / "one.json", [0.6, 0.8])
+    assert main(["prepare", str(vec), "--mode", "det", "--epsilon", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {vec}: ") and err.count("\n") == 1
+    assert "--t and --t-prime" in err
+    assert main(["prepare", str(vec), "--mode", "det", "--t", "4", "--t-prime", "3",
+                 "--report", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("command, content", [
+    ("prepare", {"n": 1, "entries": [{"magnitude": 0.6, "phase": 0.5},
+                                     {"magnitude": 0.8, "phase": 0.0}]}),
+    ("synth-diag", {"n": 1, "phases": [0.5, 1.0]}),
+])
+def test_json_inputs_may_start_with_a_byte_order_mark(tmp_path, capsys, command, content):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(json.dumps(content), encoding="utf-8")
+    marked.write_text("\ufeff" + json.dumps(content), encoding="utf-8")
+    outputs = []
+    for path in (plain, marked):
+        argv = [command, str(path), *(["--mode", "prob", "--t", "4", "--t-prime", "3"]
+                                      if command == "prepare" else ["--m", "4"])]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -660,7 +712,7 @@ def test_emitted_gate_lists_are_the_reference_peel_bytes(tmp_path, command):
         x = load_vector(path)
         cfg = required_precision(n, 0.1, DETERMINISTIC if command == "det" else PROBABILISTIC)
         built = build(x, cfg)
-        rounds = built.circuit.gates[:len(built.circuit.gates) - len(built.phase_stage)]
+        rounds = built.circuit.gates[:built.phase_start]
         stage = reference_phase_stage(x, cfg.phase_bits, built.registers.data)
         assert len(stage) > 1 << n
         circuit = Circuit(built.circuit.num_qubits, rounds + stage)

@@ -413,12 +413,33 @@ def test_build_gate_order(mode):
     else:
         expected = [("H", q) for q in data]
         expected += _expected_round(estimation, data, table.estimates[0], t + n, 4)
-    phase_stage = result.phase_stage
+    phase_stage = result.circuit.gates[result.phase_start:]
     assert phase_stage  # random phases need a nonempty diagonal
-    assert result.circuit.gates[len(expected):] == phase_stage
+    assert result.phase_start == len(expected)
+    assert result.ladder_end == (None if mode == DETERMINISTIC else n + 3 * t + 1)
     assert [_describe(g) for g in result.circuit.gates[:len(expected)]] == expected
     assert phase_stage == reference_phase_stage(x, cfg.phase_bits, data)
     assert all(set(gate_qubits(g)) <= set(data) for g in phase_stage)
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_records_its_stage_boundaries(mode, n):
+    # The recorded indices fall where the gates themselves say: the ladder
+    # ends at the ancilla's last gate, the uncompute's QFT follows it, and
+    # the phase stage is the synthesized diagonal on the data qubits.
+    rng = np.random.default_rng(n)
+    x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0.0, TAU, 1 << n))
+    cfg = PrecisionConfig(4, 5, mode)
+    built = build(x, cfg)
+    gates, registers = built.circuit.gates, built.registers
+    if mode == DETERMINISTIC:
+        assert built.ladder_end is None
+    else:
+        touching = [i for i, g in enumerate(gates) if registers.ancilla in gate_qubits(g)]
+        assert built.ladder_end - 1 == touching[-1]
+        assert gates[built.ladder_end] == QFTBlock(registers.estimation, inverse=False)
+    assert gates[built.phase_start:] == build_phase_stage(x, cfg.phase_bits, registers.data)
 
 
 @pytest.mark.parametrize("mode, magnitudes", [

@@ -87,6 +87,17 @@ def _write_inputs(root: Path) -> dict[str, str]:
     for name, text in bad.items():
         (root / name).write_text(text)
         paths[name] = str(root / name)
+    loader = {
+        "bom.json": b"\xef\xbb\xbf" + (root / "real2.json").read_bytes(),
+        "latin1.csv": b"index,magnitude,phase\n0,1.0,0.0\n1,0.5,0.0 caf\xe9\n",
+        "deep.json": b'{"n": 1, "entries": [' + b"[" * 100_000 + b"]" * 100_000 + b"]}",
+        "huge.json": b'{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0}, '
+                     b'{"magnitude": ' + b"9" * 401 + b', "phase": 0.0}]}',
+        "range-phase.json": b'{"n": 1, "phases": [-3.0, 0.5]}',
+    }
+    for name, data in loader.items():
+        (root / name).write_bytes(data)
+        paths[name] = str(root / name)
     return paths
 
 
@@ -176,6 +187,19 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["synth-diag", inputs["first-row-phases.csv"], "--m", "2"],
         ["verify", "--suite", "synth", "--n", "2", "--trials", "1", "--seed", "-1"],
         ["prepare", vector, "--mode", "det", "--epsilon", "0.1", "--seed", "-5"],
+        # JSON read as UTF-8 after an optional byte-order mark, and loader
+        # refusals that name the file: undecodable bytes, deep nesting, an
+        # integer past the largest float, a phase outside [0, 2*pi), and the
+        # deterministic width formula on one qubit.  Checkouts from before
+        # these refusals differ here: they refuse the BOM, print tracebacks,
+        # or print messages that name no file.
+        ["prepare", inputs["bom.json"], "--mode", "prob", "--epsilon", "0.1", *out],
+        ["prepare", inputs["latin1.csv"], "--mode", "det", "--epsilon", "0.1",
+         "--fast-path"],
+        ["prepare", inputs["deep.json"], "--mode", "det", "--epsilon", "0.1"],
+        ["prepare", inputs["huge.json"], "--mode", "det", "--epsilon", "0.1"],
+        ["synth-diag", inputs["range-phase.json"], "--m", "2"],
+        ["prepare", inputs["one1.json"], "--mode", "det", "--epsilon", "0.1"],
     ]
     return runs
 
