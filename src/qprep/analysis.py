@@ -12,21 +12,21 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
+from .dyadic import TAU
 from .prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
+    BuildResult,
     PrecisionConfig,
     TargetVector,
     build,
     fast_path_prepare,
     simulate_preparation,
 )
-from .sim import Circuit, StateVector
-from .synth import count_gate_list
+from .sim import StateVector
 
 BOUND_SLACK = 1e-12
 
@@ -82,43 +82,24 @@ def total_distance_bound(x: TargetVector, cfg: PrecisionConfig) -> float:
     return bound
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
-    """One measured-versus-bound cell: a ``verify`` row or a ``prepare`` report.
+    """What one evaluation built and measured against the bounds.
 
-    The fields after ``error`` are not part of a row; they carry the
-    prepared state and circuit that ``qprep prepare`` reports and emits (and
-    the state the dualpath suite compares), and are unset on a failed cell.
+    ``built`` holds the circuit that ``qprep prepare`` emits and ``verify``
+    counts; the success fields are None in deterministic mode and the
+    estimation residual is None on the fast path.
     """
 
-    config: dict
+    built: BuildResult
+    amplitudes: np.ndarray
     measured_distance: float
+    overlap_fidelity: float
     theoretical_bound: float
+    satisfied: bool
     measured_success_probability: float | None
     success_lower_bound: float | None
-    gate_counts: dict[tuple[int, int], int]
-    satisfied: bool
-    seed: int | None = None
-    error: str | None = None
-    amplitudes: np.ndarray | None = None
-    overlap_fidelity: float | None = None
-    estimation_residual: float | None = None
-    circuit: Circuit | None = None
-
-    def to_json_dict(self) -> dict:
-        record = {
-            "config": self.config,
-            "measured_distance": self.measured_distance,
-            "theoretical_bound": self.theoretical_bound,
-            "measured_success_probability": self.measured_success_probability,
-            "success_lower_bound": self.success_lower_bound,
-            "gate_counts": {f"{k},{l}": c for (k, l), c in sorted(self.gate_counts.items())},
-            "satisfied": self.satisfied,
-            "seed": self.seed,
-        }
-        if self.error is not None:
-            record["error"] = self.error
-        return record
+    estimation_residual: float | None
 
 
 def write_rows(path: str | None, rows: list[dict]) -> None:
@@ -144,16 +125,8 @@ def write_rows(path: str | None, rows: list[dict]) -> None:
             handle.writelines(lines)
 
 
-def _config_dict(n: int, t: int, t_prime: int, mode: str,
-                 angle_multiplier: int | None = None,
-                 epsilon: float | None = None) -> dict:
-    return {"n": n, "t": t, "t_prime": t_prime, "mode": mode,
-            "angle_multiplier": angle_multiplier, "epsilon": epsilon}
-
-
 def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
                     epsilon: float | None = None,
-                    seed: int | None = None,
                     fast_path: bool = False) -> BoundReport:
     """Build the circuit for one vector, prepare the state and compare it
     against the bounds.
@@ -179,52 +152,16 @@ def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
         satisfied = satisfied and success >= lower - BOUND_SLACK
 
     return BoundReport(
-        config=_config_dict(x.num_qubits, cfg.estimation_bits, cfg.phase_bits,
-                            cfg.mode, cfg.angle_multiplier, epsilon),
+        built=built,
+        amplitudes=prepared.amplitudes,
         measured_distance=distance,
+        overlap_fidelity=overlap_fidelity(state, target),
         theoretical_bound=bound,
+        satisfied=satisfied,
         measured_success_probability=success,
         success_lower_bound=lower,
-        gate_counts=count_gate_list(built.circuit.gates[built.phase_start:]),
-        satisfied=satisfied,
-        seed=seed,
-        amplitudes=prepared.amplitudes,
-        overlap_fidelity=overlap_fidelity(state, target),
         estimation_residual=prepared.estimation_residual,
-        circuit=built.circuit,
     )
-
-
-def sweep(vectors: list[TargetVector],
-          estimation_bits: list[int],
-          phase_bits: list[int],
-          modes: list[str],
-          seeds: list[int] | None = None) -> Iterator[BoundReport]:
-    """Lazy cartesian evaluation in deterministic order (vector, mode, t, t').
-
-    A failing cell is recorded with ``error`` set and the sweep continues.
-    """
-    if not estimation_bits or not phase_bits or not modes:
-        raise ValueError("sweep grid must be nonempty")
-    for index, x in enumerate(vectors):
-        seed = seeds[index] if seeds is not None else None
-        for mode in modes:
-            for t in estimation_bits:
-                for tp in phase_bits:
-                    try:
-                        yield evaluate_bounds(x, PrecisionConfig(t, tp, mode), seed=seed)
-                    except Exception as exc:  # record and keep sweeping
-                        yield BoundReport(
-                            config=_config_dict(x.num_qubits, t, tp, mode),
-                            measured_distance=math.nan,
-                            theoretical_bound=math.nan,
-                            measured_success_probability=None,
-                            success_lower_bound=None,
-                            gate_counts={},
-                            satisfied=False,
-                            seed=seed,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
 
 
 def random_target_vector(num_qubits: int, rng: np.random.Generator,
@@ -233,9 +170,9 @@ def random_target_vector(num_qubits: int, rng: np.random.Generator,
     size = 1 << num_qubits
     magnitudes = np.abs(rng.standard_normal(size))
     if complex_phases:
-        phases = rng.uniform(0.0, 2.0 * math.pi, size)
+        phases = rng.uniform(0.0, TAU, size)
         # uniform() can return the upper endpoint after float rounding
-        phases = np.where(phases >= 2.0 * math.pi, 0.0, phases)
+        phases = np.where(phases >= TAU, 0.0, phases)
     else:
         phases = np.zeros(size)
     return TargetVector(num_qubits, magnitudes, phases)

@@ -47,11 +47,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _clip(text: str, limit: int = 60) -> str:
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+class _LongInteger(str):
+    """A JSON integer too long for ``int`` to read, clipped: past any float."""
+
+    def __float__(self) -> float:
+        raise OverflowError
+
+
+def _json_int(digits: str) -> int | _LongInteger:
+    try:
+        return int(digits)
+    except ValueError:  # past the digit limit
+        return _LongInteger(_clip(digits))
+
+
 def _number(where: str, name: str, value) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{where}: {name} {value!r} is not a number") from None
+        raise ValueError(f"{where}: {name} {_clip(repr(value))} is not a number") from None
     except OverflowError:  # an integer past the largest float
         raise ValueError(f"{where}: {name} is an integer too large for a float") from None
     if not math.isfinite(number):
@@ -100,11 +118,12 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
         for line, row in rows:
             where = f"{path}: row {line}"
             if len(row) != 1 + len(fields):
-                raise ValueError(f"{where}: {row!r} needs index,{','.join(fields)}")
+                raise ValueError(f"{where}: {_clip(repr(row))} needs index,{','.join(fields)}")
             try:
                 index = int(row[0])
             except ValueError:
-                raise ValueError(f"{where}: index {row[0]!r} is not an integer") from None
+                raise ValueError(f"{where}: index {_clip(repr(row[0]))} "
+                                 f"is not an integer") from None
             if not 0 <= index < size:
                 raise ValueError(f"{where}: index {index} outside [0, {size})")
             if cells[index] is not None:
@@ -112,23 +131,24 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
             cells[index] = (where, row[1:])
     else:
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_int=_json_int)
             n = raw["n"]
             cells = [(f"{path}: entry {index}", values(entry))
                      for index, entry in enumerate(raw[key])]
         # json raises RecursionError on arrays or objects nested too deeply.
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed file {path}: {exc}") from exc
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"{path}: n {json.dumps(n)} is not an integer")
+        if isinstance(n, bool) or not isinstance(n, (int, _LongInteger)):
+            raise ValueError(f"{path}: n {_clip(json.dumps(n))} is not an integer")
         size = len(cells)
-        if n < 1 or size.bit_length() != n + 1 or size & (size - 1):
+        if isinstance(n, _LongInteger) or n < 1 or size.bit_length() != n + 1 or size & (size - 1):
             raise ValueError(f"{path}: expected 2^n >= 2 entries for n={n}, got {size}")
-        # float() would read true as 1 and "0" as 0; only JSON numbers count.
+        # float() would read true as 1 and "0" as 0; only JSON numbers, _LongInteger too, count.
         for where, row in cells:
             for name, value in zip(fields, row):
-                if isinstance(value, (bool, str)):
-                    raise ValueError(f"{where}: {name} {json.dumps(value)} is not a number")
+                if isinstance(value, bool) or type(value) is str:
+                    raise ValueError(f"{where}: {name} {_clip(json.dumps(value))} "
+                                     f"is not a number")
     return np.array([[_number(where, name, value) for name, value in zip(fields, row)]
                      for where, row in cells]).T.copy()
 
@@ -222,8 +242,8 @@ def cmd_prepare(args) -> int:
         "epsilon": args.epsilon,
         "computation_path": "fast-path" if args.fast_path else "full-circuit",
         "seed": args.seed,
-        "qubits": record.circuit.num_qubits,
-        "gate_count": written_gate_count(record.circuit),
+        "qubits": record.built.circuit.num_qubits,
+        "gate_count": written_gate_count(record.built.circuit),
         "prepared_amplitudes": [[float(a.real), float(a.imag)] for a in record.amplitudes],
         "distance_to_target": record.measured_distance,
         "overlap_fidelity": record.overlap_fidelity,
@@ -241,7 +261,7 @@ def cmd_prepare(args) -> int:
     else:
         print(text)
     if args.emit:
-        save_circuit(args.emit, record.circuit, x.num_qubits)
+        save_circuit(args.emit, record.built.circuit, x.num_qubits)
     if not record.satisfied:
         print(f"bound violated: distance {record.measured_distance:.6g}"
               f" > {record.theoretical_bound:.6g}", file=sys.stderr)
@@ -346,16 +366,33 @@ def _bounds_configs(n: int) -> tuple[list[PrecisionConfig], list[PrecisionConfig
     return fixed, [required_precision(n, 0.5, mode) for mode in (DETERMINISTIC, PROBABILISTIC)]
 
 
+def _bounds_row(x: TargetVector, cfg: PrecisionConfig, epsilon: float | None, trial: int) -> dict:
+    """One bounds row; its keys, and those of its config, are in column order."""
+    report = analysis.evaluate_bounds(x, cfg, epsilon=epsilon)
+    counts = count_gate_list(report.built.circuit.gates[report.built.phase_start:])
+    return {
+        "suite": "bounds",
+        "config": {"n": x.num_qubits, "t": cfg.estimation_bits, "t_prime": cfg.phase_bits,
+                   "mode": cfg.mode, "angle_multiplier": cfg.angle_multiplier,
+                   "epsilon": epsilon},
+        "measured_distance": report.measured_distance,
+        "theoretical_bound": report.theoretical_bound,
+        "measured_success_probability": report.measured_success_probability,
+        "success_lower_bound": report.success_lower_bound,
+        "gate_counts": {f"{k},{l}": c for (k, l), c in sorted(counts.items())},
+        "satisfied": report.satisfied,
+        "seed": trial,
+    }
+
+
 def _suite_bounds(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     fixed, by_epsilon = _bounds_configs(n)
     rows = []
     for trial in range(trials):
         real = analysis.random_target_vector(n, rng, complex_phases=False)
-        reports = [analysis.evaluate_bounds(real, cfg, seed=trial) for cfg in fixed]
+        rows += [_bounds_row(real, cfg, None, trial) for cfg in fixed]
         full = analysis.random_target_vector(n, rng)
-        reports += [analysis.evaluate_bounds(full, cfg, epsilon=0.5, seed=trial)
-                    for cfg in by_epsilon]
-        rows += [{"suite": "bounds", **report.to_json_dict()} for report in reports]
+        rows += [_bounds_row(full, cfg, 0.5, trial) for cfg in by_epsilon]
     return rows
 
 

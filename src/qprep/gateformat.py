@@ -34,6 +34,7 @@ from .sim import (
 )
 
 _MAX_DYADIC_LEVEL = 32
+_HEADER = "# qprep v1"
 
 
 def format_float(value: float) -> str:
@@ -160,7 +161,7 @@ def _gate_line(gate: Gate, phases_fields: dict[int, str],
 
 def circuit_lines(circuit: Circuit, data_qubits: int) -> Iterator[str]:
     """The header, then one line per written gate, made as it is asked for."""
-    yield f"# qprep v1 n={data_qubits} qubits={circuit.num_qubits}"
+    yield f"{_HEADER} n={data_qubits} qubits={circuit.num_qubits}"
     # An estimation round's 2t oracles share one phases tuple: format it once.
     # Reuse goes by identity, as 0.0 == -0.0 but they print "0" and "-0"; the
     # circuit keeps every tuple alive, so no id is reused while this runs.
@@ -226,8 +227,8 @@ def parse_circuit(text: str) -> tuple[int, Circuit]:
     """Returns (data qubit count, circuit) from gate-list text."""
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
-    if not lines or not lines[0].startswith("# qprep v1 "):
-        raise ValueError("missing '# qprep v1' header line")
+    if not lines or not lines[0].startswith(_HEADER + " "):
+        raise ValueError(f"missing '{_HEADER}' header line")
     header = _parse_fields(lines[0].split()[3:])
     data_qubits = int(header["n"])
     num_qubits = int(header["qubits"])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from functools import partial
@@ -8,6 +9,7 @@ import pytest
 
 from qprep.analysis import (
     BOUND_SLACK,
+    BoundReport,
     deterministic_distance_bound,
     evaluate_bounds,
     overlap_fidelity,
@@ -16,18 +18,18 @@ from qprep.analysis import (
     random_target_vector,
     state_distance,
     success_lower_bound,
-    sweep,
     total_distance_bound,
-    write_rows,
 )
-from qprep.cli import _bounds_configs
+from qprep.cli import _bounds_configs, _bounds_row, main
 from qprep.dyadic import MAX_LEVEL
 from qprep.prepare import (
     DETERMINISTIC,
     MAX_ESTIMATION_BITS,
     PROBABILISTIC,
     PrecisionConfig,
+    RegisterMap,
     TargetVector,
+    build_phase_stage,
     required_precision,
 )
 from qprep.sim import StateVector, new_basis_state
@@ -144,12 +146,11 @@ def test_evaluate_bounds_deterministic():
     rng = np.random.default_rng(10)
     x = random_target_vector(2, rng)
     cfg = required_precision(2, 0.1, DETERMINISTIC)
-    report = evaluate_bounds(x, cfg, epsilon=0.1, seed=10)
+    report = evaluate_bounds(x, cfg, epsilon=0.1)
     assert report.satisfied
     assert report.measured_distance <= 0.1 + BOUND_SLACK
     assert report.measured_success_probability is None
-    assert report.config["mode"] == DETERMINISTIC
-    assert report.seed == 10
+    assert report.built.circuit.num_qubits == RegisterMap.layout(2, cfg).num_qubits
 
 
 def test_evaluate_bounds_probabilistic_uniform():
@@ -166,42 +167,8 @@ def test_evaluate_bounds_probabilistic_with_phases():
     cfg = required_precision(2, 0.5, PROBABILISTIC)
     report = evaluate_bounds(x, cfg, epsilon=0.5)
     assert report.satisfied
-    assert report.gate_counts  # phase stage synthesized something
-
-
-def test_sweep_single_cell_matches_evaluate():
-    rng = np.random.default_rng(1)
-    x = random_target_vector(2, rng, complex_phases=False)
-    reports = list(sweep([x], [6], [1], [DETERMINISTIC], seeds=[7]))
-    single = evaluate_bounds(x, PrecisionConfig(6, 1), seed=7)
-    assert len(reports) == 1
-    assert reports[0].measured_distance == single.measured_distance
-    assert reports[0].seed == 7
-
-
-def test_sweep_empty_vectors_and_bad_grid():
-    assert list(sweep([], [6], [1], [DETERMINISTIC])) == []
-    with pytest.raises(ValueError):
-        list(sweep([], [], [1], [DETERMINISTIC]))
-
-
-def test_sweep_grid_order_and_satisfaction():
-    rng = np.random.default_rng(14)
-    vectors = [random_target_vector(2, rng, complex_phases=False) for _ in range(3)]
-    reports = list(sweep(vectors, [6, 8], [1], [DETERMINISTIC]))
-    assert len(reports) == 6
-    ts = [r.config["t"] for r in reports]
-    assert ts == [6, 8, 6, 8, 6, 8]
-    assert all(r.satisfied for r in reports)
-
-
-def test_sweep_records_cell_failures_and_continues():
-    rng = np.random.default_rng(15)
-    x = random_target_vector(2, rng)
-    reports = list(sweep([x], [0, 6], [4], [DETERMINISTIC]))
-    assert len(reports) == 2
-    assert reports[0].error is not None and not reports[0].satisfied
-    assert reports[1].error is None
+    # the phase stage synthesized something
+    assert report.built.phase_start < len(report.built.circuit.gates)
 
 
 def test_mean_distance_decreases_with_estimation_width():
@@ -210,35 +177,43 @@ def test_mean_distance_decreases_with_estimation_width():
                for _ in range(50)]
     means = []
     for t in (6, 8, 10):
-        reports = sweep(vectors, [t], [1], [DETERMINISTIC])
-        means.append(np.mean([r.measured_distance for r in reports]))
+        means.append(np.mean([evaluate_bounds(x, PrecisionConfig(t, 1)).measured_distance
+                              for x in vectors]))
     assert means[0] > means[1] > means[2]
 
 
-def test_report_serialization(tmp_path):
-    rng = np.random.default_rng(3)
-    x = random_target_vector(2, rng)
-    report = evaluate_bounds(x, required_precision(2, 0.5, PROBABILISTIC),
-                             epsilon=0.5, seed=3)
-    record = report.to_json_dict()
-    assert list(record) == ["config", "measured_distance", "theoretical_bound",
-                            "measured_success_probability", "success_lower_bound",
-                            "gate_counts", "satisfied", "seed"]
-    json_path = tmp_path / "reports.jsonl"
-    write_rows(json_path, [record])
-    lines = json_path.read_text().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["satisfied"] is True
+_ROW_COLUMNS = ["suite", "config", "measured_distance", "theoretical_bound",
+                "measured_success_probability", "success_lower_bound", "gate_counts",
+                "satisfied", "seed"]
 
-    csv_path = tmp_path / "reports.csv"
-    write_rows(csv_path, [record])
-    header = csv_path.read_text().splitlines()[0]
-    assert header == ("config,measured_distance,theoretical_bound,"
-                      "measured_success_probability,success_lower_bound,"
-                      "gate_counts,satisfied,seed")
+
+def test_verify_bounds_rows_as_csv_and_json_lines(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "rows.jsonl"
+    for path in (csv_path, json_path):
+        assert main(["verify", "--suite", "bounds", "--n", "2", "--trials", "2",
+                     "--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert csv_path.read_text().splitlines()[0] == ",".join(_ROW_COLUMNS)
     with open(csv_path, newline="") as handle:
-        row = next(csv.DictReader(handle))
-    assert json.loads(row["config"])["mode"] == PROBABILISTIC
+        csv_rows = list(csv.DictReader(handle))
+    json_rows = [json.loads(line) for line in json_path.read_text().splitlines()]
+    fixed, by_epsilon = _bounds_configs(2)
+    cells = [(cfg, None) for cfg in fixed] + [(cfg, 0.5) for cfg in by_epsilon]
+    assert len(csv_rows) == len(json_rows) == 2 * len(cells)
+    for index, (csv_row, json_row) in enumerate(zip(csv_rows, json_rows)):
+        cfg, epsilon = cells[index % len(cells)]
+        config = json.loads(csv_row["config"])
+        # The CSV keeps the config's keys in the order they are built.
+        assert list(config.items()) == [
+            ("n", 2), ("t", cfg.estimation_bits), ("t_prime", cfg.phase_bits),
+            ("mode", cfg.mode), ("angle_multiplier", cfg.angle_multiplier),
+            ("epsilon", epsilon)]
+        assert sorted(json_row) == sorted(_ROW_COLUMNS)
+        assert json_row["config"] == config
+        assert json_row["suite"] == csv_row["suite"] == "bounds"
+        assert json_row["seed"] == int(csv_row["seed"]) == index // len(cells)
+        assert json.loads(csv_row["gate_counts"]) == json_row["gate_counts"]
+        assert json_row["satisfied"] is True and csv_row["satisfied"] == "True"
 
 
 def test_random_target_vector_properties():
@@ -249,14 +224,6 @@ def test_random_target_vector_properties():
     assert np.all((x.phases >= 0) & (x.phases < 2 * math.pi))
     real = random_target_vector(2, rng, complex_phases=False)
     assert np.all(real.phases == 0)
-
-
-def test_sweep_is_lazy():
-    rng = np.random.default_rng(4)
-    x = random_target_vector(2, rng, complex_phases=False)
-    iterator = sweep([x], [6], [1], [DETERMINISTIC])
-    first = next(iterator)
-    assert first.config["t"] == 6
 
 
 @pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
@@ -273,6 +240,57 @@ def test_evaluate_bounds_synthesizes_the_phase_stage_once(monkeypatch, mode, fas
 
     monkeypatch.setattr(qprep.prepare, "peel_synthesize", counted)
     x = random_target_vector(2, np.random.default_rng(5))
-    report = evaluate_bounds(x, PrecisionConfig(6, 4, mode), fast_path=fast_path)
+    evaluate_bounds(x, PrecisionConfig(6, 4, mode), fast_path=fast_path)
     assert len(calls) == 1
-    assert report.gate_counts == count_gate_list(original(calls[0]).gates)
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_bounds_row_counts_the_phase_stage(mode):
+    x = random_target_vector(2, np.random.default_rng(5))
+    cfg = PrecisionConfig(6, 4, mode)
+    row = _bounds_row(x, cfg, None, 0)
+    stage = build_phase_stage(x, cfg.phase_bits, RegisterMap.layout(2, cfg).data)
+    counts = {tuple(map(int, key.split(","))): count
+              for key, count in row["gate_counts"].items()}
+    assert counts == count_gate_list(stage) != {}
+    assert list(row["gate_counts"]) == [f"{k},{l}" for k, l in sorted(counts)]
+
+
+def test_bound_report_holds_only_what_was_built_and_measured():
+    assert [field.name for field in dataclasses.fields(BoundReport)] == [
+        "built", "amplitudes", "measured_distance", "overlap_fidelity",
+        "theoretical_bound", "satisfied", "measured_success_probability",
+        "success_lower_bound", "estimation_residual"]
+    report = evaluate_bounds(TargetVector.from_magnitudes([1, 2]),
+                             PrecisionConfig(4, 1, PROBABILISTIC), fast_path=True)
+    assert report.estimation_residual is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.satisfied = False
+
+
+@pytest.mark.parametrize("route", ["--fast-path", "--full-circuit"])
+@pytest.mark.parametrize("mode", ["det", "prob"])
+def test_prepare_counts_no_gates(tmp_path, monkeypatch, capsys, route, mode):
+    import qprep.analysis
+    import qprep.cli
+    import qprep.synth
+
+    calls = []
+
+    def counted(gates):
+        calls.append(gates)
+        return count_gate_list(gates)
+
+    for module in (qprep.analysis, qprep.cli, qprep.synth):
+        if hasattr(module, "count_gate_list"):
+            monkeypatch.setattr(module, "count_gate_list", counted)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"n": 2, "entries": [
+        {"magnitude": m, "phase": p} for m, p in ((1, 0.5), (2, 0), (3, 1), (4, 2))]}))
+    assert main(["prepare", str(path), "--mode", mode, "--epsilon", "0.5", route,
+                 "--emit", str(tmp_path / "gates.txt")]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert main(["verify", "--suite", "bounds", "--n", "2", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 7

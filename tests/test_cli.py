@@ -501,6 +501,9 @@ def test_verify_bounds_suite(tmp_path, capsys):
 _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
 _DEEP = "[" * 100_000 + "]" * 100_000
 _HUGE = "9" * 401
+# Past the 4,300 digits Python's int() reads from text by default.
+_LONG_DIGITS = "9" * 5000
+_LONG_TEXT = "x" * 100_000
 
 
 @pytest.mark.parametrize("command, name, content, where", [
@@ -545,6 +548,20 @@ _HUGE = "9" * 401
     ("synth-diag", "p.csv", "1,0.5\n0,7.0\n", "entry 0: phase 7.0 outside [0, 2*pi)"),
     ("synth-diag", "p.csv", "0,0.5\n1,%s\n" % ("1" * 200_000),
      "row 2: field larger than field limit"),
+    # Bad values and rows are quoted only up to a fixed prefix.
+    ("synth-diag", "p.json", '{"n": 1, "phases": [0.5, "%s"]}' % _LONG_TEXT,
+     'entry 1: phase "%s... is not a number' % _LONG_TEXT[:59]),
+    ("synth-diag", "p.csv", "0,0.5\n1,%s\n" % _LONG_TEXT,
+     "row 2: phase '%s... is not a number" % _LONG_TEXT[:59]),
+    ("synth-diag", "p.csv", "0,0.5\n%s,0.2\n" % _LONG_TEXT,
+     "row 2: index '%s... is not an integer" % _LONG_TEXT[:59]),
+    ("synth-diag", "p.csv", "0,0.5\n1,0.2%s\n" % (",0" * 50_000),
+     "row 2: ['1', '0.2', '0', '0', '0', '0', '0', '0', '0', '0', '0', '0... "
+     "needs index,phase"),
+    ("synth-diag", "p.json", '{"n": 1, "phases": [%s, 0.5]}' % _LONG_DIGITS,
+     "entry 0: phase is an integer too large for a float"),
+    ("synth-diag", "p.json", '{"n": %s, "phases": [0.5, 1.0]}' % _LONG_DIGITS,
+     "expected 2^n >= 2 entries for n=%s..., got 2" % _LONG_DIGITS[:60]),
 ], ids=["index-out-of-range", "duplicate-index", "negative-index",
         "non-integer-index", "empty-first-index", "letter-first-index",
         "fractional-first-index", "nan-magnitude", "infinite-magnitude",
@@ -552,7 +569,8 @@ _HUGE = "9" * 401
         "fractional-n", "boolean-n", "boolean-phase", "huge-n", "latin-1-csv",
         "latin-1-after-bom", "deep-json", "deep-json-phases", "huge-integer-magnitude",
         "huge-integer-phase", "phase-below-zero", "csv-phase-past-two-pi",
-        "csv-field-past-the-csv-limit"])
+        "csv-field-past-the-csv-limit", "long-json-string", "long-csv-cell",
+        "long-csv-index", "long-csv-row", "long-integer-phase", "long-integer-n"])
 def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
                                               content, where):
     path = tmp_path / name
@@ -567,7 +585,8 @@ def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
     err = capsys.readouterr().err
     assert str(path) in err and where in err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "np.float64" not in err
+    assert "np.float64" not in err and "set_int_max_str_digits" not in err
+    assert len(err.replace(str(path), "").encode()) <= 200
 
 
 def test_deterministic_epsilon_on_one_qubit_is_a_usage_error_naming_the_file(

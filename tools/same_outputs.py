@@ -94,6 +94,12 @@ def _write_inputs(root: Path) -> dict[str, str]:
         "huge.json": b'{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0}, '
                      b'{"magnitude": ' + b"9" * 401 + b', "phase": 0.0}]}',
         "range-phase.json": b'{"n": 1, "phases": [-3.0, 0.5]}',
+        "long-string.json": b'{"n": 1, "phases": [0.5, "' + b"x" * 100_000 + b'"]}',
+        "long-cell.csv": b"0,0.5\n1," + b"x" * 100_000 + b"\n",
+        "long-index.csv": b"0,0.5\n" + b"x" * 100_000 + b",0.2\n",
+        "long-row.csv": b"0,0.5\n1,0.2" + b",0" * 50_000 + b"\n",
+        "long-phase.json": b'{"n": 1, "phases": [' + b"9" * 5000 + b', 0.5]}',
+        "long-n.json": b'{"n": ' + b"9" * 5000 + b', "phases": [0.5, 1.0]}',
     }
     for name, data in loader.items():
         (root / name).write_bytes(data)
@@ -201,6 +207,13 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["synth-diag", inputs["range-phase.json"], "--m", "2"],
         ["prepare", inputs["one1.json"], "--mode", "det", "--epsilon", "0.1"],
     ]
+    # Refusals that quote a bad value or row only up to a fixed prefix, and
+    # JSON integers past the digits int() reads from text.  Checkouts from
+    # before these refusals differ here: they quote the whole value, or name
+    # no entry.
+    runs += [["synth-diag", inputs[name], "--m", "2"] for name in (
+        "long-string.json", "long-cell.csv", "long-index.csv", "long-row.csv",
+        "long-phase.json", "long-n.json")]
     return runs
 
 
