@@ -67,6 +67,56 @@ def phase_stage_distance_bound(num_qubits: int, phase_bits: int) -> float:
     return (1 << num_qubits) * math.pi / (1 << (phase_bits - 1))
 
 
+def probabilistic_tight_bound(num_qubits: int, estimation_bits: int) -> float:
+    """Post-selected magnitude error the one-shot scheme meets:
+    2^(n/2) * pi / 2^t, tighter than the paper's by 2^(3n/2).
+
+    Proof.  Index i keeps cos(theta_i) on the ancilla's 0 branch, where the
+    floor estimate of 4*alpha_i on t bits gives alpha_i - d <= theta_i <=
+    alpha_i with d = 2*pi / (4 * 2^t) = pi / 2^(t+1); the ideal keeps
+    v_i = cos(alpha_i) = x_i / max x.  cos moves by at most its
+    argument's move, so the kept vector u has ||u - v|| <= sqrt(2^n) * d.
+    The peak entry of v is cos 0, so ||v|| >= 1, and normalizing at most
+    doubles the error:
+    ||u/||u|| - v/||v|| || <= 2 ||u - v|| / ||v|| <= 2^(n/2) * pi / 2^t.
+    A one-hot vector comes within a factor 2 of it: every other index keeps
+    cos(pi/2 - d) = sin d.
+    """
+    return 2.0 ** (num_qubits / 2) * math.pi / (1 << estimation_bits)
+
+
+def deterministic_tight_bound(num_qubits: int, estimation_bits: int,
+                              multiplier: int) -> float:
+    """Magnitude error the iterative scheme meets: (n-1) * 2*pi / (c * 2^t)
+    for angle multiplier c, tighter than the paper's by sqrt(2) * c.
+
+    Proof.  The root rotation is exact.  Round k rotates the new data qubit
+    on each branch j of the first k by R_Y(2 theta_j) instead of
+    R_Y(2 alpha_j), where the floor estimate of c*alpha_j on t bits gives
+    0 <= alpha_j - theta_j < d = 2*pi / (c * 2^t).  The difference of the
+    two rounds is block diagonal over the branches, with blocks
+    R_Y(2 theta) - R_Y(2 alpha) of norm |1 - e^(i (theta - alpha))| <=
+    |theta - alpha| < d, so it moves a unit state by less than d.  Each
+    round is unitary, so the n - 1 rounds' errors add: the distance is at
+    most (n-1) * d.
+    """
+    return (num_qubits - 1) * TAU / (multiplier << estimation_bits)
+
+
+def phase_stage_tight_bound(phase_bits: int) -> float:
+    """Error the quantized phases add: 2*pi / 2^t', tighter than the
+    paper's by 2^n.
+
+    Proof.  Each phase is floored onto the grid of 2^t' steps, so it moves
+    by less than d = 2*pi / 2^t', and |e^(i phi') - e^(i phi)| <=
+    |phi' - phi|.  The diagonal of these differences has norm below d, so
+    it moves a unit state by less than d.  The magnitude and phase terms
+    add: the phase stage D' is unitary, so ||D'u - Dv|| <= ||D'(u - v)|| +
+    ||(D' - D)v||.
+    """
+    return TAU / (1 << phase_bits)
+
+
 def total_distance_bound(x: TargetVector, cfg: PrecisionConfig) -> float:
     """Magnitude bound for the configured mode plus the phase-stage term.
 

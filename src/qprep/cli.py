@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -77,6 +78,29 @@ def _number(where: str, name: str, value) -> float:
     return number
 
 
+# An integer literal as int() reads it from text.
+_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
+
+
+def _csv_index(where: str, cell: str, size: int) -> int:
+    """The index in a CSV row's first cell, refused unless it is an integer
+    in [0, size).  One past the digits ``int`` reads from text is larger
+    than any index, unless only its leading zeros make it that long."""
+    try:
+        index = int(cell)
+    except ValueError:
+        literal = _INTEGER.fullmatch(cell)
+        if literal is None:
+            raise ValueError(f"{where}: index {_clip(repr(cell))} is not an integer") from None
+        sign, digits = literal.group(1), literal.group(2).replace("_", "").lstrip("0")
+        long = len(digits) > sys.get_int_max_str_digits()
+        index = None if long else int(sign + (digits or "0"))
+    if index is None or not 0 <= index < size:
+        shown = cell.strip() if index is None else str(index)
+        raise ValueError(f"{where}: index {_clip(shown)} outside [0, {size})")
+    return index
+
+
 def _reads_as_number(cell: str) -> bool:
     try:
         float(cell)
@@ -119,13 +143,7 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
             where = f"{path}: row {line}"
             if len(row) != 1 + len(fields):
                 raise ValueError(f"{where}: {_clip(repr(row))} needs index,{','.join(fields)}")
-            try:
-                index = int(row[0])
-            except ValueError:
-                raise ValueError(f"{where}: index {_clip(repr(row[0]))} "
-                                 f"is not an integer") from None
-            if not 0 <= index < size:
-                raise ValueError(f"{where}: index {index} outside [0, {size})")
+            index = _csv_index(where, row[0], size)
             if cells[index] is not None:
                 raise ValueError(f"{where}: index {index} repeated")
             cells[index] = (where, row[1:])
@@ -142,7 +160,8 @@ def _load_table(path: str, key: str, fields: tuple[str, ...], values) -> np.ndar
             raise ValueError(f"{path}: n {_clip(json.dumps(n))} is not an integer")
         size = len(cells)
         if isinstance(n, _LongInteger) or n < 1 or size.bit_length() != n + 1 or size & (size - 1):
-            raise ValueError(f"{path}: expected 2^n >= 2 entries for n={n}, got {size}")
+            raise ValueError(f"{path}: expected 2^n >= 2 entries for n={_clip(str(n))}, "
+                             f"got {size}")
         # float() would read true as 1 and "0" as 0; only JSON numbers, _LongInteger too, count.
         for where, row in cells:
             for name, value in zip(fields, row):

@@ -339,14 +339,17 @@ class PreparedState:
 # Peak bytes per amplitude of a full simulation, as tracemalloc measures
 # ``simulate_preparation`` at 18-21 qubits in either mode: 32.0-33.0
 # (32.0-32.3 at 20-21 qubits; the interpreter's own allocations weigh more
-# at 18).  Three steps of the widest stage reach 32: a 2x2 gate holds the
-# buffer ``apply_circuit`` owns (16) and two half-state scratch arrays (8
-# each); the join of its last qubit holds the state it grows (8), the grown
-# one (16) and the norm check's squares of its real parts (8); a QFT on
-# qubits other than the leading ones in order holds the buffer and the one
-# copy its FFT writes over (16 each).  The post-selection in probabilistic
-# mode peaks below them, at 28: the state (16), the kept half (8) and the
-# norm check's squares of its real parts (4).
+# at 18).  Two steps of the widest stage reach 32: the join of its last
+# qubit holds the state it grows (8), the grown one (16) and the norm
+# check's squares of its real parts (8); a QFT on qubits other than the
+# leading ones in order holds the buffer ``apply_circuit`` owns and the one
+# copy its FFT writes over (16 each).  An uncontrolled 2x2 gate would too,
+# with the buffer and two half-state scratch arrays (8 each), but the
+# widest stage runs none: its Hadamards cancel in pairs or are read off,
+# and the readout's first halving sum holds half a state (8) beside the
+# buffer.  The post-selection in probabilistic mode peaks below them, at
+# 28: the state (16), the kept half (8) and the norm check's squares of its
+# real parts (4).
 SIMULATION_BYTES_PER_AMPLITUDE = 33
 
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -389,6 +392,38 @@ def memory_shortfall(num_qubits: int) -> str | None:
             f"more than the {memory} bytes {name}")
 
 
+def _cancel_hadamard_pairs(gates) -> tuple[Gate, ...]:
+    """``gates`` without the pairs of Hadamards on one qubit inside each
+    maximal run of consecutive Hadamards: H*H is the identity, and
+    Hadamards on different qubits commute.  Decided by the gates' own
+    targets, so a Hadamard on any other qubit is kept.  The rest keep their
+    order; a run that repeats no qubit is kept as the same objects."""
+    kept: list[Gate] = []
+    run: dict[int, Hadamard] = {}  # the unpaired Hadamard on each target
+    for gate in gates:
+        if isinstance(gate, Hadamard):
+            if run.pop(gate.target, None) is None:
+                run[gate.target] = gate
+            continue
+        kept.extend(run.values())
+        run.clear()
+        kept.append(gate)
+    kept.extend(run.values())
+    return tuple(kept)
+
+
+def _estimation_zero_block(amplitudes: np.ndarray, t: int) -> np.ndarray:
+    """<0|^t H^t on the leading ``t`` qubits of ``amplitudes``: the block a
+    Hadamard on each of them would leave at |0...0>, which is
+    2^(-t/2) times the sum of the 2^t blocks, taken as ``t`` halving sums
+    and one scale."""
+    block = amplitudes
+    for _ in range(t):
+        half = block.size >> 1
+        block = block[:half] + block[half:]
+    return block * 2.0 ** (-0.5 * t)
+
+
 def simulate_preparation(build_result: BuildResult) -> PreparedState:
     """Run the circuit on |0...0>, post-select the ancilla (if any) on 0, check
     the estimation register uncomputed, and return the data-register state.
@@ -402,28 +437,44 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     keeping the first half of the state.  The estimation register is read
     off before the phase stage, which runs on the 2**n data amplitudes.  The
     widest stage is the whole circuit's width, so the memory check is the
-    full simulation's."""
+    full simulation's.
+
+    Hadamards run only where they act.  Inside each run of consecutive
+    Hadamards of an estimation stage, pairs on one qubit cancel, so a
+    round's closing Hadamards and the next round's opening ones are not
+    run.  When the rounds end with one Hadamard on each estimation qubit,
+    and those qubits lead the state, they are not run either: the register
+    is read at |0...0> as <0|^t H^t psi, the sum of the state's 2^t blocks
+    times 2^(-t/2), and the leakage is 1 - ||block||^2 of that block.
+    Both are decided by the gates' values, so a Hadamard a builder puts on
+    another qubit is simulated, and shows as leakage."""
     circuit, registers = build_result.circuit, build_result.registers
     shortfall = memory_shortfall(circuit.num_qubits)
     if shortfall:
         raise ValueError(shortfall)
     gates, t, n = circuit.gates, len(registers.estimation), len(registers.data)
     ladder_end, phase_start = build_result.ladder_end, build_result.phase_start
-    first = gates[:phase_start]
-    if registers.ancilla is not None:
-        # The ancilla, the circuit's last qubit, runs as qubit 0.
-        leading = (*range(1, circuit.num_qubits), 0)
-        first = tuple(shifted_gate(gate, leading) for gate in gates[:ladder_end])
-    state = apply_circuit(new_basis_state(0, 0), Circuit(circuit.num_qubits, first))
+    state, width, rounds = new_basis_state(0, 0), circuit.num_qubits, gates[:phase_start]
     success = 1.0
     if registers.ancilla is not None:
+        # The ancilla, the circuit's last qubit, runs as qubit 0.
+        leading = (*range(1, width), 0)
+        ladder = _cancel_hadamard_pairs(shifted_gate(gate, leading)
+                                        for gate in gates[:ladder_end])
+        state = apply_circuit(state, Circuit(width, ladder))
         success, state = project_measure(state, 0, 0)
         if state is None:
             raise ValueError("ancilla outcome 0 has zero probability")
-        state = apply_circuit(state, Circuit(t + n, gates[ladder_end:phase_start]))
-    # The state holds t + n qubits; estimation qubits are the top bits, so
-    # estimation = |0...0> is the leading block of the amplitude array.
-    keep = state.amplitudes[: 1 << n]
+        width, rounds = t + n, gates[ladder_end:phase_start]
+    rounds = _cancel_hadamard_pairs(rounds)
+    # The state holds t + n qubits; estimation = |0...0> is its leading
+    # block when the estimation qubits are the top bits.
+    closing = sorted(gate.target for gate in rounds[-t:] if isinstance(gate, Hadamard))
+    read_off = closing == list(registers.estimation) == list(range(t))
+    if read_off:
+        rounds = rounds[:-t]
+    amplitudes = apply_circuit(state, Circuit(width, rounds)).amplitudes
+    keep = _estimation_zero_block(amplitudes, t) if read_off else amplitudes[: 1 << n]
     residual = max(0.0, 1.0 - float(np.sum(np.abs(keep) ** 2)))
     if residual > LEAKAGE_TOLERANCE:
         raise LeakageError(

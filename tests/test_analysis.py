@@ -11,10 +11,13 @@ from qprep.analysis import (
     BOUND_SLACK,
     BoundReport,
     deterministic_distance_bound,
+    deterministic_tight_bound,
     evaluate_bounds,
     overlap_fidelity,
     phase_stage_distance_bound,
+    phase_stage_tight_bound,
     probabilistic_distance_bound,
+    probabilistic_tight_bound,
     random_target_vector,
     state_distance,
     success_lower_bound,
@@ -30,6 +33,7 @@ from qprep.prepare import (
     RegisterMap,
     TargetVector,
     build_phase_stage,
+    fast_path_prepare,
     required_precision,
 )
 from qprep.sim import StateVector, new_basis_state
@@ -294,3 +298,86 @@ def test_prepare_counts_no_gates(tmp_path, monkeypatch, capsys, route, mode):
     assert main(["verify", "--suite", "bounds", "--n", "2", "--trials", "1"]) == 0
     capsys.readouterr()
     assert len(calls) == 7
+
+
+def test_tight_bound_formulas():
+    assert probabilistic_tight_bound(4, 10) == pytest.approx(4 * math.pi / 1024)
+    assert probabilistic_tight_bound(3, 10) == pytest.approx(math.sqrt(8) * math.pi / 1024)
+    assert deterministic_tight_bound(3, 8, 2) == pytest.approx(2 * 2 * math.pi / 512)
+    assert deterministic_tight_bound(5, 6, 4) == pytest.approx(4 * 2 * math.pi / 256)
+    assert phase_stage_tight_bound(7) == pytest.approx(2 * math.pi / 128)
+    # Each is the paper's bound divided by a fixed factor.
+    for n, t in ((2, 9), (6, 13)):
+        assert probabilistic_distance_bound(n, t) == pytest.approx(
+            2 ** (1.5 * n) * probabilistic_tight_bound(n, t))
+        assert deterministic_distance_bound(n, t) == pytest.approx(
+            2 * math.sqrt(2) * deterministic_tight_bound(n, t, 2))
+        assert phase_stage_distance_bound(n, t) == pytest.approx(
+            2 ** n * phase_stage_tight_bound(t))
+
+
+# The full circuit up to this many qubits; the fast path beyond.
+_FULL_CIRCUIT_QUBITS = 18
+
+
+def _bound_vectors(n, rng):
+    """A random, a one-hot and a near-flat magnitude vector on n qubits."""
+    size = 1 << n
+    one_hot = np.zeros(size)
+    one_hot[rng.integers(size)] = 1.0
+    near_flat = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size)
+    return [np.abs(rng.standard_normal(size)), one_hot, near_flat]
+
+
+def _magnitude_tight_bound(n, cfg):
+    if cfg.mode == DETERMINISTIC:
+        return deterministic_tight_bound(n, cfg.estimation_bits, cfg.angle_multiplier)
+    return probabilistic_tight_bound(n, cfg.estimation_bits)
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_measured_distance_is_within_the_tight_bounds(mode):
+    # Real vectors measure the magnitude term alone; the same magnitudes with
+    # random phases measure both terms, which add.
+    rng = np.random.default_rng(2019)
+    for n in range(2, 11):
+        for epsilon in (0.5, 0.1):
+            cfg = required_precision(n, epsilon, mode)
+            fast_path = RegisterMap.layout(n, cfg).num_qubits > _FULL_CIRCUIT_QUBITS
+            magnitude = _magnitude_tight_bound(n, cfg)
+            total = magnitude + phase_stage_tight_bound(cfg.phase_bits)
+            for magnitudes in _bound_vectors(n, rng):
+                phases = rng.uniform(0.0, 2 * math.pi, 1 << n)
+                for x, bound in ((TargetVector.from_magnitudes(magnitudes), magnitude),
+                                 (TargetVector(n, magnitudes, phases), total)):
+                    report = evaluate_bounds(x, cfg, fast_path=fast_path)
+                    assert report.measured_distance <= bound + BOUND_SLACK, (n, epsilon)
+
+
+def test_phase_term_is_within_its_tight_bound():
+    # The phase stage's own error: the prepared state against the state
+    # prepared without phases, given the exact target phases.
+    rng = np.random.default_rng(2020)
+    for n in range(1, 11):
+        for magnitudes in _bound_vectors(n, rng):
+            phases = rng.uniform(0.0, 2 * math.pi, 1 << n)
+            for mode in (DETERMINISTIC, PROBABILISTIC):
+                for phase_bits in (2, 5, 9):
+                    cfg = PrecisionConfig(8, phase_bits, mode)
+                    prepared = fast_path_prepare(TargetVector(n, magnitudes, phases), cfg)
+                    unphased = fast_path_prepare(TargetVector.from_magnitudes(magnitudes), cfg)
+                    term = np.linalg.norm(prepared.amplitudes
+                                          - unphased.amplitudes * np.exp(1j * phases))
+                    assert term <= phase_stage_tight_bound(phase_bits) + BOUND_SLACK
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+def test_one_hot_vector_reaches_the_tight_probabilistic_bound(n):
+    # Every other index keeps sin(pi / 2^(t+1)): the distance is about half
+    # the bound, so the bound is tight and not only valid.
+    x = TargetVector.from_magnitudes(np.eye(1 << n)[1])
+    cfg = required_precision(n, 0.1, PROBABILISTIC)
+    fast_path = RegisterMap.layout(n, cfg).num_qubits > _FULL_CIRCUIT_QUBITS
+    report = evaluate_bounds(x, cfg, fast_path=fast_path)
+    bound = probabilistic_tight_bound(n, cfg.estimation_bits)
+    assert 0.4 * bound <= report.measured_distance <= bound

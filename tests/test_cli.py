@@ -562,6 +562,12 @@ _LONG_TEXT = "x" * 100_000
      "entry 0: phase is an integer too large for a float"),
     ("synth-diag", "p.json", '{"n": %s, "phases": [0.5, 1.0]}' % _LONG_DIGITS,
      "expected 2^n >= 2 entries for n=%s..., got 2" % _LONG_DIGITS[:60]),
+    # An integer index past int()'s digit limit is outside the range, and an
+    # n within the limit is quoted only up to the same prefix.
+    ("synth-diag", "p.csv", "0,0.5\n%s,0.2\n" % _LONG_DIGITS,
+     "row 2: index %s... outside [0, 2)" % _LONG_DIGITS[:60]),
+    ("synth-diag", "p.json", '{"n": %s, "phases": [0.5, 1.0]}' % ("9" * 4000),
+     "expected 2^n >= 2 entries for n=%s..., got 2" % ("9" * 60)),
 ], ids=["index-out-of-range", "duplicate-index", "negative-index",
         "non-integer-index", "empty-first-index", "letter-first-index",
         "fractional-first-index", "nan-magnitude", "infinite-magnitude",
@@ -570,7 +576,8 @@ _LONG_TEXT = "x" * 100_000
         "latin-1-after-bom", "deep-json", "deep-json-phases", "huge-integer-magnitude",
         "huge-integer-phase", "phase-below-zero", "csv-phase-past-two-pi",
         "csv-field-past-the-csv-limit", "long-json-string", "long-csv-cell",
-        "long-csv-index", "long-csv-row", "long-integer-phase", "long-integer-n"])
+        "long-csv-index", "long-csv-row", "long-integer-phase", "long-integer-n",
+        "long-integer-csv-index", "long-n-within-the-digit-limit"])
 def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
                                               content, where):
     path = tmp_path / name
@@ -587,6 +594,14 @@ def test_malformed_input_names_file_and_entry(tmp_path, capsys, command, name,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "np.float64" not in err and "set_int_max_str_digits" not in err
     assert len(err.replace(str(path), "").encode()) <= 200
+
+
+def test_csv_index_long_only_by_its_leading_zeros_is_read(tmp_path, capsys):
+    # Past int()'s digit limit by its zeros alone, the index is 1.
+    path = tmp_path / "p.csv"
+    path.write_text("0,0.5\n%s1,0.2\n" % ("0" * 5000))
+    assert main(["synth-diag", str(path), "--m", "2"]) == 0
+    assert "reconstruction exact" in capsys.readouterr().out
 
 
 def test_deterministic_epsilon_on_one_qubit_is_a_usage_error_naming_the_file(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from qprep.prepare import (
     DETERMINISTIC,
     PROBABILISTIC,
     SIMULATION_BYTES_PER_AMPLITUDE,
+    LeakageError,
     PrecisionConfig,
     TargetVector,
     build,
@@ -18,6 +20,7 @@ from qprep.prepare import (
     compute_marginals,
     fast_path_prepare,
     required_precision,
+    _cancel_hadamard_pairs,
     simulate_preparation,
 )
 from qprep.sim import (
@@ -25,6 +28,7 @@ from qprep.sim import (
     ControlledZPow,
     DiagonalOracle,
     Hadamard,
+    PauliX,
     QFTBlock,
     RotationY,
     StateVector,
@@ -468,6 +472,79 @@ def test_factored_simulation_is_the_flat_one(mode, magnitudes):
     assert prepared.estimation_residual == pytest.approx(residual, abs=1e-12)
     if mode == PROBABILISTIC:
         assert success < 1.0 - 1e-3  # the ancilla's 1 branch was really dropped
+
+
+def test_hadamard_pairs_on_one_qubit_cancel():
+    h0, h1 = Hadamard(0), Hadamard(1)
+    assert _cancel_hadamard_pairs([h0, h1, Hadamard(0)]) == (h1,)
+    assert _cancel_hadamard_pairs([h0, h0, h0, h1, h1]) == (h0,)
+    # Only inside a run: a gate between two Hadamards keeps both.
+    assert _cancel_hadamard_pairs([h0, PauliX(0), h0]) == (h0, PauliX(0), h0)
+
+
+def test_a_run_without_a_repeated_qubit_is_kept_as_it_is():
+    run = [Hadamard(0), Hadamard(1)]
+    kept = _cancel_hadamard_pairs(run)
+    assert kept == tuple(run) and all(a is b for a, b in zip(kept, run))
+
+
+@pytest.mark.parametrize("mode, n, simulated", [
+    (DETERMINISTIC, 4, 5),  # the first round's opening Hadamards
+    (PROBABILISTIC, 2, 2 + 5),  # the data qubits' and the round's opening ones
+])
+def test_only_hadamards_that_act_are_simulated(monkeypatch, mode, n, simulated):
+    import qprep.sim
+
+    ran = []
+    original = qprep.sim.apply_gate
+
+    def counted(state, gate):
+        if isinstance(gate, Hadamard):
+            ran.append(gate)
+        return original(state, gate)
+
+    monkeypatch.setattr(qprep.sim, "apply_gate", counted)
+    rng = np.random.default_rng(n)
+    x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0.0, TAU, 1 << n))
+    built = build(x, PrecisionConfig(5, 4, mode))
+    built_count = sum(isinstance(g, Hadamard) for g in built.circuit.gates)
+    prepared = simulate_preparation(built)
+    assert len(ran) == simulated < built_count
+    assert np.max(np.abs(prepared.amplitudes - flat_preparation(built)[0])) < 1e-12
+
+
+def _det_round_hadamards(built):
+    """Where each deterministic round's closing Hadamards start, in order."""
+    gates, t = built.circuit.gates, len(built.registers.estimation)
+    closing = []
+    for i in range(len(gates) - t + 1):
+        if isinstance(gates[i], DiagonalOracle) and gates[i].power == -(1 << (t - 1)):
+            closing.append(i + 1)
+    return closing
+
+
+@pytest.mark.parametrize("defect", ["moved-last", "moved-between", "dropped-between"])
+def test_a_misplaced_hadamard_is_simulated_and_leaks(defect):
+    # One closing Hadamard of a round put on a data qubit, or dropped: the
+    # estimation register no longer uncomputes, and the simulation sees it.
+    rng = np.random.default_rng(7)
+    x = TargetVector(3, np.abs(rng.standard_normal(8)), np.zeros(8))
+    built = build(x, PrecisionConfig(5, 4))
+    gates = list(built.circuit.gates)
+    first, last = _det_round_hadamards(built)
+    at = (last if defect == "moved-last" else first) + 2
+    assert gates[at] == Hadamard(2)
+    if defect == "dropped-between":
+        del gates[at]
+        phase_start = built.phase_start - 1
+    else:
+        gates[at] = Hadamard(built.registers.data[0])
+        phase_start = built.phase_start
+    broken = dataclasses.replace(built, circuit=Circuit(built.circuit.num_qubits, tuple(gates)),
+                                 phase_start=phase_start)
+    assert flat_preparation(broken)[2] > 0.1
+    with pytest.raises(LeakageError):
+        simulate_preparation(broken)
 
 
 def test_simulation_peak_is_the_widest_stage():

@@ -1,7 +1,8 @@
 """Property tests of the simulation: each kernel against the (2,)*q axis
 reference byte for byte, widening and gate relabelling against the flat
-simulation, written gate lists against the gates they were written from, and
-the full preparation against the fast path.
+simulation, written gate lists against the gates they were written from, the
+estimation register's readout against its Hadamards, and the full
+preparation against the fast path.
 
 Derandomized, so every run draws the same examples.
 """
@@ -22,6 +23,7 @@ from qprep.prepare import (
     PROBABILISTIC,
     PrecisionConfig,
     TargetVector,
+    _estimation_zero_block,
     build,
     fast_path_prepare,
     simulate_preparation,
@@ -205,3 +207,19 @@ def test_full_simulation_is_the_fast_path(preparation):
     fast = fast_path_prepare(x, cfg)
     assert np.max(np.abs(full.amplitudes - fast.amplitudes)) <= 1e-9
     assert abs(full.success_probability - fast.success_probability) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_estimation_readout_is_its_hadamards_then_block_zero(t, n, seed):
+    # Any state, leakage included: the sum readout equals a Hadamard on each
+    # leading qubit followed by reading the |0...0> block.
+    rng = np.random.default_rng(seed)
+    dim = 1 << (t + n)
+    amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    state = StateVector(t + n, amplitudes / np.linalg.norm(amplitudes))
+    before = state.amplitudes.copy()
+    closing = Circuit(t + n, tuple(Hadamard(q) for q in range(t)))
+    expected = apply_circuit(state, closing).amplitudes[: 1 << n]
+    assert np.max(np.abs(_estimation_zero_block(state.amplitudes, t) - expected)) <= 1e-15
+    assert np.array_equal(state.amplitudes, before)

@@ -9,11 +9,16 @@ imports ``qprep`` from its checkout's ``src``).  Every command runs in a
 fresh working directory of its own, on inputs written once and shared by
 both runs.  The exit code, stdout, stderr and every file the command writes
 must be byte-identical; each mismatch is printed, and the script exits 1 if
-there is any, 0 otherwise.  Standard library only.
+there is any, 0 otherwise.  When both sides of a mismatch parse as one JSON
+document, as JSON lines or as CSV, and every value but the floats is the
+same, its line also gives the largest absolute difference of the floats.
+Standard library only.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -100,6 +105,8 @@ def _write_inputs(root: Path) -> dict[str, str]:
         "long-row.csv": b"0,0.5\n1,0.2" + b",0" * 50_000 + b"\n",
         "long-phase.json": b'{"n": 1, "phases": [' + b"9" * 5000 + b', 0.5]}',
         "long-n.json": b'{"n": ' + b"9" * 5000 + b', "phases": [0.5, 1.0]}',
+        "long-integer-index.csv": b"0,0.5\n" + b"9" * 5000 + b",0.2\n",
+        "long-n-within-limit.json": b'{"n": ' + b"9" * 4000 + b', "phases": [0.5, 1.0]}',
     }
     for name, data in loader.items():
         (root / name).write_bytes(data)
@@ -214,7 +221,59 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
     runs += [["synth-diag", inputs[name], "--m", "2"] for name in (
         "long-string.json", "long-cell.csv", "long-index.csv", "long-row.csv",
         "long-phase.json", "long-n.json")]
+    # An integer CSV index past those digits is outside the index range, and
+    # an n within them is quoted only up to the same prefix.  Checkouts from
+    # before differ here: they call the index not an integer, or print the
+    # whole n.
+    runs += [["synth-diag", inputs[name], "--m", "2"] for name in (
+        "long-integer-index.csv", "long-n-within-limit.json")]
     return runs
+
+
+def parsed(data: bytes | None):
+    """``data`` as one JSON document, else as JSON lines, else as CSV rows
+    whose cells are read as JSON where they can be; None if it is not text."""
+    try:
+        text = data.decode("utf-8")
+    except (AttributeError, UnicodeDecodeError):
+        return None
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    try:
+        return [json.loads(line) for line in text.splitlines()]
+    except ValueError:
+        pass
+    rows = []
+    for row in csv.reader(io.StringIO(text, newline="")):
+        cells = []
+        for cell in row:
+            try:
+                cells.append(json.loads(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(cells)
+    return rows
+
+
+def float_gap(a, b) -> float | None:
+    """The largest |x - y| over the floats at one place in two parsed
+    outputs, or None unless they have one shape and equal other values."""
+    if isinstance(a, float) and isinstance(b, float):
+        return 0.0 if a == b else abs(a - b)
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return None
+        a, b = list(a.values()), list(b.values())
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        gaps = [float_gap(x, y) for x, y in zip(a, b)]
+        return None if None in gaps else max(gaps, default=0.0)
+    return 0.0 if a == b else None
 
 
 def run(checkout: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
@@ -248,7 +307,9 @@ def main(argv: list[str]) -> int:
             for key in sorted(set(mine) | set(theirs)):
                 if mine.get(key) != theirs.get(key):
                     mismatches += 1
-                    print(f"MISMATCH {key}: qprep {' '.join(command)}")
+                    gap = float_gap(parsed(mine.get(key)), parsed(theirs.get(key)))
+                    floats = "" if gap is None else f" (largest float difference {gap:.3g})"
+                    print(f"MISMATCH {key}: qprep {' '.join(command)}{floats}")
         print(f"{len(runs)} commands, {mismatches} mismatches")
     return 1 if mismatches else 0
 
