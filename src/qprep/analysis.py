@@ -7,10 +7,7 @@ with no global-phase alignment, exactly as the analytic bounds state it;
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,29 +147,6 @@ class BoundReport:
     measured_success_probability: float | None
     success_lower_bound: float | None
     estimation_residual: float | None
-
-
-def write_rows(path: str | None, rows: list[dict]) -> None:
-    """Write rows as JSON lines, to stdout when ``path`` is None, or as CSV
-    when ``path`` ends in ``.csv``.
-
-    CSV columns are the first row's keys (just ``suite`` when there are no
-    rows), and dict values are written as JSON.
-    """
-    if path is not None and str(path).endswith(".csv"):
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]) if rows else ["suite"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: json.dumps(v) if isinstance(v, dict) else v
-                                 for k, v in row.items()})
-        return
-    lines = (json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    if path is None:
-        sys.stdout.writelines(lines)
-    else:
-        with open(path, "w") as handle:
-            handle.writelines(lines)
 
 
 def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,

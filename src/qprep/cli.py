@@ -7,6 +7,7 @@ Exit codes: 0 on success/bound satisfaction, 1 on usage or input errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -23,6 +24,7 @@ from . import analysis
 from .dyadic import TAU, PhaseSpec, quantize
 from .gateformat import save_circuit, written_gate_count
 from .prepare import (
+    ANGLE_MULTIPLIERS,
     DETERMINISTIC,
     PROBABILISTIC,
     LeakageError,
@@ -46,6 +48,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _refused_as(flags: str):
+    """A library refusal of what ``flags`` set, as a usage error naming them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{flags}: {exc}") from None
 
 
 def _clip(text: str, limit: int = 60) -> str:
@@ -222,14 +233,16 @@ def cmd_prepare(args) -> int:
         if mode == DETERMINISTIC and x.num_qubits < 2:
             raise UsageError(f"{args.input}: one qubit has no deterministic width "
                              f"formula for --epsilon; give --t and --t-prime")
-        cfg = required_precision(x.num_qubits, args.epsilon, mode)
-        if args.multiplier is not None:
-            cfg = PrecisionConfig(cfg.estimation_bits, cfg.phase_bits, mode,
-                                  args.multiplier)
+        with _refused_as(f"--epsilon {args.epsilon}"):
+            cfg = required_precision(x.num_qubits, args.epsilon, mode)
     else:
         if args.t is None or args.t_prime is None:
             raise UsageError("give --epsilon, or both --t and --t-prime")
-        cfg = PrecisionConfig(args.t, args.t_prime, mode, args.multiplier)
+        with _refused_as(f"--t {args.t} --t-prime {args.t_prime}"):
+            cfg = PrecisionConfig(args.t, args.t_prime, mode)
+    if args.multiplier is not None:
+        with _refused_as(f"--multiplier {args.multiplier}"):
+            cfg = PrecisionConfig(cfg.estimation_bits, cfg.phase_bits, mode, args.multiplier)
 
     qubits = RegisterMap.layout(x.num_qubits, cfg).num_qubits
     if not args.fast_path:
@@ -304,7 +317,8 @@ def cmd_synth_diag(args) -> int:
     if args.m < 1:
         raise UsageError(f"--m must be >= 1, got {args.m}")
     angles = load_phases(args.input)
-    spec = quantize(angles, args.m)
+    with _refused_as(f"--m {args.m}"):
+        spec = quantize(angles, args.m)
     n = spec.num_qubits
     support = [i for i, p in enumerate(spec.numerators) if p] if args.sparse else None
     result, bound, exact = _synthesize_checked(spec, support)
@@ -415,6 +429,16 @@ def _suite_bounds(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     return rows
 
 
+# Each suite by name, in the order --suite lists them: the least --n it runs
+# (bounds: its deterministic width formula needs 2), the widths it simulates
+# at an --n, and the function that makes its rows.
+_SUITES = {
+    "bounds": (2, lambda n: sum(_bounds_configs(n), []), _suite_bounds),
+    "synth": (1, lambda n: (), _suite_synth),
+    "dualpath": (1, lambda n: _DUALPATH_CONFIGS, _suite_dualpath),
+}
+
+
 def _check_verify_size(suite: str, n: int, trials: int) -> None:
     """Refuse, before anything is allocated, an ``--n`` or ``--trials`` the
     suite cannot run, including an ``--n`` whose largest circuit (the
@@ -422,40 +446,46 @@ def _check_verify_size(suite: str, n: int, trials: int) -> None:
     process can get as a full simulation."""
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
-    least = 2 if suite == "bounds" else 1  # the deterministic width formula
+    least, widths, _ = _SUITES[suite]
     if n < least:
         raise UsageError(f"--n must be >= {least} for the {suite} suite, got {n}")
-    configs = _DUALPATH_CONFIGS if suite == "dualpath" else ()
-    if suite == "bounds":
-        try:
-            fixed, by_epsilon = _bounds_configs(n)
-        except ValueError as exc:  # widths past PrecisionConfig's limits
-            raise UsageError(f"--n {n}: {exc}") from None
-        configs = (*fixed, *by_epsilon)
+    with _refused_as(f"--n {n}"):  # widths past PrecisionConfig's limits
+        configs = widths(n)
     shortfall = memory_shortfall(
         max([n] + [RegisterMap.layout(n, cfg).num_qubits for cfg in configs]))
     if shortfall:
         raise UsageError(f"--n {n}: {shortfall}")
 
 
+def _write_rows(path: str | None, rows: list[dict]) -> None:
+    """Write rows as JSON lines, to stdout when ``path`` is None, or as CSV
+    when ``path`` ends in ``.csv``: its columns are the first row's keys in
+    the order the row builders insert them (just ``suite`` when there are no
+    rows), and dict values are written as JSON, their keys in that order."""
+    if path is not None and str(path).endswith(".csv"):
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]) if rows else ["suite"])
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: json.dumps(v) if isinstance(v, dict) else v
+                                 for k, v in row.items()})
+        return
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as handle:
+        handle.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
 def cmd_verify(args) -> int:
     _refuse_negative_seed(args.seed)
     _check_verify_size(args.suite, args.n, args.trials)
-    rng = np.random.default_rng(args.seed)
-    if args.suite == "synth":
-        rows = _suite_synth(args.n, args.trials, rng)
-    elif args.suite == "dualpath":
-        rows = _suite_dualpath(args.n, args.trials, rng)
-    else:
-        rows = _suite_bounds(args.n, args.trials, rng)
-    analysis.write_rows(args.out, rows)
+    rows = _SUITES[args.suite][2](args.n, args.trials, np.random.default_rng(args.seed))
+    _write_rows(args.out, rows)
     failing = [row for row in rows if not row["satisfied"]]
-    print(f"suite {args.suite}: {len(rows) - len(failing)}/{len(rows)} cells satisfied")
-    if failing:
-        for row in failing:
-            print(f"unsatisfied: {json.dumps(row, sort_keys=True)}", file=sys.stderr)
-        return 2
-    return 0
+    # stderr, so that stdout holds only the rows when they go there.
+    print(f"suite {args.suite}: {len(rows) - len(failing)}/{len(rows)} cells satisfied",
+          file=sys.stderr)
+    for row in failing:
+        print(f"unsatisfied: {json.dumps(row, sort_keys=True)}", file=sys.stderr)
+    return 2 if failing else 0
 
 
 @functools.cache
@@ -468,12 +498,12 @@ def build_parser() -> _Parser:
 
     prepare = sub.add_parser("prepare", help="compile and run a preparation circuit")
     prepare.add_argument("input", help="vector file (JSON or CSV)")
-    prepare.add_argument("--mode", choices=("det", "prob"), required=True)
+    prepare.add_argument("--mode", choices=_MODES, required=True)
     prepare.add_argument("--epsilon", type=float)
     prepare.add_argument("--t", type=int, help="estimation register width")
     prepare.add_argument("--t-prime", dest="t_prime", type=int,
                          help="phase stage width")
-    prepare.add_argument("--multiplier", type=int, choices=(1, 2, 4))
+    prepare.add_argument("--multiplier", type=int, choices=ANGLE_MULTIPLIERS)
     prepare.add_argument("--emit", help="write the gate list here")
     prepare.add_argument("--report", help="write the JSON report here (default stdout)")
     path = prepare.add_mutually_exclusive_group()
@@ -491,8 +521,7 @@ def build_parser() -> _Parser:
     synth.add_argument("--emit", help="write the gate list here")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", choices=("bounds", "synth", "dualpath"),
-                        required=True)
+    verify.add_argument("--suite", choices=_SUITES, required=True)
     verify.add_argument("--n", type=int, default=3)
     verify.add_argument("--trials", type=int, default=20)
     verify.add_argument("--seed", type=int, default=0)

@@ -59,10 +59,8 @@ class PhaseSpec:
             raise ValueError(f"level must be >= 1, got {self.level}")
         size = 1 << self.num_qubits
         if len(self.numerators) != size:
-            raise ValueError(
-                f"expected {size} entries for {self.num_qubits} qubits, "
-                f"got {len(self.numerators)}"
-            )
+            raise ValueError(f"expected {size} entries for {self.num_qubits} qubits, "
+                             f"got {len(self.numerators)}")
         cells = 1 << self.level
         if not (0 <= min(self.numerators) and max(self.numerators) < cells):
             index, p = next((index, p) for index, p in enumerate(self.numerators)

@@ -88,9 +88,7 @@ def qft_circuit(register: tuple[int, ...] | list[int],
     for i in range(width):
         gates.append(Hadamard(register[i]))
         for distance in range(2, width - i + 1):
-            gates.append(
-                ControlledZPow(distance, (register[i], register[i + distance - 1]))
-            )
+            gates.append(ControlledZPow(distance, (register[i], register[i + distance - 1])))
     for i in range(width // 2):
         gates.extend(_swap_gates(register[i], register[width - 1 - i]))
     if inverse:
@@ -190,50 +188,65 @@ def _parse_fields(parts: list[str]) -> dict[str, str]:
     return fields
 
 
+def _field(fields: dict[str, str], key: str, read=int):
+    """Field ``key`` as ``read`` reads it; a refusal names the field."""
+    if key not in fields:
+        raise ValueError(f"missing field {key}=")
+    try:
+        return read(fields[key])
+    except ValueError as exc:
+        raise ValueError(f"field {key}=: {exc}") from None
+
+
 def _parse_index_list(text: str) -> tuple[int, ...]:
-    if text == "-" or text == "":
-        return ()
-    return tuple(int(v) for v in text.split(","))
+    return () if text in ("-", "") else tuple(int(v) for v in text.split(","))
 
 
 def parse_gate_line(line: str) -> Gate:
     parts = line.split()
     mnemonic, fields = parts[0], _parse_fields(parts[1:])
     if mnemonic == "H":
-        return Hadamard(int(fields["q"]))
+        return Hadamard(_field(fields, "q"))
     if mnemonic == "X":
-        return PauliX(int(fields["q"]))
+        return PauliX(_field(fields, "q"))
     if mnemonic == "CZP":
-        return ControlledZPow(int(fields["l"]), _parse_index_list(fields["q"]))
+        return ControlledZPow(_field(fields, "l"), _field(fields, "q", _parse_index_list))
+    dyadic = "p" in fields and "m" in fields
     if mnemonic == "RY":
-        if "p" in fields and "m" in fields:
-            theta = TAU * int(fields["p"]) / (1 << int(fields["m"]))
+        if dyadic:
+            theta = TAU * _field(fields, "p") / (1 << _field(fields, "m"))
         else:
-            theta = float(fields["theta"])
-        return RotationY(theta, int(fields["q"]), _parse_index_list(fields["c"]))
+            theta = _field(fields, "theta", float)
+        return RotationY(theta, _field(fields, "q"), _field(fields, "c", _parse_index_list))
     if mnemonic == "DIAG":
-        if "p" in fields and "m" in fields:
-            level = int(fields["m"])
-            phases = tuple(TAU * int(p) / (1 << level)
-                           for p in fields["p"].split(","))
+        if dyadic:
+            level = _field(fields, "m")
+            phases = _field(fields, "p", lambda text: tuple(
+                TAU * int(p) / (1 << level) for p in text.split(",")))
         else:
-            phases = tuple(float(v) for v in fields["phases"].split(","))
-        return DiagonalOracle(_parse_index_list(fields["reg"]), phases,
-                              int(fields["j"]), _parse_index_list(fields["c"]))
+            phases = _field(fields, "phases", lambda text: tuple(map(float, text.split(","))))
+        return DiagonalOracle(_field(fields, "reg", _parse_index_list), phases,
+                              _field(fields, "j"), _field(fields, "c", _parse_index_list))
     raise ValueError(f"unknown gate mnemonic {mnemonic!r}")
 
 
 def parse_circuit(text: str) -> tuple[int, Circuit]:
-    """Returns (data qubit count, circuit) from gate-list text."""
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
-    if not lines or not lines[0].startswith(_HEADER + " "):
+    """Returns (data qubit count, circuit) from gate-list text.  A refusal
+    names its line, counted from 1 over every line of ``text``."""
+    lines = [(number, stripped) for number, line in enumerate(text.splitlines(), 1)
+             if (stripped := line.strip())]
+    if not lines or not lines[0][1].startswith(_HEADER + " "):
         raise ValueError(f"missing '{_HEADER}' header line")
-    header = _parse_fields(lines[0].split()[3:])
-    data_qubits = int(header["n"])
-    num_qubits = int(header["qubits"])
-    gates = [parse_gate_line(line) for line in lines[1:]
-             if not line.startswith("#")]
+    number, header = lines[0]
+    try:
+        fields = _parse_fields(header.split()[3:])
+        data_qubits, num_qubits = _field(fields, "n"), _field(fields, "qubits")
+        gates = []
+        for number, line in lines[1:]:  # names the line that raises
+            if not line.startswith("#"):
+                gates.append(parse_gate_line(line))
+    except (ValueError, OverflowError) as exc:  # 2*pi*p/2**m past the floats
+        raise ValueError(f"line {number}: {exc}") from None
     return data_qubits, Circuit(num_qubits, tuple(gates))
 
 

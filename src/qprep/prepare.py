@@ -52,6 +52,8 @@ LEAKAGE_TOLERANCE = 1e-6
 
 # compute_angles stores the estimates as int64.
 MAX_ESTIMATION_BITS = 63
+# The multiples of a branch angle an estimation oracle may encode.
+ANGLE_MULTIPLIERS = (1, 2, 4)
 
 
 class LeakageError(RuntimeError):
@@ -142,7 +144,7 @@ class PrecisionConfig:
         if self.angle_multiplier is None:
             default = 4 if self.mode == PROBABILISTIC else 2
             object.__setattr__(self, "angle_multiplier", default)
-        if self.angle_multiplier not in (1, 2, 4):
+        if self.angle_multiplier not in ANGLE_MULTIPLIERS:
             raise ValueError(f"angle_multiplier must be 1, 2 or 4, got {self.angle_multiplier}")
         if self.mode == PROBABILISTIC and self.angle_multiplier != 4:
             raise ValueError("probabilistic mode fixes angle_multiplier = 4")
@@ -274,10 +276,8 @@ def _rotation_ladder(estimation: tuple[int, ...], target: int,
                      multiplier: int) -> list[Gate]:
     # Estimate bit s carries weight 2**(t-1-s), so rotating by 2*pi/(c*2**s)
     # when it is set totals the doubled quantized angle, as R_Y(2a)|0> must.
-    return [
-        RotationY(TAU / (multiplier << s), target, controls=(estimation[s],))
-        for s in range(len(estimation))
-    ]
+    return [RotationY(TAU / (multiplier << s), target, controls=(estimation[s],))
+            for s in range(len(estimation))]
 
 
 def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
@@ -339,17 +339,17 @@ class PreparedState:
 # Peak bytes per amplitude of a full simulation, as tracemalloc measures
 # ``simulate_preparation`` at 18-21 qubits in either mode: 32.0-33.0
 # (32.0-32.3 at 20-21 qubits; the interpreter's own allocations weigh more
-# at 18).  Two steps of the widest stage reach 32: the join of its last
-# qubit holds the state it grows (8), the grown one (16) and the norm
-# check's squares of its real parts (8); a QFT on qubits other than the
-# leading ones in order holds the buffer ``apply_circuit`` owns and the one
-# copy its FFT writes over (16 each).  An uncontrolled 2x2 gate would too,
-# with the buffer and two half-state scratch arrays (8 each), but the
-# widest stage runs none: its Hadamards cancel in pairs or are read off,
-# and the readout's first halving sum holds half a state (8) beside the
-# buffer.  The post-selection in probabilistic mode peaks below them, at
-# 28: the state (16), the kept half (8) and the norm check's squares of its
-# real parts (4).
+# at 18).  The join of the widest stage's last qubit sets it: the state it
+# grows (8), the grown one (16) and the norm check's squares of its real
+# parts (8).  Its QFTs act on the leading held qubits in order, so each FFT
+# writes over a view of the buffer (test_qft_registers_lead_the_state holds
+# them to that); on any other register it would copy it (16 beside 16).  An
+# uncontrolled 2x2 gate would reach 32 with the buffer and two half-state
+# scratch arrays (8 each), but the widest stage runs none: its Hadamards
+# cancel in pairs or are read off, and the readout's first halving sum holds
+# half a state (8) beside the buffer.  The post-selection in probabilistic
+# mode peaks below them, at 28: the state (16), the kept half (8) and the
+# norm check's squares of its real parts (4).
 SIMULATION_BYTES_PER_AMPLITUDE = 33
 
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"

@@ -44,9 +44,7 @@ class SynthesisResult:
     def __post_init__(self) -> None:
         for gate in self.gates:
             if isinstance(gate, ControlledZPow) and abs(gate.level) > self.level:
-                raise ValueError(
-                    f"gate level {gate.level} exceeds synthesis level {self.level}"
-                )
+                raise ValueError(f"gate level {gate.level} exceeds synthesis level {self.level}")
 
     def product_gates(self) -> tuple[Gate, ...]:
         """Gate list whose product is the full diagonal, global phase included."""
@@ -147,24 +145,13 @@ def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
             raise ValueError(f"support index {index} outside [0, {1 << n})")
     for index, p in enumerate(spec.numerators):
         if p and index not in support_set:
-            raise ValueError(
-                f"entry {index} has nonzero phase but is outside the support"
-            )
+            raise ValueError(f"entry {index} has nonzero phase but is outside the support")
 
     all_qubits = tuple(range(n))
     gates: list[Gate] = []
-    for index in sorted(support_set):
-        p = spec.numerators[index]
-        if p == 0:
-            continue
-        flips = tuple(
-            q for q in range(n) if not (index >> (n - 1 - q)) & 1
-        )
-        for q in flips:
-            gates.append(PauliX(q))
-        gates.extend(_phase_bit_gates(p, m, all_qubits))
-        for q in flips:
-            gates.append(PauliX(q))
+    for index in sorted(i for i in support_set if spec.numerators[i]):
+        flips = [PauliX(q) for q in range(n) if not (index >> (n - 1 - q)) & 1]
+        gates += flips + _phase_bit_gates(spec.numerators[index], m, all_qubits) + flips
     return SynthesisResult(all_qubits, m, tuple(gates), 0)
 
 
@@ -189,16 +176,12 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     reconstruct(peel_synthesize(s)) == s.
     """
     if num_qubits != result.num_qubits:
-        raise ValueError(
-            f"result is on {result.num_qubits} qubits, asked for {num_qubits}"
-        )
+        raise ValueError(f"result is on {result.num_qubits} qubits, asked for {num_qubits}")
     m = result.level
     size = 1 << num_qubits
     modulus = 1 << m
     if not 0 <= result.global_phase < modulus:
-        raise ValueError(
-            f"global phase {result.global_phase} outside [0, {modulus})"
-        )
+        raise ValueError(f"global phase {result.global_phase} outside [0, {modulus})")
     index_bit = {q: 1 << (num_qubits - 1 - k) for k, q in enumerate(result.register)}
     masks: dict[tuple[int, ...], int] = {}
     words = [0] * size

@@ -495,7 +495,28 @@ def test_verify_bounds_suite(tmp_path, capsys):
     assert rc == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(row["satisfied"] for row in rows)
-    assert "cells satisfied" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cells satisfied" in captured.err
+
+
+def test_verify_without_out_writes_only_rows_to_stdout(capsys):
+    # The summary goes to stderr, so stdout reads as JSON lines to its end.
+    assert main(["verify", "--suite", "synth", "--n", "2", "--trials", "2"]) == 0
+    captured = capsys.readouterr()
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(rows) == 16 + 2 * 2 and all(row["satisfied"] for row in rows)
+    assert captured.err == "suite synth: 20/20 cells satisfied\n"
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["verify", "--suite", "nope"], "'bounds', 'synth', 'dualpath'"),
+    (["prepare", "v.json", "--mode", "nope"], "'det', 'prob'"),
+    (["prepare", "v.json", "--mode", "det", "--multiplier", "3"], "1, 2, 4"),
+], ids=["suite", "mode", "multiplier"])
+def test_choices_come_from_the_tables_in_their_order(capsys, argv, listed):
+    assert list(cli_module._SUITES) == ["bounds", "synth", "dualpath"]
+    assert main(argv) == 1
+    assert f"(choose from {listed})" in capsys.readouterr().err
 
 
 _VECTOR_ENTRIES = '{"magnitude": 1.0, "phase": 0.0}'
@@ -657,6 +678,30 @@ def test_oversized_widths_exit_one_naming_the_limit(tmp_path, capsys, argv, name
     assert main([argv[0], str(path), *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["prepare", "--mode", "det", "--t", "64", "--t-prime", "3"],
+     "--t 64 --t-prime 3: estimation_bits 64 exceeds the limit 63"),
+    (["prepare", "--mode", "det", "--t", "3", "--t-prime", "1022"],
+     "--t 3 --t-prime 1022: phase_bits 1022 exceeds the limit 1021"),
+    (["prepare", "--mode", "det", "--epsilon", "1e-300"],
+     "--epsilon 1e-300: estimation_bits 1001 exceeds the limit 63"),
+    (["prepare", "--mode", "prob", "--epsilon", "0.1", "--multiplier", "2"],
+     "--multiplier 2: probabilistic mode fixes angle_multiplier = 4"),
+    (["prepare", "--mode", "prob", "--t", "6", "--t-prime", "3", "--multiplier", "1"],
+     "--multiplier 1: probabilistic mode fixes angle_multiplier = 4"),
+    (["synth-diag", "--m", "2000"], "--m 2000: level 2000 exceeds the limit 1021"),
+], ids=["t-64", "t-prime-1022", "epsilon-1e-300", "epsilon-multiplier", "t-multiplier",
+        "m-2000"])
+def test_width_refusals_name_the_flags_that_set_them(tmp_path, capsys, argv, refusal):
+    # The flag and its value come first, then the library's own reason.
+    if argv[0] == "prepare":
+        path = write_vector(tmp_path / "v.json", [1, 2, 3, 4], [0.5, 1.0, 6.0, 3.0])
+    else:
+        path = write_phases(tmp_path / "p.json", [0.5, 1.0, 6.0, 3.0])
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"usage error: {refusal}\n"
 
 
 @pytest.mark.parametrize("mode, widths", [

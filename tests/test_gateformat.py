@@ -8,6 +8,7 @@ from qprep.gateformat import (
     as_dyadic,
     circuit_lines,
     expand_blocks,
+    load_circuit,
     parse_circuit,
     parse_gate_line,
     save_circuit,
@@ -140,6 +141,25 @@ def test_parse_rejects_bad_input():
         parse_gate_line("SWAP q=0,1")
     with pytest.raises(ValueError, match="malformed"):
         parse_gate_line("H q")
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("# qprep v1 n=1\nH q=0\n", "line 1: missing field qubits="),
+    ("# qprep v1 n=1 qubits=1\n\n# a comment\nH\n", "line 4: missing field q="),
+    ("# qprep v1 n=1 qubits=2\nH q=0\nRY q=1 c=-\n", "line 3: missing field theta="),
+    ("\n# qprep v1 n=1 qubits=1\nH q=x\n",
+     "line 3: field q=: invalid literal for int() with base 10: 'x'"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=2000\n",
+     "line 2: int too large to convert to float"),
+], ids=["header-without-qubits", "h-without-q", "ry-without-theta", "q-not-an-integer",
+        "level-past-the-floats"])
+def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusal):
+    # Lines are counted before blank and comment lines are dropped.
+    path = tmp_path / "bad.gates"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_circuit(path)
+    assert str(refused.value) == refusal
 
 
 def test_comment_lines_are_ignored():

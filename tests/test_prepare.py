@@ -570,6 +570,36 @@ def test_simulation_peak_is_the_widest_stage():
     assert max(peaks) >= (SIMULATION_BYTES_PER_AMPLITUDE - 1) << 18, peaks
 
 
+def test_qft_registers_lead_the_state(monkeypatch):
+    # SIMULATION_BYTES_PER_AMPLITUDE counts no QFT copy: every Fourier block
+    # a full simulation runs acts on the leading held qubits in order, so its
+    # FFT writes over a view of the state.  Whoever changes that revisits
+    # the memory rule.
+    import qprep.sim
+
+    registers = []
+    original = qprep.sim._apply_qft
+
+    def recorded(psi, register, inverse):
+        registers.append(tuple(register))
+        return original(psi, register, inverse)
+
+    monkeypatch.setattr(qprep.sim, "_apply_qft", recorded)
+    for mode in (DETERMINISTIC, PROBABILISTIC):
+        for n in range(1, 6):
+            rng = np.random.default_rng(n)
+            x = TargetVector(n, np.abs(rng.standard_normal(1 << n)),
+                             rng.uniform(0.0, TAU, 1 << n))
+            built = build(x, PrecisionConfig(5, 4, mode))
+            blocks = sum(isinstance(g, QFTBlock) for g in built.circuit.gates)
+            before = len(registers)
+            simulate_preparation(built)
+            assert len(registers) - before == blocks, (mode, n)
+    # Two blocks a round: det runs n - 1 rounds, prob one.
+    assert len(registers) == 2 * (0 + 1 + 2 + 3 + 4) + 2 * 5
+    assert all(register == tuple(range(len(register))) for register in registers), registers
+
+
 def test_package_attribute_is_the_prepare_module():
     import types
 

@@ -227,6 +227,16 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
     # whole n.
     runs += [["synth-diag", inputs[name], "--m", "2"] for name in (
         "long-integer-index.csv", "long-n-within-limit.json")]
+    # A width refusal names the flags that set the width, then the library's
+    # reason.  Checkouts from before differ here: they name only the
+    # library's parameter.
+    runs += [
+        ["prepare", vector, "--mode", "det", "--t", "64", "--t-prime", "3"],
+        ["prepare", vector, "--mode", "det", "--t", "3", "--t-prime", "1022"],
+        ["prepare", vector, "--mode", "det", "--epsilon", "1e-300"],
+        ["prepare", vector, "--mode", "prob", "--epsilon", "0.1", "--multiplier", "2"],
+        ["synth-diag", inputs["p2.json"], "--m", "2000"],
+    ]
     return runs
 
 
