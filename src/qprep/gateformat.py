@@ -12,12 +12,15 @@ Grammar (header first, then gates; later ``#`` lines are comments):
 Angles are written with 17 significant digits, which round-trips doubles
 exactly; angles that are dyadic multiples of 2*pi additionally carry a
 ``p=... m=...`` annotation meaning theta = 2*pi*p/2**m, which the parser
-prefers.  ``expand_blocks`` is the one pass that writes each Fourier block
+prefers.  The parser refuses a field the grammar does not give a gate's
+mnemonic, and names the line at fault.
+``expand_blocks`` is the one pass that writes each Fourier block
 as the basic gates of ``qft_circuit``; the simulator runs it as one FFT.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 from .dyadic import TAU
@@ -31,6 +34,7 @@ from .sim import (
     QFTBlock,
     RotationY,
     inverse_gate,
+    validate_gate,
 )
 
 _MAX_DYADIC_LEVEL = 32
@@ -198,36 +202,53 @@ def _field(fields: dict[str, str], key: str, read=int):
         raise ValueError(f"field {key}=: {exc}") from None
 
 
+def _level(text: str) -> int:
+    level = int(text)
+    if level < 0:
+        raise ValueError(f"negative level {level}")
+    return level
+
+
+# The fields each mnemonic takes; p= and m= only together.
+_FIELDS = {"H": {"q"}, "X": {"q"}, "CZP": {"l", "q"},
+           "RY": {"theta", "q", "c", "p", "m"},
+           "DIAG": {"j", "reg", "c", "phases", "p", "m"}}
+
+
 def _parse_index_list(text: str) -> tuple[int, ...]:
     return () if text in ("-", "") else tuple(int(v) for v in text.split(","))
 
 
-def parse_gate_line(line: str) -> Gate:
+def _parse_gate_line(line: str, indices) -> Gate:
+    """The gate on ``line``, its qubit lists read by ``indices``."""
     parts = line.split()
     mnemonic, fields = parts[0], _parse_fields(parts[1:])
+    taken = _FIELDS.get(mnemonic)
+    if taken is None:
+        raise ValueError(f"unknown gate mnemonic {mnemonic!r}")
+    if not fields.keys() <= taken:
+        raise ValueError(f"{mnemonic} takes no field {min(fields.keys() - taken)}=")
     if mnemonic == "H":
         return Hadamard(_field(fields, "q"))
     if mnemonic == "X":
         return PauliX(_field(fields, "q"))
     if mnemonic == "CZP":
-        return ControlledZPow(_field(fields, "l"), _field(fields, "q", _parse_index_list))
-    dyadic = "p" in fields and "m" in fields
+        return ControlledZPow(_field(fields, "l"), _field(fields, "q", indices))
+    dyadic = "p" in fields or "m" in fields
     if mnemonic == "RY":
         if dyadic:
-            theta = TAU * _field(fields, "p") / (1 << _field(fields, "m"))
+            theta = TAU * _field(fields, "p") / (1 << _field(fields, "m", _level))
         else:
             theta = _field(fields, "theta", float)
-        return RotationY(theta, _field(fields, "q"), _field(fields, "c", _parse_index_list))
-    if mnemonic == "DIAG":
-        if dyadic:
-            level = _field(fields, "m")
-            phases = _field(fields, "p", lambda text: tuple(
-                TAU * int(p) / (1 << level) for p in text.split(",")))
-        else:
-            phases = _field(fields, "phases", lambda text: tuple(map(float, text.split(","))))
-        return DiagonalOracle(_field(fields, "reg", _parse_index_list), phases,
-                              _field(fields, "j"), _field(fields, "c", _parse_index_list))
-    raise ValueError(f"unknown gate mnemonic {mnemonic!r}")
+        return RotationY(theta, _field(fields, "q"), _field(fields, "c", indices))
+    if dyadic:
+        level = _field(fields, "m", _level)
+        phases = _field(fields, "p", lambda text: tuple(
+            TAU * int(p) / (1 << level) for p in text.split(",")))
+    else:
+        phases = _field(fields, "phases", lambda text: tuple(map(float, text.split(","))))
+    return DiagonalOracle(_field(fields, "reg", indices), phases,
+                          _field(fields, "j"), _field(fields, "c", indices))
 
 
 def parse_circuit(text: str) -> tuple[int, Circuit]:
@@ -238,16 +259,29 @@ def parse_circuit(text: str) -> tuple[int, Circuit]:
     if not lines or not lines[0][1].startswith(_HEADER + " "):
         raise ValueError(f"missing '{_HEADER}' header line")
     number, header = lines[0]
+    # Peel repeats each CZP qubit list across levels: read each text once.
+    indices = functools.cache(_parse_index_list)
     try:
         fields = _parse_fields(header.split()[3:])
         data_qubits, num_qubits = _field(fields, "n"), _field(fields, "qubits")
         gates = []
         for number, line in lines[1:]:  # names the line that raises
             if not line.startswith("#"):
-                gates.append(parse_gate_line(line))
+                gates.append(_parse_gate_line(line, indices))
     except (ValueError, OverflowError) as exc:  # 2*pi*p/2**m past the floats
         raise ValueError(f"line {number}: {exc}") from None
-    return data_qubits, Circuit(num_qubits, tuple(gates))
+    try:
+        return data_qubits, Circuit(num_qubits, tuple(gates))
+    except ValueError as exc:  # Circuit names no line: find it only now
+        number = lines[0][0]  # Circuit checks the header's qubits= before any gate
+        numbers = (number for number, line in lines[1:] if not line.startswith("#"))
+        for gate_number, gate in zip(numbers, gates if num_qubits >= 1 else ()):
+            try:
+                validate_gate(gate, num_qubits)
+            except ValueError:
+                number = gate_number
+                break
+        raise ValueError(f"line {number}: {exc}") from None
 
 
 def load_circuit(path) -> tuple[int, Circuit]:

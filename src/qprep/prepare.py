@@ -337,20 +337,19 @@ class PreparedState:
 
 
 # Peak bytes per amplitude of a full simulation, as tracemalloc measures
-# ``simulate_preparation`` at 18-21 qubits in either mode: 32.0-33.0
-# (32.0-32.3 at 20-21 qubits; the interpreter's own allocations weigh more
-# at 18).  The join of the widest stage's last qubit sets it: the state it
-# grows (8), the grown one (16) and the norm check's squares of its real
-# parts (8).  Its QFTs act on the leading held qubits in order, so each FFT
-# writes over a view of the buffer (test_qft_registers_lead_the_state holds
-# them to that); on any other register it would copy it (16 beside 16).  An
-# uncontrolled 2x2 gate would reach 32 with the buffer and two half-state
-# scratch arrays (8 each), but the widest stage runs none: its Hadamards
-# cancel in pairs or are read off, and the readout's first halving sum holds
-# half a state (8) beside the buffer.  The post-selection in probabilistic
-# mode peaks below them, at 28: the state (16), the kept half (8) and the
-# norm check's squares of its real parts (4).
-SIMULATION_BYTES_PER_AMPLITUDE = 33
+# ``simulate_preparation`` at 18-21 qubits in either mode: 28.0-28.5 (28.0
+# at 19-21 qubits; the interpreter's own allocations weigh more at 18).
+# Two steps set it, at 28 each: the post-selection in probabilistic mode
+# holds the state (16), the kept half (8) and the norm check's squares of
+# its real parts (4); the readout in deterministic mode holds the state and
+# its first two halving sums (8 and 4).  The widest stage peaks at 24, in
+# the join of its last qubit (the state it grows and the grown one) and in
+# the check at its end (the state and its squares).  Its QFTs act on the
+# leading held qubits in order, so each FFT writes over a view of the state
+# (test_qft_registers_lead_the_state holds them to that), and it runs no
+# uncontrolled 2x2 gate, whose two half-state scratch arrays would reach
+# 32: its Hadamards cancel in pairs or are read off.
+SIMULATION_BYTES_PER_AMPLITUDE = 29
 
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 PROC_SELF_STATM = "/proc/self/statm"

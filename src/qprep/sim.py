@@ -33,9 +33,9 @@ drops the qubit it reads.
 Every ``StateVector`` holds C-contiguous complex128 amplitudes, ready for
 the kernels, and passes its constructor's norm check; it may hold no qubit,
 the scalar 1 that ``new_basis_state(0, 0)`` makes.  ``new_basis_state``,
-``apply_circuit`` (its copy, each join and its result) and
-``project_measure`` each build one.  ``apply_gate`` returns its input
-unchecked, because that input was checked and every kernel is unitary.
+``apply_circuit`` (its copy and its result) and ``project_measure`` each
+build one, so a stage's norm is checked where it starts and where it ends;
+``apply_gate`` and ``_join`` update the copy in place, unchecked.
 How a ``QFTBlock`` is written as basic gates lives in ``qprep.gateformat``.
 """
 
@@ -160,7 +160,7 @@ class Circuit:
             validate_gate(gate, self.num_qubits)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
@@ -169,8 +169,7 @@ class StateVector:
         if self.num_qubits < 0:
             raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
         # Ready for the kernels: only float or strided input is copied.
-        object.__setattr__(self, "amplitudes",
-                           np.ascontiguousarray(self.amplitudes, dtype=complex))
+        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.num_qubits,):
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, "
@@ -317,12 +316,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _join(state: StateVector, held: set[int],
-          qubits: tuple[int, ...]) -> tuple[StateVector, dict[int, int] | None]:
-    """``state``, which holds the circuit qubits ``held`` in ascending order,
-    with each of ``qubits`` it lacks joined at |0> in its own place among
-    them; ``held`` takes the new qubits in.  Also each held qubit's rank in
-    the grown state, or None when the held qubits are the leading ones, so
-    that rank and qubit agree."""
+          qubits: tuple[int, ...]) -> dict[int, int] | None:
+    """Grows ``state``, which holds the circuit qubits ``held`` in ascending
+    order, in place and unchecked: each of ``qubits`` it lacks joins at |0>
+    in its own place among them, and ``held`` takes them in.  Returns each
+    held qubit's rank in the grown state, or None when the held qubits are
+    the leading ones, so that rank and qubit agree."""
     fresh = set(qubits) - held
     held |= fresh
     order = sorted(held)
@@ -330,10 +329,8 @@ def _join(state: StateVector, held: set[int],
     view, axes = _split(grown, tuple(rank for rank, q in enumerate(order) if q in fresh))
     old = _at(view, [(axis, 0) for axis in axes])
     old[...] = state.amplitudes.reshape(old.shape)
-    joined = StateVector(len(order), grown)
-    if order[-1] == len(order) - 1:
-        return joined, None
-    return joined, {q: rank for rank, q in enumerate(order)}
+    state.num_qubits, state.amplitudes = len(order), grown
+    return None if order[-1] == len(order) - 1 else {q: rank for rank, q in enumerate(order)}
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -342,13 +339,13 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     without changing ``state``.
 
     The circuit's other qubits start at |0>.  The amplitudes are copied once
-    into a buffer that ``apply_gate`` then updates in place.  When a gate
-    first touches a qubit the buffer lacks, ``_join`` replaces the buffer by
-    one with that qubit at |0> in its own place among the qubits held, so
-    each gate runs on the qubits touched so far, relabelled by their rank
-    there unless the held qubits are the leading ones.  The result is on
-    ``circuit.num_qubits``.  The norm is checked on the copy, at each join
-    and at the end, not per gate."""
+    into a state that ``apply_gate`` then updates in place.  When a gate
+    first touches a qubit the state lacks, ``_join`` grows it with that
+    qubit at |0> in its own place among the qubits held, so each gate runs
+    on the qubits touched so far, relabelled by their rank there unless the
+    held qubits are the leading ones.  Qubits no gate touches join last, so
+    the result is on ``circuit.num_qubits``.  The norm is checked on the
+    copy and on the result, where the stage starts and ends, not per join."""
     if state.num_qubits > circuit.num_qubits:
         raise ValueError(
             f"circuit on {circuit.num_qubits} qubits applied to "
@@ -359,10 +356,10 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         qubits = gate_qubits(gate)
         if not held.issuperset(qubits):
-            owned, places = _join(owned, held, qubits)
+            places = _join(owned, held, qubits)
         apply_gate(owned, gate if places is None else shifted_gate(gate, places))
     if len(held) < circuit.num_qubits:
-        return _join(owned, held, tuple(range(circuit.num_qubits)))[0]
+        _join(owned, held, tuple(range(circuit.num_qubits)))
     return StateVector(owned.num_qubits, owned.amplitudes)
 
 

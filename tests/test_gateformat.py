@@ -10,7 +10,6 @@ from qprep.gateformat import (
     expand_blocks,
     load_circuit,
     parse_circuit,
-    parse_gate_line,
     save_circuit,
     written_gate_count,
 )
@@ -138,9 +137,9 @@ def test_parse_rejects_bad_input():
     with pytest.raises(ValueError, match="header"):
         parse_circuit("H q=0")
     with pytest.raises(ValueError, match="mnemonic"):
-        parse_gate_line("SWAP q=0,1")
+        parse_circuit("# qprep v1 n=1 qubits=2\nSWAP q=0,1")
     with pytest.raises(ValueError, match="malformed"):
-        parse_gate_line("H q")
+        parse_circuit("# qprep v1 n=1 qubits=2\nH q")
 
 
 @pytest.mark.parametrize("text, refusal", [
@@ -151,8 +150,18 @@ def test_parse_rejects_bad_input():
      "line 3: field q=: invalid literal for int() with base 10: 'x'"),
     ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=2000\n",
      "line 2: int too large to convert to float"),
+    ("# qprep v1 n=1 qubits=2\nH q=0\nH q=1 c=0\n", "line 3: H takes no field c="),
+    ("# qprep v1 n=1 qubits=2\nCZP l=1 q=0,1 p=1 m=1\n", "line 2: CZP takes no field m="),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=-1\n",
+     "line 2: field m=: negative level -1"),
+    ("# qprep v1 n=1 qubits=1\nH q=0\n# a comment\nH q=5\n",
+     "line 4: Hadamard(target=5): qubit 5 outside [0, 1)"),
+    ("# qprep v1 n=1 qubits=1\nX q=0\nCZP l=0 q=0\n",
+     "line 3: ControlledZPow level must be nonzero"),
+    ("# qprep v1 n=1 qubits=0\nH q=0\n", "line 1: num_qubits must be >= 1, got 0"),
 ], ids=["header-without-qubits", "h-without-q", "ry-without-theta", "q-not-an-integer",
-        "level-past-the-floats"])
+        "level-past-the-floats", "field-the-gate-does-not-take", "level-on-a-czp",
+        "negative-level", "qubit-outside-the-header", "czp-level-zero", "no-qubits"])
 def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusal):
     # Lines are counted before blank and comment lines are dropped.
     path = tmp_path / "bad.gates"
@@ -162,6 +171,23 @@ def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusa
     assert str(refused.value) == refusal
 
 
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_every_field_the_writer_emits_is_read_back(mode):
+    # The writer emits each field the reader takes, among them the p= m=
+    # annotations of RY and DIAG, and the reader reads every gate back.
+    rng = np.random.default_rng(3)
+    x = TargetVector(3, rng.random(8), rng.uniform(0.0, TAU, 8))
+    circuit = build(x, required_precision(3, 0.1, mode)).circuit
+    lines = list(circuit_lines(circuit, 3))
+    _, parsed = parse_circuit("\n".join(lines))
+    assert parsed.gates == tuple(expand_blocks(circuit.gates))
+    emitted = {(line.split()[0], part.partition("=")[0])
+               for line in lines[1:] for part in line.split()[1:]}
+    assert emitted == {("H", "q"), ("X", "q"), ("CZP", "l"), ("CZP", "q"), *(
+        ("RY", key) for key in ("theta", "q", "c", "p", "m")), *(
+        ("DIAG", key) for key in ("j", "reg", "c", "phases", "p", "m"))}
+
+
 def test_comment_lines_are_ignored():
     text = "# qprep v1 n=1 qubits=1\n# produced by a test\nH q=0\n"
     _, circuit = parse_circuit(text)
@@ -169,8 +195,9 @@ def test_comment_lines_are_ignored():
 
 
 def test_annotation_wins_over_decimal_field():
-    gate = parse_gate_line("RY theta=0.78539816339744828 q=0 c=- p=1 m=3")
-    assert gate.angle == TAU / 8
+    _, circuit = parse_circuit("# qprep v1 n=1 qubits=1\n"
+                               "RY theta=0.78539816339744828 q=0 c=- p=1 m=3")
+    assert circuit.gates[0].angle == TAU / 8
 
 
 @pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])

@@ -75,6 +75,29 @@ def test_apply_circuit_runs_each_gate_on_the_qubits_touched_so_far(monkeypatch):
     assert out.num_qubits == 5
 
 
+@pytest.mark.parametrize("start, width, gates", [
+    (2, 2, (Hadamard(0), RotationY(0.3, 1, (0,)))),
+    (1, 2, (Hadamard(1),)),
+    (1, 4, (Hadamard(3), Hadamard(1), RotationY(0.3, 2, (1,)))),
+    (0, 3, (Hadamard(1),)),
+], ids=["no-join", "one-join", "three-joins", "untouched-qubits-join-last"])
+def test_apply_circuit_builds_two_states_whatever_it_joins(monkeypatch, start, width, gates):
+    # The norm is checked where a stage starts, on the copy, and where it
+    # ends, on the result; a join grows the copy in place, unchecked.
+    state = new_basis_state(start, 0)
+    built = []
+    post_init = StateVector.__post_init__
+
+    def counted(self):
+        built.append(self.num_qubits)
+        post_init(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    out = apply_circuit(state, Circuit(width, gates))
+    assert built == [start, width]
+    assert out.num_qubits == width
+
+
 def test_qft_off_the_leading_qubits_copies_the_state_once():
     # The FFT writes over its input rows, here the one copy of the moved
     # register: the peak is the circuit's own buffer, that copy and the
@@ -483,3 +506,7 @@ def test_apply_circuit_checks_the_norm_at_its_end(monkeypatch):
     state = new_basis_state(2, 0)
     with pytest.raises(ValueError, match="norm"):
         apply_circuit(state, Circuit(2, (Hadamard(0), Hadamard(1))))
+    # Lossy before three joins, the last of qubits no gate touches: the
+    # joins check nothing, and the end still refuses.
+    with pytest.raises(ValueError, match="norm"):
+        apply_circuit(new_basis_state(0, 0), Circuit(4, (Hadamard(0), Hadamard(2))))
