@@ -12,8 +12,12 @@ Grammar (header first, then gates; later ``#`` lines are comments):
 Angles are written with 17 significant digits, which round-trips doubles
 exactly; angles that are dyadic multiples of 2*pi additionally carry a
 ``p=... m=...`` annotation meaning theta = 2*pi*p/2**m, which the parser
-prefers.  The parser refuses a field the grammar does not give a gate's
-mnemonic, and names the line at fault.
+prefers.  One reader reads every list field (qubits, decimal angles, and
+``p=`` at level ``m=``), each distinct text once per file, so the 2t
+oracles of an estimation round share one phases tuple, as built.  The
+parser refuses a field the grammar does not give the header or a gate's
+mnemonic, a header ``n`` outside [1, qubits], an angle that is not finite
+and an RY with more than one angle, and names the line at fault.
 ``expand_blocks`` is the one pass that writes each Fourier block
 as the basic gates of ``qft_circuit``; the simulator runs it as one FFT.
 """
@@ -21,6 +25,7 @@ as the basic gates of ``qft_circuit``; the simulator runs it as one FFT.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Iterator
 
 from .dyadic import TAU
@@ -182,22 +187,34 @@ def save_circuit(path, circuit: Circuit, data_qubits: int) -> None:
             handle.write("\n")
 
 
-def _parse_fields(parts: list[str]) -> dict[str, str]:
+# The fields the header and each mnemonic take; p= and m= only together.
+_FIELDS = {_HEADER: {"n", "qubits"}, "H": {"q"}, "X": {"q"}, "CZP": {"l", "q"},
+           "RY": {"theta", "q", "c", "p", "m"},
+           "DIAG": {"j", "reg", "c", "phases", "p", "m"}}
+
+
+def _parse_fields(mnemonic: str, parts: list[str]) -> dict[str, str]:
+    """The fields of a line, each of them one that ``mnemonic`` takes."""
     fields: dict[str, str] = {}
     for part in parts:
         key, _, value = part.partition("=")
         if not _ or key in fields:
             raise ValueError(f"malformed field {part!r}")
         fields[key] = value
+    taken = _FIELDS.get(mnemonic)
+    if taken is None:
+        raise ValueError(f"unknown gate mnemonic {mnemonic!r}")
+    if not fields.keys() <= taken:
+        raise ValueError(f"{mnemonic} takes no field {min(fields.keys() - taken)}=")
     return fields
 
 
-def _field(fields: dict[str, str], key: str, read=int):
-    """Field ``key`` as ``read`` reads it; a refusal names the field."""
-    if key not in fields:
-        raise ValueError(f"missing field {key}=")
+def _field(fields: dict[str, str], key: str, read=int, *args):
+    """Field ``key`` as ``read(text, *args)`` reads it; a refusal names the field."""
     try:
-        return read(fields[key])
+        return read(fields[key], *args)
+    except KeyError:
+        raise ValueError(f"missing field {key}=") from None
     except ValueError as exc:
         raise ValueError(f"field {key}=: {exc}") from None
 
@@ -209,46 +226,47 @@ def _level(text: str) -> int:
     return level
 
 
-# The fields each mnemonic takes; p= and m= only together.
-_FIELDS = {"H": {"q"}, "X": {"q"}, "CZP": {"l", "q"},
-           "RY": {"theta", "q", "c", "p", "m"},
-           "DIAG": {"j", "reg", "c", "phases", "p", "m"}}
+_QUBITS = -1  # the level that reads qubit indices: a read m= is never negative
 
 
-def _parse_index_list(text: str) -> tuple[int, ...]:
-    return () if text in ("-", "") else tuple(int(v) for v in text.split(","))
+def _parse_list(text: str, level: int | None = _QUBITS) -> tuple:
+    """Qubit indices at level ``_QUBITS`` (``-`` for none), decimal angles at
+    level None, else the angles 2*pi*p/2**level of integers p.  It refuses
+    an angle that is not finite."""
+    if level == _QUBITS:
+        return () if text in ("-", "") else tuple(map(int, text.split(",")))
+    if level is None:
+        angles = tuple(map(float, text.split(",")))
+    else:
+        angles = tuple(TAU * int(p) / (1 << level) for p in text.split(","))
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ValueError(f"angle {angle} is not finite")
+    return angles
 
 
-def _parse_gate_line(line: str, indices) -> Gate:
-    """The gate on ``line``, its qubit lists read by ``indices``."""
+def _parse_gate_line(line: str, lists) -> Gate:
+    """The gate on ``line``, its list fields read by ``lists``."""
     parts = line.split()
-    mnemonic, fields = parts[0], _parse_fields(parts[1:])
-    taken = _FIELDS.get(mnemonic)
-    if taken is None:
-        raise ValueError(f"unknown gate mnemonic {mnemonic!r}")
-    if not fields.keys() <= taken:
-        raise ValueError(f"{mnemonic} takes no field {min(fields.keys() - taken)}=")
+    mnemonic, fields = parts[0], _parse_fields(parts[0], parts[1:])
     if mnemonic == "H":
         return Hadamard(_field(fields, "q"))
     if mnemonic == "X":
         return PauliX(_field(fields, "q"))
     if mnemonic == "CZP":
-        return ControlledZPow(_field(fields, "l"), _field(fields, "q", indices))
-    dyadic = "p" in fields or "m" in fields
-    if mnemonic == "RY":
-        if dyadic:
-            theta = TAU * _field(fields, "p") / (1 << _field(fields, "m", _level))
-        else:
-            theta = _field(fields, "theta", float)
-        return RotationY(theta, _field(fields, "q"), _field(fields, "c", indices))
-    if dyadic:
-        level = _field(fields, "m", _level)
-        phases = _field(fields, "p", lambda text: tuple(
-            TAU * int(p) / (1 << level) for p in text.split(",")))
+        return ControlledZPow(_field(fields, "l"), _field(fields, "q", lists))
+    if "p" in fields or "m" in fields:
+        key, level = "p", _field(fields, "m", _level)
     else:
-        phases = _field(fields, "phases", lambda text: tuple(map(float, text.split(","))))
-    return DiagonalOracle(_field(fields, "reg", indices), phases,
-                          _field(fields, "j"), _field(fields, "c", indices))
+        key, level = "theta" if mnemonic == "RY" else "phases", None
+    angles = _field(fields, key, lists, level)
+    controls = _field(fields, "c", lists)
+    if mnemonic == "RY":
+        if len(angles) != 1:
+            raise ValueError(f"field {key}=: RY takes one angle, got {len(angles)}")
+        return RotationY(angles[0], _field(fields, "q"), controls)
+    return DiagonalOracle(_field(fields, "reg", lists), angles,
+                          _field(fields, "j"), controls)
 
 
 def parse_circuit(text: str) -> tuple[int, Circuit]:
@@ -259,15 +277,17 @@ def parse_circuit(text: str) -> tuple[int, Circuit]:
     if not lines or not lines[0][1].startswith(_HEADER + " "):
         raise ValueError(f"missing '{_HEADER}' header line")
     number, header = lines[0]
-    # Peel repeats each CZP qubit list across levels: read each text once.
-    indices = functools.cache(_parse_index_list)
+    # Peel's CZP qubit lists and a round's 2t DIAG phases repeat: read each once.
+    lists = functools.cache(_parse_list)
     try:
-        fields = _parse_fields(header.split()[3:])
+        fields = _parse_fields(_HEADER, header.split()[3:])
         data_qubits, num_qubits = _field(fields, "n"), _field(fields, "qubits")
+        if num_qubits >= 1 and not 1 <= data_qubits <= num_qubits:  # else Circuit refuses
+            raise ValueError(f"n={data_qubits} outside [1, {num_qubits}]")
         gates = []
         for number, line in lines[1:]:  # names the line that raises
             if not line.startswith("#"):
-                gates.append(_parse_gate_line(line, indices))
+                gates.append(_parse_gate_line(line, lists))
     except (ValueError, OverflowError) as exc:  # 2*pi*p/2**m past the floats
         raise ValueError(f"line {number}: {exc}") from None
     try:

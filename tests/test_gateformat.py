@@ -159,9 +159,25 @@ def test_parse_rejects_bad_input():
     ("# qprep v1 n=1 qubits=1\nX q=0\nCZP l=0 q=0\n",
      "line 3: ControlledZPow level must be nonzero"),
     ("# qprep v1 n=1 qubits=0\nH q=0\n", "line 1: num_qubits must be >= 1, got 0"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=nan q=0 c=-\n",
+     "line 2: field theta=: angle nan is not finite"),
+    ("# qprep v1 n=1 qubits=1\nH q=0\nDIAG j=1 reg=0 c=- phases=0,inf\n",
+     "line 3: field phases=: angle inf is not finite"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=-inf q=0 c=-\n",
+     "line 2: field theta=: angle -inf is not finite"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5,1 q=0 c=-\n",
+     "line 2: field theta=: RY takes one angle, got 2"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1,3 m=2\n",
+     "line 2: field p=: RY takes one angle, got 2"),
+    ("# qprep v1 n=1 qubits=1 x=3\nH q=0\n", "line 1: # qprep v1 takes no field x="),
+    ("# qprep v1 n=0 qubits=1\nH q=0\n", "line 1: n=0 outside [1, 1]"),
+    ("# qprep v1 n=3 qubits=2\nH q=0\n", "line 1: n=3 outside [1, 2]"),
 ], ids=["header-without-qubits", "h-without-q", "ry-without-theta", "q-not-an-integer",
         "level-past-the-floats", "field-the-gate-does-not-take", "level-on-a-czp",
-        "negative-level", "qubit-outside-the-header", "czp-level-zero", "no-qubits"])
+        "negative-level", "qubit-outside-the-header", "czp-level-zero", "no-qubits",
+        "nan-theta", "infinite-phase", "minus-infinite-theta", "two-thetas",
+        "two-numerators-on-an-ry", "field-the-header-does-not-take", "no-data-qubits",
+        "more-data-qubits-than-qubits"])
 def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusal):
     # Lines are counted before blank and comment lines are dropped.
     path = tmp_path / "bad.gates"
@@ -186,6 +202,34 @@ def test_every_field_the_writer_emits_is_read_back(mode):
     assert emitted == {("H", "q"), ("X", "q"), ("CZP", "l"), ("CZP", "q"), *(
         ("RY", key) for key in ("theta", "q", "c", "p", "m")), *(
         ("DIAG", key) for key in ("j", "reg", "c", "phases", "p", "m"))}
+
+
+@pytest.mark.parametrize("mode, rounds", [(DETERMINISTIC, 4), (PROBABILISTIC, 1)])
+def test_a_round_s_oracles_share_one_phases_tuple_as_read(mode, rounds):
+    # The reader reads each distinct list text once per file, so the 2t
+    # oracles of a round share one phases tuple, as ``build`` makes them.
+    rng = np.random.default_rng(4)
+    x = TargetVector(5, rng.random(32), rng.uniform(0.0, TAU, 32))
+    circuit = build(x, required_precision(5, 0.1, mode)).circuit
+    _, parsed = parse_circuit("\n".join(circuit_lines(circuit, 5)))
+    for gates in (circuit.gates, parsed.gates):
+        oracles = [gate for gate in gates if isinstance(gate, DiagonalOracle)]
+        assert len({id(gate.phases) for gate in oracles}) == rounds
+
+
+def test_one_text_reads_by_its_level():
+    # Equal list texts at different levels, or as qubits and as angles, are
+    # read apart; level 0 is a level (2*pi*p), not a missing one.
+    _, circuit = parse_circuit("# qprep v1 n=1 qubits=2\n"
+                               "DIAG j=1 reg=1 c=- phases=0,0 p=1,3 m=3\n"
+                               "DIAG j=1 reg=1 c=- phases=0,0 p=1,3 m=4\n"
+                               "DIAG j=1 reg=1 c=- phases=1,3\n"
+                               "RY theta=0 q=0 c=1 p=1 m=0\n")
+    assert circuit.gates == (DiagonalOracle((1,), (TAU / 8, TAU * 3 / 8)),
+                             DiagonalOracle((1,), (TAU / 16, TAU * 3 / 16)),
+                             DiagonalOracle((1,), (1.0, 3.0)),
+                             RotationY(TAU, 0, controls=(1,)))
+    assert type(circuit.gates[3].controls[0]) is int
 
 
 def test_comment_lines_are_ignored():

@@ -27,7 +27,6 @@ from qprep.sim import (
     project_measure,
 )
 from qprep.gateformat import qft_circuit
-from qprep.prepare import SIMULATION_BYTES_PER_AMPLITUDE
 
 TAU = 2.0 * math.pi
 
@@ -100,8 +99,8 @@ def test_apply_circuit_builds_two_states_whatever_it_joins(monkeypatch, start, w
 
 def test_qft_off_the_leading_qubits_copies_the_state_once():
     # The FFT writes over its input rows, here the one copy of the moved
-    # register: the peak is the circuit's own buffer, that copy and the
-    # FFT's small scratch, within the full simulation's figure.
+    # register: the peak is the circuit's own buffer and that copy, 32 B per
+    # amplitude, and the FFT's small scratch.
     state = random_state(18, np.random.default_rng(5))
     circuit = Circuit(18, (QFTBlock((3, 1, 4)),))
     tracemalloc.start()
@@ -110,7 +109,7 @@ def test_qft_off_the_leading_qubits_copies_the_state_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (SIMULATION_BYTES_PER_AMPLITUDE << 18) + (1 << 20)
+    assert peak <= (32 << 18) + (1 << 20)
 
 
 def test_hadamard_on_zero():
