@@ -16,19 +16,22 @@ prefers.  One reader reads every list field (qubits, decimal angles, and
 ``p=`` at level ``m=``), each distinct text once per file, so the 2t
 oracles of an estimation round share one phases tuple, as built.  The
 parser refuses a field the grammar does not give the header or a gate's
-mnemonic, a header ``n`` outside [1, qubits], an angle that is not finite
-and an RY with more than one angle, and names the line at fault.
-``expand_blocks`` is the one pass that writes each Fourier block
-as the basic gates of ``qft_circuit``; the simulator runs it as one FFT.
+mnemonic, a header ``n`` outside [1, qubits], an angle that is not finite,
+an RY with more than one angle and an ``m=`` or ``|l|`` past the finest
+grid (``dyadic.MAX_LEVEL``), and names the line at fault.
+``expand_blocks`` writes each Fourier block as the basic gates of
+``qft_circuit``, each distinct one once per pass, and ``written_gate_count``
+(the report's gate count) counts them; the simulator runs a block as one FFT.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from typing import Iterable, Iterator
 
-from .dyadic import TAU
+from .dyadic import MAX_LEVEL, TAU
 from .sim import (
     Circuit,
     ControlledZPow,
@@ -105,28 +108,25 @@ def qft_circuit(register: tuple[int, ...] | list[int],
     return tuple(gates)
 
 
-def expand_blocks(gates: Iterable[Gate]) -> Iterator[Gate]:
-    """The gates as written: each Fourier block becomes its primitive gates."""
+def expand_blocks(gates: tuple[Gate, ...]) -> Iterator[Gate]:
+    """The gates as written: each Fourier block becomes its primitive gates,
+    each distinct one expanded once per pass and dropped after its last use."""
+    uses = Counter((gate.register, gate.inverse) for gate in gates if isinstance(gate, QFTBlock))
+    expanded = {}
     for gate in gates:
         if isinstance(gate, QFTBlock):
-            yield from qft_circuit(gate.register, gate.inverse)
+            block = gate.register, gate.inverse
+            if block not in expanded:
+                expanded[block] = qft_circuit(*block)
+            uses[block] -= 1
+            yield from expanded[block] if uses[block] else expanded.pop(block)
         else:
             yield gate
 
 
 def written_gate_count(circuit: Circuit) -> int:
-    """Number of gate lines ``save_circuit`` writes for ``circuit``.
-
-    A width-w ``QFTBlock`` is written as ``qft_circuit`` writes it: w(w+1)/2
-    H and CZP gates, then 9 gates for each of its w//2 swaps."""
-    count = 0
-    for gate in circuit.gates:
-        if isinstance(gate, QFTBlock):
-            width = len(gate.register)
-            count += width * (width + 1) // 2 + 9 * (width // 2)
-        else:
-            count += 1
-    return count
+    """Number of gate lines ``save_circuit`` writes for ``circuit``."""
+    return sum(1 for _ in expand_blocks(circuit.gates))
 
 
 def _dyadic_field(angles: tuple[float, ...]) -> str:
@@ -215,14 +215,16 @@ def _field(fields: dict[str, str], key: str, read=int, *args):
         return read(fields[key], *args)
     except KeyError:
         raise ValueError(f"missing field {key}=") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # 2*pi*p/2**m past the floats
         raise ValueError(f"field {key}=: {exc}") from None
 
 
 def _level(text: str) -> int:
+    """The ``m=`` level, refused before ``1 << level`` if past the finest grid."""
     level = int(text)
-    if level < 0:
-        raise ValueError(f"negative level {level}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"negative level {level}" if level < 0
+                         else f"level {level} exceeds the limit {MAX_LEVEL}")
     return level
 
 
@@ -245,8 +247,9 @@ def _parse_list(text: str, level: int | None = _QUBITS) -> tuple:
     return angles
 
 
-def _parse_gate_line(line: str, lists) -> Gate:
-    """The gate on ``line``, its list fields read by ``lists``."""
+def _parse_gate_line(line: str, lists, levels) -> Gate:
+    """The gate on ``line``, its list fields read by ``lists`` and its level
+    by ``levels``."""
     parts = line.split()
     mnemonic, fields = parts[0], _parse_fields(parts[0], parts[1:])
     if mnemonic == "H":
@@ -256,7 +259,7 @@ def _parse_gate_line(line: str, lists) -> Gate:
     if mnemonic == "CZP":
         return ControlledZPow(_field(fields, "l"), _field(fields, "q", lists))
     if "p" in fields or "m" in fields:
-        key, level = "p", _field(fields, "m", _level)
+        key, level = "p", _field(fields, "m", levels)
     else:
         key, level = "theta" if mnemonic == "RY" else "phases", None
     angles = _field(fields, key, lists, level)
@@ -277,8 +280,9 @@ def parse_circuit(text: str) -> tuple[int, Circuit]:
     if not lines or not lines[0][1].startswith(_HEADER + " "):
         raise ValueError(f"missing '{_HEADER}' header line")
     number, header = lines[0]
-    # Peel's CZP qubit lists and a round's 2t DIAG phases repeat: read each once.
-    lists = functools.cache(_parse_list)
+    # Peel's CZP qubit lists, a round's 2t DIAG phases and the m= levels
+    # repeat: read each once.
+    lists, levels = functools.cache(_parse_list), functools.cache(_level)
     try:
         fields = _parse_fields(_HEADER, header.split()[3:])
         data_qubits, num_qubits = _field(fields, "n"), _field(fields, "qubits")
@@ -287,8 +291,8 @@ def parse_circuit(text: str) -> tuple[int, Circuit]:
         gates = []
         for number, line in lines[1:]:  # names the line that raises
             if not line.startswith("#"):
-                gates.append(_parse_gate_line(line, lists))
-    except (ValueError, OverflowError) as exc:  # 2*pi*p/2**m past the floats
+                gates.append(_parse_gate_line(line, lists, levels))
+    except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
     try:
         return data_qubits, Circuit(num_qubits, tuple(gates))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import TAU
+from .dyadic import MAX_LEVEL, TAU
 
 NORM_TOLERANCE = 1e-12
 
@@ -132,11 +132,13 @@ def validate_gate(gate: Gate, num_qubits: int) -> None:
         if not 0 <= q < num_qubits:
             raise ValueError(f"{gate!r}: qubit {q} outside [0, {num_qubits})")
     if isinstance(gate, ControlledZPow):
-        if gate.level == 0:
-            raise ValueError("ControlledZPow level must be nonzero")
+        if not 0 < abs(gate.level) <= MAX_LEVEL:
+            raise ValueError(
+                "ControlledZPow level must be nonzero" if gate.level == 0
+                else f"ControlledZPow level {gate.level} exceeds the limit {MAX_LEVEL}")
         if not gate.qubits:
             raise ValueError("ControlledZPow needs at least one qubit")
-    if isinstance(gate, DiagonalOracle):
+    elif isinstance(gate, DiagonalOracle):
         if not gate.register:
             raise ValueError("DiagonalOracle needs a nonempty register")
         if len(gate.phases) != 1 << len(gate.register):
@@ -144,7 +146,7 @@ def validate_gate(gate: Gate, num_qubits: int) -> None:
                 f"DiagonalOracle with {len(gate.register)} register qubits "
                 f"needs {1 << len(gate.register)} phases, got {len(gate.phases)}"
             )
-    if isinstance(gate, QFTBlock) and not gate.register:
+    elif isinstance(gate, QFTBlock) and not gate.register:
         raise ValueError("QFTBlock needs a nonempty register")
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,10 +11,18 @@ from qprep.gateformat import (
     expand_blocks,
     load_circuit,
     parse_circuit,
+    qft_circuit,
     save_circuit,
     written_gate_count,
 )
-from qprep.prepare import DETERMINISTIC, PROBABILISTIC, TargetVector, build, required_precision
+from qprep.prepare import (
+    DETERMINISTIC,
+    PROBABILISTIC,
+    PrecisionConfig,
+    TargetVector,
+    build,
+    required_precision,
+)
 from qprep.sim import (
     Circuit,
     ControlledZPow,
@@ -126,11 +135,76 @@ def test_qft_block_expands_to_primitives():
 
 
 @pytest.mark.parametrize("inverse", [False, True])
-def test_written_count_of_a_qft_block_is_its_closed_form(inverse):
+def test_written_count_of_a_qft_block_is_the_lines_written(inverse):
     for width in range(1, 41):
         block = QFTBlock(tuple(range(width)), inverse)
         circuit = Circuit(width, (block, Hadamard(0)))
-        assert written_gate_count(circuit) == sum(1 for _ in expand_blocks(circuit.gates))
+        assert written_gate_count(circuit) == len(list(circuit_lines(circuit, 1))) - 1
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
+def test_written_count_is_the_lines_written_for_every_build(mode):
+    # Det widths have no formula at n = 1: there it takes them as given.
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        x = TargetVector(n, rng.random(1 << n), rng.uniform(0.0, TAU, 1 << n))
+        cfg = (PrecisionConfig(5, 4, mode) if n == 1 and mode == DETERMINISTIC
+               else required_precision(n, 0.1, mode))
+        circuit = build(x, cfg).circuit
+        assert written_gate_count(circuit) == len(list(circuit_lines(circuit, n))) - 1
+
+
+def test_blocks_on_two_registers_write_as_each_alone():
+    # Each block is written as its own expansion, whichever blocks came
+    # before it in the pass: forward and inverse on one register differ.
+    gates = (QFTBlock((0, 1, 2)), Hadamard(3), QFTBlock((3, 4), True),
+             RotationY(0.5, 0, (3,)), QFTBlock((0, 1, 2), True), QFTBlock((3, 4)),
+             ControlledZPow(2, (1, 4)), QFTBlock((0, 1, 2)), QFTBlock((3, 4), True))
+    circuit = Circuit(5, gates)
+    lines = list(circuit_lines(circuit, 2))
+    assert lines[1:] == [line for gate in gates
+                         for line in list(circuit_lines(Circuit(5, (gate,)), 2))[1:]]
+    assert written_gate_count(circuit) == len(lines) - 1
+
+
+def test_each_distinct_block_is_expanded_once_per_pass(monkeypatch):
+    # A det build writes a forward and an inverse block on one register in
+    # every round: two expansions per pass, however many rounds it runs.
+    rng = np.random.default_rng(6)
+    x = TargetVector(4, rng.random(16), rng.uniform(0.0, TAU, 16))
+    circuit = build(x, required_precision(4, 0.1, DETERMINISTIC)).circuit
+    assert sum(isinstance(gate, QFTBlock) for gate in circuit.gates) > 2
+    calls = []
+    monkeypatch.setattr("qprep.gateformat.qft_circuit",
+                        lambda *args: calls.append(args) or qft_circuit(*args))
+    for _ in range(2):
+        lines = list(circuit_lines(circuit, 4))
+        assert len(calls) == len(set(calls)) == 2
+        assert {inverse for _, inverse in calls} == {False, True}
+        calls.clear()
+    assert written_gate_count(circuit) == len(lines) - 1
+    assert len(calls) == 2
+
+
+def test_a_pass_lets_each_expansion_go_after_its_last_use(monkeypatch):
+    # A weak reference to each expansion shows when the pass lets it go, so
+    # a pass holds no more of the blocks than a block-by-block one would.
+    class Expansion(list):
+        pass
+
+    held = []
+
+    def expand(*args):
+        expansion = Expansion(qft_circuit(*args))
+        held.append(weakref.ref(expansion))
+        return expansion
+
+    monkeypatch.setattr("qprep.gateformat.qft_circuit", expand)
+    gates = (QFTBlock((0, 1)), PauliX(2), QFTBlock((0, 1), True), QFTBlock((0, 1)),
+             Hadamard(2))
+    alive = {gate: [ref() is not None for ref in held]
+             for gate in expand_blocks(gates) if gate in (PauliX(2), Hadamard(2))}
+    assert alive == {PauliX(2): [True], Hadamard(2): [False, False]}
 
 
 def test_parse_rejects_bad_input():
@@ -149,7 +223,7 @@ def test_parse_rejects_bad_input():
     ("\n# qprep v1 n=1 qubits=1\nH q=x\n",
      "line 3: field q=: invalid literal for int() with base 10: 'x'"),
     ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=2000\n",
-     "line 2: int too large to convert to float"),
+     "line 2: field m=: level 2000 exceeds the limit 1021"),
     ("# qprep v1 n=1 qubits=2\nH q=0\nH q=1 c=0\n", "line 3: H takes no field c="),
     ("# qprep v1 n=1 qubits=2\nCZP l=1 q=0,1 p=1 m=1\n", "line 2: CZP takes no field m="),
     ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=-1\n",
@@ -172,19 +246,42 @@ def test_parse_rejects_bad_input():
     ("# qprep v1 n=1 qubits=1 x=3\nH q=0\n", "line 1: # qprep v1 takes no field x="),
     ("# qprep v1 n=0 qubits=1\nH q=0\n", "line 1: n=0 outside [1, 1]"),
     ("# qprep v1 n=3 qubits=2\nH q=0\n", "line 1: n=3 outside [1, 2]"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=1022\n",
+     "line 2: field m=: level 1022 exceeds the limit 1021"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0 q=0 c=- p=1 m=100000000\n",
+     "line 2: field m=: level 100000000 exceeds the limit 1021"),
+    ("# qprep v1 n=1 qubits=1\nH q=0\nCZP l=1022 q=0\n",
+     "line 3: ControlledZPow level 1022 exceeds the limit 1021"),
+    ("# qprep v1 n=1 qubits=1\nCZP l=-1022 q=0\n",
+     "line 2: ControlledZPow level -1022 exceeds the limit 1021"),
+    ("# qprep v1 n=1 qubits=1\nCZP l=10000000 q=0\n",
+     "line 2: ControlledZPow level 10000000 exceeds the limit 1021"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=" + "9" * 400 + " m=3\n",
+     "line 2: field p=: int too large to convert to float"),
 ], ids=["header-without-qubits", "h-without-q", "ry-without-theta", "q-not-an-integer",
         "level-past-the-floats", "field-the-gate-does-not-take", "level-on-a-czp",
         "negative-level", "qubit-outside-the-header", "czp-level-zero", "no-qubits",
         "nan-theta", "infinite-phase", "minus-infinite-theta", "two-thetas",
         "two-numerators-on-an-ry", "field-the-header-does-not-take", "no-data-qubits",
-        "more-data-qubits-than-qubits"])
+        "more-data-qubits-than-qubits", "level-past-the-finest-grid",
+        "level-far-past-the-finest-grid", "czp-level-past-the-finest-grid",
+        "negative-czp-level-past-the-finest-grid", "czp-level-far-past-the-finest-grid",
+        "numerator-past-the-floats"])
 def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusal):
-    # Lines are counted before blank and comment lines are dropped.
+    # Lines are counted before blank and comment lines are dropped.  A
+    # refusal reads no more than the line: a level is refused before any
+    # 1 << level is made.
     path = tmp_path / "bad.gates"
     path.write_text(text)
-    with pytest.raises(ValueError) as refused:
-        load_circuit(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            load_circuit(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert str(refused.value) == refusal
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])

@@ -26,6 +26,7 @@ from qprep.sim import (
     new_basis_state,
     project_measure,
 )
+from qprep.dyadic import MAX_LEVEL
 from qprep.gateformat import qft_circuit
 
 TAU = 2.0 * math.pi
@@ -363,6 +364,19 @@ def test_gate_validation_errors():
         Circuit(2, (ControlledZPow(0, (0,)),))
     with pytest.raises(ValueError, match="dimension|qubits"):
         apply_circuit(new_basis_state(3, 0), Circuit(2, ()))
+
+
+def test_circuit_refuses_a_czp_level_past_the_finest_grid():
+    # 2*pi/2**|level| stays a positive float up to MAX_LEVEL; past it a
+    # Circuit refuses the gate before any simulation computes 1 << |level|.
+    for level in (MAX_LEVEL, -MAX_LEVEL):
+        circuit = Circuit(1, (PauliX(0), ControlledZPow(level, (0,))))
+        phase = apply_circuit(new_basis_state(1, 0), circuit).amplitudes[1]
+        assert phase.imag == math.copysign(TAU / 2.0 ** MAX_LEVEL, level)
+    for level in (MAX_LEVEL + 1, -MAX_LEVEL - 1, 10**7):
+        with pytest.raises(ValueError) as refused:
+            Circuit(1, (ControlledZPow(level, (0,)),))
+        assert str(refused.value) == f"ControlledZPow level {level} exceeds the limit 1021"
 
 
 def test_apply_circuit_checks_no_gate_of_a_built_circuit(monkeypatch):

@@ -74,6 +74,7 @@ def _write_inputs(root: Path) -> dict[str, str]:
     phases("p8.json", 8)
     phases("sparse8.json", 8, support={0, 37, 128, 200, 255})
     vector("one1.json", 1)
+    vector("half10.json", 10, zeros=0.5)
     bad = {
         "negative.json": '{"n": 1, "entries": [{"magnitude": 1.0, "phase": 0.0},'
                          ' {"magnitude": -2.0, "phase": 0.0}]}',
@@ -237,6 +238,11 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["prepare", vector, "--mode", "prob", "--epsilon", "0.1", "--multiplier", "2"],
         ["synth-diag", inputs["p2.json"], "--m", "2000"],
     ]
+    # Gate lists of the size the benchmark writes: n = 10, about half the
+    # magnitudes zero.
+    for mode in ("det", "prob"):
+        runs.append(["prepare", inputs["half10.json"], "--mode", mode, "--fast-path",
+                     "--epsilon", "0.1", *out])
     return runs
 
 
