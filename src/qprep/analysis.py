@@ -90,10 +90,11 @@ def deterministic_tight_bound(num_qubits: int, estimation_bits: int,
     Proof.  The root rotation is exact.  Round k rotates the new data qubit
     on each branch j of the first k by R_Y(2 theta_j) instead of
     R_Y(2 alpha_j), where the floor estimate of c*alpha_j on t bits gives
-    0 <= alpha_j - theta_j < d = 2*pi / (c * 2^t).  The difference of the
-    two rounds is block diagonal over the branches, with blocks
+    0 <= alpha_j - theta_j <= d = 2*pi / (c * 2^t), with equality only where
+    c*alpha_j is a full turn and wraps onto the top cell.  The difference of
+    the two rounds is block diagonal over the branches, with blocks
     R_Y(2 theta) - R_Y(2 alpha) of norm |1 - e^(i (theta - alpha))| <=
-    |theta - alpha| < d, so it moves a unit state by less than d.  Each
+    |theta - alpha| <= d, so it moves a unit state by at most d.  Each
     round is unitary, so the n - 1 rounds' errors add: the distance is at
     most (n-1) * d.
     """

@@ -230,9 +230,6 @@ def cmd_prepare(args) -> int:
     if args.epsilon is not None:
         if args.t is not None or args.t_prime is not None:
             raise UsageError("give either --epsilon or --t/--t-prime, not both")
-        if mode == DETERMINISTIC and x.num_qubits < 2:
-            raise UsageError(f"{args.input}: one qubit has no deterministic width "
-                             f"formula for --epsilon; give --t and --t-prime")
         with _refused_as(f"--epsilon {args.epsilon}"):
             cfg = required_precision(x.num_qubits, args.epsilon, mode)
     else:
@@ -429,13 +426,12 @@ def _suite_bounds(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     return rows
 
 
-# Each suite by name, in the order --suite lists them: the least --n it runs
-# (bounds: its deterministic width formula needs 2), the widths it simulates
-# at an --n, and the function that makes its rows.
+# Each suite by name, in the order --suite lists them: the widths it
+# simulates at an --n, and the function that makes its rows.
 _SUITES = {
-    "bounds": (2, lambda n: sum(_bounds_configs(n), []), _suite_bounds),
-    "synth": (1, lambda n: (), _suite_synth),
-    "dualpath": (1, lambda n: _DUALPATH_CONFIGS, _suite_dualpath),
+    "bounds": (lambda n: sum(_bounds_configs(n), []), _suite_bounds),
+    "synth": (lambda n: (), _suite_synth),
+    "dualpath": (lambda n: _DUALPATH_CONFIGS, _suite_dualpath),
 }
 
 
@@ -446,11 +442,10 @@ def _check_verify_size(suite: str, n: int, trials: int) -> None:
     process can get as a full simulation."""
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
-    least, widths, _ = _SUITES[suite]
-    if n < least:
-        raise UsageError(f"--n must be >= {least} for the {suite} suite, got {n}")
+    if n < 1:
+        raise UsageError(f"--n must be >= 1 for the {suite} suite, got {n}")
     with _refused_as(f"--n {n}"):  # widths past PrecisionConfig's limits
-        configs = widths(n)
+        configs = _SUITES[suite][0](n)
     shortfall = memory_shortfall(
         max([n] + [RegisterMap.layout(n, cfg).num_qubits for cfg in configs]))
     if shortfall:
@@ -477,7 +472,7 @@ def _write_rows(path: str | None, rows: list[dict]) -> None:
 def cmd_verify(args) -> int:
     _refuse_negative_seed(args.seed)
     _check_verify_size(args.suite, args.n, args.trials)
-    rows = _SUITES[args.suite][2](args.n, args.trials, np.random.default_rng(args.seed))
+    rows = _SUITES[args.suite][1](args.n, args.trials, np.random.default_rng(args.seed))
     _write_rows(args.out, rows)
     failing = [row for row in rows if not row["satisfied"]]
     # stderr, so that stdout holds only the rows when they go there.

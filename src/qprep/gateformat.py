@@ -11,14 +11,16 @@ Grammar (header first, then gates; later ``#`` lines are comments):
 
 Angles are written with 17 significant digits, which round-trips doubles
 exactly; angles that are dyadic multiples of 2*pi additionally carry a
-``p=... m=...`` annotation meaning theta = 2*pi*p/2**m, which the parser
-prefers.  One reader reads every list field (qubits, decimal angles, and
+``p=... m=...`` annotation meaning theta = 2*pi*p/2**m, which decides the
+value.  One reader reads every list field (qubits, decimal angles, and
 ``p=`` at level ``m=``), each distinct text once per file, so the 2t
 oracles of an estimation round share one phases tuple, as built.  The
 parser refuses a field the grammar does not give the header or a gate's
-mnemonic, a header ``n`` outside [1, qubits], an angle that is not finite,
-an RY with more than one angle and an ``m=`` or ``|l|`` past the finest
-grid (``dyadic.MAX_LEVEL``), and names the line at fault.
+mnemonic, a header ``n`` outside [1, qubits], an angle that is not finite
+(the decimal field's too, when annotated), an RY with more than one angle,
+a ``p=`` whose count differs from its decimal field's and an ``m=`` or
+``|l|`` past the finest grid (``dyadic.MAX_LEVEL``), and names the line at
+fault.
 ``expand_blocks`` writes each Fourier block as the basic gates of
 ``qft_circuit``, each distinct one once per pass, and ``written_gate_count``
 (the report's gate count) counts them; the simulator runs a block as one FFT.
@@ -258,15 +260,17 @@ def _parse_gate_line(line: str, lists, levels) -> Gate:
         return PauliX(_field(fields, "q"))
     if mnemonic == "CZP":
         return ControlledZPow(_field(fields, "l"), _field(fields, "q", lists))
-    if "p" in fields or "m" in fields:
-        key, level = "p", _field(fields, "m", levels)
-    else:
-        key, level = "theta" if mnemonic == "RY" else "phases", None
-    angles = _field(fields, key, lists, level)
+    key = "theta" if mnemonic == "RY" else "phases"
+    angles = _field(fields, key, lists, None)
+    decimals = len(angles)
+    if "p" in fields or "m" in fields:  # the annotation decides the value
+        key, angles = "p", _field(fields, "p", lists, _field(fields, "m", levels))
+    if mnemonic == "RY" and len(angles) != 1:
+        raise ValueError(f"field {key}=: RY takes one angle, got {len(angles)}")
+    if len(angles) != decimals:
+        raise ValueError(f"field p=: {len(angles)} numerators for {decimals} angles")
     controls = _field(fields, "c", lists)
     if mnemonic == "RY":
-        if len(angles) != 1:
-            raise ValueError(f"field {key}=: RY takes one angle, got {len(angles)}")
         return RotationY(angles[0], _field(fields, "q"), controls)
     return DiagonalOracle(_field(fields, "reg", lists), angles,
                           _field(fields, "j"), controls)

@@ -145,7 +145,8 @@ class PrecisionConfig:
             default = 4 if self.mode == PROBABILISTIC else 2
             object.__setattr__(self, "angle_multiplier", default)
         if self.angle_multiplier not in ANGLE_MULTIPLIERS:
-            raise ValueError(f"angle_multiplier must be 1, 2 or 4, got {self.angle_multiplier}")
+            raise ValueError(f"angle_multiplier must be one of {ANGLE_MULTIPLIERS}, "
+                             f"got {self.angle_multiplier}")
         if self.mode == PROBABILISTIC and self.angle_multiplier != 4:
             raise ValueError("probabilistic mode fixes angle_multiplier = 4")
 
@@ -159,10 +160,10 @@ def required_precision(num_qubits: int, epsilon: float, mode: str) -> PrecisionC
     bits = math.ceil(math.log2(TAU) - math.log2(epsilon))
     phase_bits = num_qubits + 1 + bits
     if mode == DETERMINISTIC:
-        if num_qubits < 2:
-            raise ValueError("deterministic width formula needs num_qubits >= 2")
-        t = math.ceil(math.log2(2.0 * (num_qubits - 1) * math.sqrt(2.0) * math.pi)
-                      - math.log2(epsilon)) + 1
+        # One qubit runs no round: its bound is 0 at every width, the least is 1.
+        t = 1 if num_qubits == 1 else math.ceil(
+            math.log2(2.0 * (num_qubits - 1) * math.sqrt(2.0) * math.pi)
+            - math.log2(epsilon)) + 1
     elif mode == PROBABILISTIC:
         t = 2 * num_qubits + bits
     else:
@@ -170,29 +171,17 @@ def required_precision(num_qubits: int, epsilon: float, mode: str) -> PrecisionC
     return PrecisionConfig(t, phase_bits, mode)
 
 
-@dataclass(frozen=True)
-class AngleTable:
-    """The configured scheme's exact rotation angles, one array per estimation
-    round, plus their floor estimates at the working width.
+def compute_angles(x: TargetVector,
+                   cfg: PrecisionConfig) -> tuple[float | None, tuple[np.ndarray, ...]]:
+    """The exact root angle and, per estimation round, the floor estimates of
+    the configured multiple of the round's angles at the working width.
 
-    * deterministic: round k-1 holds the depth-k branch angles, angles[k-1][j]
-      halving the probability of marginal-tree branch j; the root angle is
-      applied directly (never estimated), so it carries no grid version.
-    * probabilistic: one round of per-index arccos(x_i / max); no root angle.
+    * deterministic: the root angle is applied directly (never estimated);
+      round k-1 estimates the depth-k branch angles, angle j halving the
+      probability of marginal-tree branch j.
+    * probabilistic: no root angle (None); one round of per-index
+      arccos(x_i / max).
     """
-
-    estimation_bits: int
-    multiplier: int
-    root_angle: float | None
-    angles: tuple[np.ndarray, ...]
-    estimates: tuple[np.ndarray, ...]
-
-    def quantized(self, r: int) -> np.ndarray:
-        """Rotation angles the circuit realizes in round r (radians)."""
-        return self.estimates[r] * (TAU / (self.multiplier << self.estimation_bits))
-
-
-def compute_angles(x: TargetVector, cfg: PrecisionConfig) -> AngleTable:
     t, c = cfg.estimation_bits, cfg.angle_multiplier
     if cfg.mode == DETERMINISTIC:
         levels = compute_marginals(x)
@@ -203,17 +192,15 @@ def compute_angles(x: TargetVector, cfg: PrecisionConfig) -> AngleTable:
             live = parents > _ZERO_BRANCH
             left = children[0::2]
             alpha[live] = np.arccos(np.clip(np.sqrt(left[live] / parents[live]), 0.0, 1.0))
-            if c == 4 and np.any(alpha >= math.pi / 2):
-                raise ValueError("angle_multiplier 4 requires every branch angle < pi/2")
             angles.append(alpha)
     else:
         root = None
         angles = [np.arccos(np.clip(x.magnitudes / np.max(x.magnitudes), 0.0, 1.0))]
-    # A probabilistic x_i = 0 gives 4*alpha = 2*pi, which floor_fraction wraps
-    # onto the top grid cell, keeping every estimate strictly below a full turn.
-    estimates = tuple(np.array([floor_fraction(c * a / TAU, t) for a in alpha],
-                               dtype=np.int64) for alpha in angles)
-    return AngleTable(t, c, root, tuple(angles), estimates)
+    # A zero left child or a probabilistic x_i = 0 gives alpha = pi/2, so at
+    # multiplier 4 a full turn, which floor_fraction wraps onto the top grid
+    # cell, keeping every estimate strictly below a full turn.
+    return root, tuple(np.array([floor_fraction(c * a / TAU, t) for a in alpha],
+                                dtype=np.int64) for alpha in angles)
 
 
 @dataclass(frozen=True)
@@ -300,17 +287,17 @@ def build(x: TargetVector, cfg: PrecisionConfig) -> BuildResult:
     n, t = x.num_qubits, cfg.estimation_bits
     registers = RegisterMap.layout(n, cfg)
     estimation, data = registers.estimation, registers.data
-    table = compute_angles(x, cfg)
+    root, estimates = compute_angles(x, cfg)
     if cfg.mode == DETERMINISTIC:
-        gates: list[Gate] = [RotationY(2.0 * table.root_angle, data[0])]
+        gates: list[Gate] = [RotationY(2.0 * root, data[0])]
         rounds = [(data[:k], data[k]) for k in range(1, n)]
     else:
         gates = [Hadamard(q) for q in data]
         rounds = [(data, registers.ancilla)]
 
     ladder_end = None
-    for (register, target), estimates in zip(rounds, table.estimates):
-        phases = tuple(TAU * int(y) / (1 << t) for y in estimates)
+    for (register, target), round_estimates in zip(rounds, estimates):
+        phases = tuple(TAU * int(y) / (1 << t) for y in round_estimates)
         estimate = _estimation_block(estimation, register, phases)
         gates.extend(estimate)
         gates.extend(_rotation_ladder(estimation, target, cfg.angle_multiplier))
@@ -496,17 +483,18 @@ def fast_path_prepare(x: TargetVector, cfg: PrecisionConfig) -> PreparedState:
     quantized angles), never below ||x||^2/(2^n max x_i^2) because floor
     quantization only shrinks each angle.
     """
-    n = x.num_qubits
-    table = compute_angles(x, cfg)
+    root, estimates = compute_angles(x, cfg)
+    # The rotation angles the circuit realizes: estimate times the grid step.
+    step = TAU / (cfg.angle_multiplier << cfg.estimation_bits)
     if cfg.mode == DETERMINISTIC:
         amps, success = np.ones(1), 1.0
-        for angles in (np.array([table.root_angle]), *map(table.quantized, range(n - 1))):
+        for angles in (np.array([root]), *(y * step for y in estimates)):
             grown = np.empty(2 * amps.size)
             grown[0::2] = amps * np.cos(angles)
             grown[1::2] = amps * np.sin(angles)
             amps = grown
     else:
-        kept = np.cos(table.quantized(0))
+        kept = np.cos(estimates[0] * step)
         amps, success = kept / np.linalg.norm(kept), float(np.mean(kept ** 2))
     phase_spec = quantize(x.phases, cfg.phase_bits)
     amplitudes = amps.astype(complex) * np.exp(1.0j * np.array(phase_spec.angles()))

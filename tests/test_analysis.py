@@ -123,7 +123,7 @@ def test_required_precision_inverts_the_bounds(mode):
     mode_bound = (deterministic_distance_bound if mode == DETERMINISTIC
                   else probabilistic_distance_bound)
     epsilons = _epsilons(np.random.default_rng(1912))
-    for n in range(1 if mode == PROBABILISTIC else 2, 25):
+    for n in range(1, 25):
         estimation, phase = partial(mode_bound, n), partial(phase_stage_distance_bound, n)
         for epsilon in epsilons:
             half = epsilon / 2
@@ -138,7 +138,7 @@ def test_required_precision_inverts_the_bounds(mode):
 
 
 def test_bounds_suite_probabilistic_widths_are_the_least_meeting_epsilon():
-    for n in range(2, 30):
+    for n in range(1, 30):
         fixed, _ = _bounds_configs(n)
         widths = [cfg.estimation_bits for cfg in fixed if cfg.mode == PROBABILISTIC]
         for epsilon, width in zip((0.5, 0.1), widths, strict=True):
@@ -340,7 +340,7 @@ def test_measured_distance_is_within_the_tight_bounds(mode):
     # Real vectors measure the magnitude term alone; the same magnitudes with
     # random phases measure both terms, which add.
     rng = np.random.default_rng(2019)
-    for n in range(2, 11):
+    for n in range(1, 11):
         for epsilon in (0.5, 0.1):
             cfg = required_precision(n, epsilon, mode)
             fast_path = RegisterMap.layout(n, cfg).num_qubits > _FULL_CIRCUIT_QUBITS

@@ -489,14 +489,17 @@ def test_verify_dualpath_simulates_only_through_evaluate_bounds(monkeypatch, cap
 
 
 def test_verify_bounds_suite(tmp_path, capsys):
+    # From one qubit up, as every suite runs.
     out = tmp_path / "rows.jsonl"
-    rc = main(["verify", "--suite", "bounds", "--n", "2", "--trials", "2",
-               "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert all(row["satisfied"] for row in rows)
-    captured = capsys.readouterr()
-    assert captured.out == "" and "cells satisfied" in captured.err
+    for n in (1, 2):
+        rc = main(["verify", "--suite", "bounds", "--n", str(n), "--trials", "2",
+                   "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 2 * 7 and all(row["satisfied"] for row in rows)
+        assert {row["config"]["n"] for row in rows} == {n}
+        captured = capsys.readouterr()
+        assert captured.out == "" and "14/14 cells satisfied" in captured.err
 
 
 def test_verify_without_out_writes_only_rows_to_stdout(capsys):
@@ -625,15 +628,17 @@ def test_csv_index_long_only_by_its_leading_zeros_is_read(tmp_path, capsys):
     assert "reconstruction exact" in capsys.readouterr().out
 
 
-def test_deterministic_epsilon_on_one_qubit_is_a_usage_error_naming_the_file(
-        tmp_path, capsys):
-    vec = write_vector(tmp_path / "one.json", [0.6, 0.8])
-    assert main(["prepare", str(vec), "--mode", "det", "--epsilon", "0.1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage error: {vec}: ") and err.count("\n") == 1
-    assert "--t and --t-prime" in err
-    assert main(["prepare", str(vec), "--mode", "det", "--t", "4", "--t-prime", "3",
-                 "--report", str(tmp_path / "r.json")]) == 0
+def test_deterministic_epsilon_on_one_qubit_prepares_at_width_one(tmp_path):
+    # One qubit runs no estimation round, so its bound is 0 at every width
+    # and the least, t = 1, gives the root rotation and an idle register.
+    vec = write_vector(tmp_path / "one.json", [0.6, 0.8], [0.5, 0.0])
+    report_path = tmp_path / "r.json"
+    for route in ("--fast-path", "--full-circuit"):
+        assert main(["prepare", str(vec), "--mode", "det", "--epsilon", "0.1", route,
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["t"], report["qubits"], report["bound_satisfied"]) == (1, 2, True)
+        assert report["distance_to_target"] <= 0.1
 
 
 @pytest.mark.parametrize("command, content", [
@@ -720,13 +725,13 @@ def test_widths_at_the_limit_prepare_within_the_bound(tmp_path, mode, widths):
 @pytest.mark.parametrize("argv, named", [
     (["--suite", "synth", "--n", "-1"], "--n must be >= 1"),
     (["--suite", "synth", "--n", "0"], "--n must be >= 1"),
-    (["--suite", "bounds", "--n", "1"], "--n must be >= 2"),
+    (["--suite", "bounds", "--n", "0"], "--n must be >= 1"),
     (["--suite", "bounds", "--trials", "-3"], "--trials must be >= 0"),
     (["--suite", "bounds", "--n", "40"], "--n 40: estimation_bits"),
     (["--suite", "bounds", "--n", "8"], "--n 8: simulating 30 qubits"),
     (["--suite", "dualpath", "--n", "40"], "--n 40: simulating 49 qubits"),
     (["--suite", "synth", "--n", "40"], "--n 40: simulating 40 qubits"),
-], ids=["negative-n", "synth-n-0", "bounds-n-1", "negative-trials", "bounds-n-40",
+], ids=["negative-n", "synth-n-0", "bounds-n-0", "negative-trials", "bounds-n-40",
         "bounds-n-8", "dualpath-n-40", "synth-n-40"])
 def test_verify_refuses_bad_sizes_before_allocating(monkeypatch, capsys, argv, named):
     # 8 GiB of physical memory, whatever the machine has.

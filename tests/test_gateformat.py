@@ -258,6 +258,17 @@ def test_parse_rejects_bad_input():
      "line 2: ControlledZPow level 10000000 exceeds the limit 1021"),
     ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=" + "9" * 400 + " m=3\n",
      "line 2: field p=: int too large to convert to float"),
+    ("# qprep v1 n=1 qubits=1\nRY q=0 c=- p=1 m=2\n", "line 2: missing field theta="),
+    ("# qprep v1 n=1 qubits=1\nRY theta=abc q=0 c=- p=1 m=2\n",
+     "line 2: field theta=: could not convert string to float: 'abc'"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=nan q=0 c=- p=1 m=2\n",
+     "line 2: field theta=: angle nan is not finite"),
+    ("# qprep v1 n=1 qubits=1\nDIAG j=1 reg=0 c=- p=0,1 m=2\n",
+     "line 2: missing field phases="),
+    ("# qprep v1 n=1 qubits=1\nDIAG j=1 reg=0 c=- phases=0,1.5,3 p=0,1 m=2\n",
+     "line 2: field p=: 2 numerators for 3 angles"),
+    ("# qprep v1 n=1 qubits=1\nRY theta=0.5,1 q=0 c=- p=1 m=2\n",
+     "line 2: field p=: 1 numerators for 2 angles"),
 ], ids=["header-without-qubits", "h-without-q", "ry-without-theta", "q-not-an-integer",
         "level-past-the-floats", "field-the-gate-does-not-take", "level-on-a-czp",
         "negative-level", "qubit-outside-the-header", "czp-level-zero", "no-qubits",
@@ -266,7 +277,10 @@ def test_parse_rejects_bad_input():
         "more-data-qubits-than-qubits", "level-past-the-finest-grid",
         "level-far-past-the-finest-grid", "czp-level-past-the-finest-grid",
         "negative-czp-level-past-the-finest-grid", "czp-level-far-past-the-finest-grid",
-        "numerator-past-the-floats"])
+        "numerator-past-the-floats", "annotated-ry-without-theta",
+        "annotated-ry-with-an-unreadable-theta", "annotated-ry-with-a-nan-theta",
+        "annotated-diag-without-phases", "annotation-shorter-than-phases",
+        "annotated-ry-with-two-thetas"])
 def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusal):
     # Lines are counted before blank and comment lines are dropped.  A
     # refusal reads no more than the line: a level is refused before any

@@ -86,31 +86,32 @@ def test_marginals_parent_child_consistency():
 
 
 def test_angles_uniform_vector_splits_evenly():
+    # pi/4 at multiplier 2 is a quarter turn: cell 16 of 2**6.
     x = TargetVector.from_magnitudes([1, 1, 1, 1])
-    table = compute_angles(x, PrecisionConfig(6, 4))
-    assert table.root_angle == pytest.approx(math.pi / 4, abs=1e-12)
-    assert np.allclose(table.angles[0], math.pi / 4, atol=1e-12)
+    root, estimates = compute_angles(x, PrecisionConfig(6, 4))
+    assert root == pytest.approx(math.pi / 4, abs=1e-12)
+    assert [y.tolist() for y in estimates] == [[16, 16]]
 
 
 def test_angles_basis_vector_root_is_zero():
     x = TargetVector.from_magnitudes([1, 0])
-    table = compute_angles(x, PrecisionConfig(6, 4))
-    assert table.root_angle == 0.0
+    assert compute_angles(x, PrecisionConfig(6, 4)) == (0.0, ())
 
 
 def test_prob_angles_for_three_four():
     x = TargetVector.from_magnitudes([3, 4])
     cfg = PrecisionConfig(6, 4, PROBABILISTIC)
-    table = compute_angles(x, cfg)
-    assert table.angles[0] == pytest.approx([math.acos(0.75), 0.0])
-    assert table.root_angle is None and len(table.estimates) == 1
+    root, estimates = compute_angles(x, cfg)
+    # floor(4 * acos(0.75) / (2*pi) * 2**6) = floor(29.45)
+    assert root is None and [y.tolist() for y in estimates] == [[29, 0]]
 
 
 def test_zero_branches_get_zero_angles():
     x = TargetVector.from_magnitudes([0, 0, 1, 1])
-    table = compute_angles(x, PrecisionConfig(6, 4))
-    assert table.angles[0][0] == 0.0  # dead branch, not arccos(0/0)
-    assert table.angles[0][1] == pytest.approx(math.pi / 4, abs=1e-12)
+    root, estimates = compute_angles(x, PrecisionConfig(6, 4))
+    assert root == pytest.approx(math.pi / 2, abs=1e-12)
+    # Dead branch: cell 0, not arccos(0/0); pi/4 at multiplier 2 is cell 16.
+    assert [y.tolist() for y in estimates] == [[0, 16]]
 
 
 def test_precision_config_validation():
@@ -124,11 +125,17 @@ def test_precision_config_validation():
     assert PrecisionConfig(4, 4, DETERMINISTIC).angle_multiplier == 2
 
 
-def test_multiplier_four_rejects_right_angles():
-    x = TargetVector.from_magnitudes([0, 1, 1, 1])  # dead left branch at the top
+def test_multiplier_four_wraps_right_angles_onto_the_top_cell():
+    # A zero left child gives pi/2, a full turn at multiplier 4: the top
+    # cell, as a probabilistic x_i = 0 does; pi/4 there is half a turn.
+    x = TargetVector.from_magnitudes([0, 1, 1, 1])
     cfg = PrecisionConfig(6, 4, DETERMINISTIC, angle_multiplier=4)
-    with pytest.raises(ValueError, match="pi/2"):
-        compute_angles(x, cfg)
+    _, estimates = compute_angles(x, cfg)
+    assert [y.tolist() for y in estimates] == [[63, 32]]
+    fast = fast_path_prepare(x, cfg)
+    assert np.max(np.abs(simulate_preparation(build(x, cfg)).amplitudes
+                         - fast.amplitudes)) <= 1e-12
+    assert fast.amplitudes[0] == pytest.approx(math.sin(math.pi / 2 ** 7) / math.sqrt(3))
 
 
 def test_required_precision_formulas():
@@ -139,8 +146,9 @@ def test_required_precision_formulas():
     assert required_precision(2, 0.5, PROBABILISTIC).estimation_bits == 8
     with pytest.raises(ValueError):
         required_precision(3, 1.5, DETERMINISTIC)
-    with pytest.raises(ValueError):
-        required_precision(1, 0.1, DETERMINISTIC)
+    # One qubit runs no estimation round: its bound is 0 at the least width.
+    one = required_precision(1, 0.1, DETERMINISTIC)
+    assert (one.estimation_bits, one.phase_bits) == (1, 8)
 
 
 def test_estimation_block_writes_exact_grid_estimates():
@@ -152,7 +160,8 @@ def test_estimation_block_writes_exact_grid_estimates():
     t, n = 5, 2
     x = TargetVector.from_magnitudes([0.3, 1.0, 0.55, 0.8])
     cfg = PrecisionConfig(t, 4, PROBABILISTIC)
-    estimates = [int(y) for y in compute_angles(x, cfg).estimates[0]]
+    _, (estimates,) = compute_angles(x, cfg)
+    estimates = estimates.tolist()
     assert len(set(estimates)) == 1 << n
     total = t + n + 1
     gates = build(x, cfg).circuit.gates
@@ -406,17 +415,16 @@ def test_build_gate_order(mode):
     rng = np.random.default_rng(17)
     x = TargetVector(n, np.abs(rng.standard_normal(1 << n)), rng.uniform(0, 6.0, 1 << n))
     cfg = PrecisionConfig(t, 4, mode)
-    table = compute_angles(x, cfg)
+    root, estimates = compute_angles(x, cfg)
     result = build(x, cfg)
     estimation, data = tuple(range(t)), tuple(range(t, t + n))
     if mode == DETERMINISTIC:
-        expected = [("RY", data[0], (), 2.0 * table.root_angle)]
+        expected = [("RY", data[0], (), 2.0 * root)]
         for k in range(1, n):
-            expected += _expected_round(estimation, data[:k], table.estimates[k - 1],
-                                        data[k], 2)
+            expected += _expected_round(estimation, data[:k], estimates[k - 1], data[k], 2)
     else:
         expected = [("H", q) for q in data]
-        expected += _expected_round(estimation, data, table.estimates[0], t + n, 4)
+        expected += _expected_round(estimation, data, estimates[0], t + n, 4)
     phase_stage = result.circuit.gates[result.phase_start:]
     assert phase_stage  # random phases need a nonempty diagonal
     assert result.phase_start == len(expected)

@@ -2,7 +2,8 @@
 reference byte for byte, widening and gate relabelling against the flat
 simulation, written gate lists against the gates they were written from, the
 estimation register's readout against its Hadamards, and the full
-preparation against the fast path.
+preparation against the fast path and, at multiplier 4 on zero branches,
+against its bounds.
 
 Derandomized, so every run draws the same examples.
 """
@@ -16,6 +17,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from _util import reference_apply
+from qprep.analysis import (
+    BOUND_SLACK,
+    deterministic_tight_bound,
+    evaluate_bounds,
+    phase_stage_tight_bound,
+)
 from qprep.dyadic import TAU
 from qprep.gateformat import circuit_lines, parse_circuit
 from qprep.prepare import (
@@ -25,6 +32,7 @@ from qprep.prepare import (
     TargetVector,
     _estimation_zero_block,
     build,
+    compute_angles,
     fast_path_prepare,
     simulate_preparation,
 )
@@ -207,6 +215,41 @@ def test_full_simulation_is_the_fast_path(preparation):
     fast = fast_path_prepare(x, cfg)
     assert np.max(np.abs(full.amplitudes - fast.amplitudes)) <= 1e-9
     assert abs(full.success_probability - fast.success_probability) <= 1e-12
+
+
+@st.composite
+def zero_branch_preparations(draw):
+    """A det vector on 2-5 qubits, about half its magnitudes zero, whose
+    last split has a live branch ``dead`` with a zero left child, at angle
+    multiplier 4."""
+    n = draw(st.integers(2, 5))
+    magnitude = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    magnitudes = draw(st.lists(magnitude, min_size=1 << n, max_size=1 << n))
+    dead = draw(st.integers(0, (1 << (n - 1)) - 1))
+    magnitudes[2 * dead], magnitudes[2 * dead + 1] = 0.0, draw(st.floats(0.1, 1e3))
+    phases = draw(st.lists(st.floats(0.0, TAU, exclude_max=True),
+                           min_size=1 << n, max_size=1 << n))
+    cfg = PrecisionConfig(draw(st.sampled_from((4, 6, 8))), draw(st.integers(1, 8)),
+                          DETERMINISTIC, angle_multiplier=4)
+    return TargetVector(n, np.array(magnitudes), np.array(phases)), cfg, dead
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(zero_branch_preparations())
+def test_multiplier_four_on_zero_branches_meets_its_bounds(preparation):
+    # The dead branch's angle pi/2 is a full turn at multiplier 4, which
+    # wraps onto the top cell: its error is one whole grid step, within
+    # the tight bound still.
+    x, cfg, dead = preparation
+    t = cfg.estimation_bits
+    assert compute_angles(x, cfg)[1][-1][dead] == (1 << t) - 1
+    report = evaluate_bounds(x, cfg)
+    assert report.satisfied and report.estimation_residual <= 1e-10
+    fast = fast_path_prepare(x, cfg)
+    assert np.max(np.abs(report.amplitudes - fast.amplitudes)) <= 1e-9
+    tight = (deterministic_tight_bound(x.num_qubits, t, 4)
+             + phase_stage_tight_bound(cfg.phase_bits))
+    assert report.measured_distance <= tight + BOUND_SLACK
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

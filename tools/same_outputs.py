@@ -144,6 +144,10 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
                  "--full-circuit", *out])
     runs.append(["prepare", inputs["one1.json"], "--mode", "det", "--t", "5",
                  "--t-prime", "4", "--full-circuit", *out])
+    # So det --epsilon on one qubit gives t = 1, and the bounds suite runs
+    # from --n 1.  Checkouts from before this change refuse both.
+    runs.append(["prepare", inputs["one1.json"], "--mode", "det", "--epsilon", "0.1"])
+    runs.append(["verify", "--suite", "bounds", "--n", "1"])
     # RY and DIAG angles finer than level 32, written without p= m=, and a
     # 34-qubit QFT expansion.
     for mode in ("det", "prob"):
@@ -189,7 +193,6 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["prepare", vector, "--mode", "det", "--epsilon", "0.1",
          "--report", "report.json", "--emit", "report.json"],
         ["verify", "--suite", "synth", "--trials", "-1"],
-        ["verify", "--suite", "bounds", "--n", "1"],
         ["verify", "--suite", "bounds", "--n", "31", "--trials", "0"],
         ["verify", "--suite", "synth", "--n", "40"],
         # A first CSV row that holds a number is data, not a header to drop,
@@ -203,17 +206,15 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
         ["prepare", vector, "--mode", "det", "--epsilon", "0.1", "--seed", "-5"],
         # JSON read as UTF-8 after an optional byte-order mark, and loader
         # refusals that name the file: undecodable bytes, deep nesting, an
-        # integer past the largest float, a phase outside [0, 2*pi), and the
-        # deterministic width formula on one qubit.  Checkouts from before
-        # these refusals differ here: they refuse the BOM, print tracebacks,
-        # or print messages that name no file.
+        # integer past the largest float, and a phase outside [0, 2*pi).
+        # Checkouts from before these refusals differ here: they refuse the
+        # BOM, print tracebacks, or print messages that name no file.
         ["prepare", inputs["bom.json"], "--mode", "prob", "--epsilon", "0.1", *out],
         ["prepare", inputs["latin1.csv"], "--mode", "det", "--epsilon", "0.1",
          "--fast-path"],
         ["prepare", inputs["deep.json"], "--mode", "det", "--epsilon", "0.1"],
         ["prepare", inputs["huge.json"], "--mode", "det", "--epsilon", "0.1"],
         ["synth-diag", inputs["range-phase.json"], "--m", "2"],
-        ["prepare", inputs["one1.json"], "--mode", "det", "--epsilon", "0.1"],
     ]
     # Refusals that quote a bad value or row only up to a fixed prefix, and
     # JSON integers past the digits int() reads from text.  Checkouts from
@@ -243,6 +244,13 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
     for mode in ("det", "prob"):
         runs.append(["prepare", inputs["half10.json"], "--mode", mode, "--fast-path",
                      "--epsilon", "0.1", *out])
+    # det --multiplier 4 on vectors with zero left children, whose angle
+    # pi/2 wraps onto the top grid cell.  Checkouts from before this change
+    # refuse them.
+    runs.append(["prepare", inputs["zeros4.json"], "--mode", "det", "--multiplier", "4",
+                 "--epsilon", "0.1", "--full-circuit", *out])
+    runs.append(["prepare", inputs["half10.json"], "--mode", "det", "--multiplier", "4",
+                 "--epsilon", "0.1", "--fast-path", *out])
     return runs
 
 
