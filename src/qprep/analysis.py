@@ -166,8 +166,8 @@ def evaluate_bounds(x: TargetVector, cfg: PrecisionConfig,
     built = build(x, cfg)
     prepared = fast_path_prepare(x, cfg) if fast_path else simulate_preparation(built)
 
-    state = StateVector(x.num_qubits, prepared.amplitudes)
-    target = StateVector(x.num_qubits, x.amplitudes())
+    state = StateVector(prepared.amplitudes)
+    target = StateVector(x.amplitudes())
     distance = state_distance(state, target)
     bound = epsilon if epsilon is not None else total_distance_bound(x, cfg)
     satisfied = distance <= bound + BOUND_SLACK

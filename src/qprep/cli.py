@@ -306,7 +306,7 @@ def _synthesize_checked(spec: PhaseSpec, support: list[int] | None = None):
         result, bound = peel_synthesize(spec), m * ((1 << n) - 1)
     else:
         result, bound = sparse_synthesize(spec, support), len(support) * (2 * n + m)
-    return result, bound, reconstruct(result, n) == spec
+    return result, bound, reconstruct(result) == spec
 
 
 def cmd_synth_diag(args) -> int:
@@ -348,12 +348,12 @@ def _suite_synth(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
     if n <= 3:  # exhaustive +/-1 diagonals
         for pattern in range(1 << (1 << n)):
             numerators = tuple((pattern >> i) & 1 for i in range(1 << n))
-            rows.append(_synth_row(f"exhaustive-m1-{pattern}", PhaseSpec(n, 1, numerators)))
+            rows.append(_synth_row(f"exhaustive-m1-{pattern}", PhaseSpec(1, numerators)))
     for trial in range(trials):
         nn = int(rng.integers(1, n + 1))
         m = int(rng.integers(1, 6))
         numerators = tuple(int(v) for v in rng.integers(0, 1 << m, 1 << nn))
-        rows.append(_synth_row(f"random-peel-{trial}", PhaseSpec(nn, m, numerators)))
+        rows.append(_synth_row(f"random-peel-{trial}", PhaseSpec(m, numerators)))
         support_size = int(rng.integers(1, nn + 1))
         support = [int(v) for v in
                    rng.choice(1 << nn, size=support_size, replace=False)]
@@ -361,12 +361,15 @@ def _suite_synth(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
         for index in support:
             sparse_numerators[index] = int(rng.integers(0, 1 << m))
         rows.append(_synth_row(f"random-sparse-{trial}",
-                               PhaseSpec(nn, m, tuple(sparse_numerators)), support))
+                               PhaseSpec(m, tuple(sparse_numerators)), support))
     return rows
 
 
-# The dualpath suite's widths, one per mode.
+# The dualpath suite's widths, one per mode, and what a satisfied row allows:
+# the largest amplitude deviation from the fast path and estimation residual.
 _DUALPATH_CONFIGS = tuple(PrecisionConfig(8, 6, mode) for mode in (DETERMINISTIC, PROBABILISTIC))
+_DUALPATH_DEVIATION = 1e-9
+_DUALPATH_RESIDUAL = 1e-10
 
 
 def _suite_dualpath(n: int, trials: int, rng: np.random.Generator) -> list[dict]:
@@ -381,8 +384,8 @@ def _suite_dualpath(n: int, trials: int, rng: np.random.Generator) -> list[dict]
                 "suite": "dualpath", "mode": cfg.mode, "trial": trial,
                 "deviation": deviation,
                 "estimation_residual": full.estimation_residual,
-                "satisfied": bool(deviation <= 1e-9
-                                  and full.estimation_residual <= 1e-10),
+                "satisfied": bool(deviation <= _DUALPATH_DEVIATION
+                                  and full.estimation_residual <= _DUALPATH_RESIDUAL),
             })
     return rows
 

@@ -1,9 +1,10 @@
 """Exact dyadic angles: integer multiples of 2*pi/2**level.
 
 Angles on the uniform grid {2*pi*p/2**m : p = 0, ..., 2**m - 1} are carried
-as the integer pair (p, m) so that synthesis and reconstruction can run on
-integers alone.  Quantization onto the grid always truncates (floor), never
-rounds to nearest: the grid value is the largest one not exceeding the input.
+as the integer pair (p, m), and a ``PhaseSpec`` holds 2**n numerators at one
+level (n read off their count), so synthesis and reconstruction run on
+integers alone.  Quantization floors onto the grid, never rounds to nearest:
+the grid value is the largest one not exceeding the input.
 """
 
 from __future__ import annotations
@@ -46,21 +47,21 @@ def floor_fraction(fraction: float, level: int) -> int:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """2**num_qubits grid phases at a common level, one per basis index."""
+    """Grid phases at a common level, one per basis index: 2**num_qubits of them."""
 
-    num_qubits: int
     level: int
     numerators: tuple[int, ...]
 
+    @property
+    def num_qubits(self) -> int:
+        return len(self.numerators).bit_length() - 1
+
     def __post_init__(self) -> None:
-        if self.num_qubits < 0:
-            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-        size = 1 << self.num_qubits
-        if len(self.numerators) != size:
-            raise ValueError(f"expected {size} entries for {self.num_qubits} qubits, "
-                             f"got {len(self.numerators)}")
+        size = len(self.numerators)
+        if size < 1 or size & (size - 1):
+            raise ValueError(f"entry count {size} is not a power of two")
         cells = 1 << self.level
         if not (0 <= min(self.numerators) and max(self.numerators) < cells):
             index, p = next((index, p) for index, p in enumerate(self.numerators)
@@ -78,15 +79,9 @@ def quantize(angles: Iterable[float], level: int) -> PhaseSpec:
     Angles must lie in [0, 2*pi) and the sequence length must be a power of
     two (one entry per basis index of some qubit count).
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    values = [float(a) for a in angles]
-    size = len(values)
-    if size < 1 or size & (size - 1):
-        raise ValueError(f"entry count {size} is not a power of two")
     numerators = []
-    for index, angle in enumerate(values):
+    for index, angle in enumerate(map(float, angles)):
         if not 0.0 <= angle < TAU:
             raise ValueError(f"angle {index} = {angle!r} outside [0, 2*pi)")
         numerators.append(floor_fraction(angle / TAU, level))
-    return PhaseSpec(size.bit_length() - 1, level, tuple(numerators))
+    return PhaseSpec(level, tuple(numerators))

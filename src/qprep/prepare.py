@@ -466,7 +466,7 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
         raise LeakageError(
             f"estimation register failed to uncompute (residual {residual:.3e})"
         )
-    data = StateVector(n, keep / np.linalg.norm(keep))
+    data = StateVector(keep / np.linalg.norm(keep))
     phase_stage = tuple(shifted_gate(gate, range(-t, n)) for gate in gates[phase_start:])
     prepared = apply_circuit(data, Circuit(n, phase_stage))
     return PreparedState(prepared.amplitudes, success, residual)

@@ -30,9 +30,10 @@ relabels a gate's qubits by any map, so a stage can run on a state without
 the qubits below it or with its qubits reordered.  ``project_measure``
 drops the qubit it reads.
 
-Every ``StateVector`` holds C-contiguous complex128 amplitudes, ready for
-the kernels, and passes its constructor's norm check; it may hold no qubit,
-the scalar 1 that ``new_basis_state(0, 0)`` makes.  ``new_basis_state``,
+Every ``StateVector`` holds a flat C-contiguous complex128 array of 2^n
+amplitudes, ready for the kernels, whose size gives ``num_qubits``, and
+passes its constructor's norm check; it may hold no qubit, the scalar 1
+that ``new_basis_state(0, 0)`` makes.  ``new_basis_state``,
 ``apply_circuit`` (its copy and its result) and ``project_measure`` each
 build one, so a stage's norm is checked where it starts and where it ends;
 ``apply_gate`` and ``_join`` update the copy in place, unchecked.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +143,9 @@ def validate_gate(gate: Gate, num_qubits: int) -> None:
     elif isinstance(gate, DiagonalOracle):
         if not gate.register:
             raise ValueError("DiagonalOracle needs a nonempty register")
+        if abs(gate.power) > sys.float_info.max:  # the kernel scales by a float
+            raise ValueError(f"DiagonalOracle power of {abs(gate.power).bit_length()} bits "
+                             "exceeds the float range")
         if len(gate.phases) != 1 << len(gate.register):
             raise ValueError(
                 f"DiagonalOracle with {len(gate.register)} register qubits "
@@ -164,19 +169,18 @@ class Circuit:
 
 @dataclass
 class StateVector:
-    num_qubits: int
     amplitudes: np.ndarray
 
+    @property
+    def num_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
+
     def __post_init__(self) -> None:
-        if self.num_qubits < 0:
-            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
         # Ready for the kernels: only float or strided input is copied.
         self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes, "
-                f"got shape {self.amplitudes.shape}"
-            )
+        size = self.amplitudes.size
+        if self.amplitudes.ndim != 1 or size < 1 or size & (size - 1):
+            raise ValueError(f"expected 2^n amplitudes, got shape {self.amplitudes.shape}")
         # numpy's pairwise sum is accurate to ~1e-16 here; a one-thread BLAS
         # dot (np.linalg.norm) drifts by 1e-12 on 2^19 amplitudes.  The ufunc
         # calls are np.sum of the squares without its Python layer.  The
@@ -194,7 +198,7 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} outside [0, {dim})")
     amplitudes = np.zeros(dim, dtype=complex)
     amplitudes[index] = 1.0
-    return StateVector(num_qubits, amplitudes)
+    return StateVector(amplitudes)
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -331,7 +335,7 @@ def _join(state: StateVector, held: set[int],
     view, axes = _split(grown, tuple(rank for rank, q in enumerate(order) if q in fresh))
     old = _at(view, [(axis, 0) for axis in axes])
     old[...] = state.amplitudes.reshape(old.shape)
-    state.num_qubits, state.amplitudes = len(order), grown
+    state.amplitudes = grown
     return None if order[-1] == len(order) - 1 else {q: rank for rank, q in enumerate(order)}
 
 
@@ -353,7 +357,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit on {circuit.num_qubits} qubits applied to "
             f"{state.num_qubits}-qubit state"
         )
-    owned = StateVector(state.num_qubits, np.array(state.amplitudes, dtype=complex))
+    owned = StateVector(np.array(state.amplitudes, dtype=complex))
     held, places = set(range(state.num_qubits)), None
     for gate in circuit.gates:
         qubits = gate_qubits(gate)
@@ -362,7 +366,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         apply_gate(owned, gate if places is None else shifted_gate(gate, places))
     if len(held) < circuit.num_qubits:
         _join(owned, held, tuple(range(circuit.num_qubits)))
-    return StateVector(owned.num_qubits, owned.amplitudes)
+    return StateVector(owned.amplitudes)
 
 
 def inverse_gate(gate: Gate) -> Gate:
@@ -415,5 +419,4 @@ def project_measure(state: StateVector, target: int,
     probability = float(np.sum(np.abs(kept) ** 2))
     if probability == 0.0:
         return 0.0, None
-    return probability, StateVector(state.num_qubits - 1,
-                                    (kept / math.sqrt(probability)).reshape(-1))
+    return probability, StateVector((kept / math.sqrt(probability)).reshape(-1))

@@ -155,7 +155,7 @@ def sparse_synthesize(spec: PhaseSpec, support: list[int]) -> SynthesisResult:
     return SynthesisResult(all_qubits, m, tuple(gates), 0)
 
 
-def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
+def reconstruct(result: SynthesisResult) -> PhaseSpec:
     """Integer-exact phase accumulated per basis index by the result's gates.
 
     A ControlledZPow on pattern P adds +-2**(m - |level|) to every index that
@@ -175,9 +175,7 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
     and a global phase outside [0, 2**m) ValueError.
     reconstruct(peel_synthesize(s)) == s.
     """
-    if num_qubits != result.num_qubits:
-        raise ValueError(f"result is on {result.num_qubits} qubits, asked for {num_qubits}")
-    m = result.level
+    m, num_qubits = result.level, result.num_qubits
     size = 1 << num_qubits
     modulus = 1 << m
     if not 0 <= result.global_phase < modulus:
@@ -222,4 +220,4 @@ def reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
         while superset < size:
             words[superset ^ flip] += contribution
             superset = (superset + 1) | mask
-    return PhaseSpec(num_qubits, m, tuple([word % modulus for word in words]))
+    return PhaseSpec(m, tuple([word % modulus for word in words]))

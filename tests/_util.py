@@ -264,14 +264,10 @@ def reference_peel(spec: PhaseSpec) -> SynthesisResult:
     return SynthesisResult(tuple(range(n)), m, tuple(gates), global_phase)
 
 
-def reference_reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec:
+def reference_reconstruct(result: SynthesisResult) -> PhaseSpec:
     """Phase per basis index by a direct walk: each ControlledZPow adds its
     phase to every index whose flipped bits are a superset of its pattern."""
-    if num_qubits != result.num_qubits:
-        raise ValueError(
-            f"result is on {result.num_qubits} qubits, asked for {num_qubits}"
-        )
-    m = result.level
+    m, num_qubits = result.level, result.num_qubits
     size = 1 << num_qubits
     modulus = 1 << m
     index_bit = {q: 1 << (num_qubits - 1 - k) for k, q in enumerate(result.register)}
@@ -293,7 +289,7 @@ def reference_reconstruct(result: SynthesisResult, num_qubits: int) -> PhaseSpec
                 superset = (superset + 1) | mask
         else:
             raise TypeError(f"unexpected gate in synthesis result: {gate!r}")
-    return PhaseSpec(num_qubits, m, tuple(accumulated))
+    return PhaseSpec(m, tuple(accumulated))
 
 
 def onto_register(gates, register: tuple[int, ...]) -> tuple:

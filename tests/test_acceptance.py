@@ -41,7 +41,7 @@ from qprep.synth import peel_synthesize, reconstruct, sparse_synthesize
 
 def random_state(num_qubits, rng):
     v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+    return StateVector(v / np.linalg.norm(v))
 
 
 def test_criterion_1_synthesis_exactness_exhaustive():
@@ -50,9 +50,9 @@ def test_criterion_1_synthesis_exactness_exhaustive():
     probe = random_state(3, rng)
     for pattern in range(256):
         numerators = tuple((pattern >> i) & 1 for i in range(8))
-        spec = PhaseSpec(3, 1, numerators)
+        spec = PhaseSpec(1, numerators)
         result = peel_synthesize(spec)
-        assert reconstruct(result, 3) == spec
+        assert reconstruct(result) == spec
         via_gates = apply_circuit(probe, Circuit(3, result.product_gates()))
         via_oracle = apply_circuit(
             probe, Circuit(3, (DiagonalOracle((0, 1, 2), spec.angles()),)))
@@ -69,10 +69,10 @@ def test_criterion_2_synthesis_gate_bound():
     for _ in range(500):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        spec = PhaseSpec(n, m, tuple(int(v) for v in rng.integers(0, 1 << m, 1 << n)))
+        spec = PhaseSpec(m, tuple(int(v) for v in rng.integers(0, 1 << m, 1 << n)))
         result = peel_synthesize(spec)
         assert len(result.gates) <= m * ((1 << n) - 1)
-        assert reconstruct(result, n) == spec
+        assert reconstruct(result) == spec
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"PASS criterion 2: peel gate count within m*(2^n - 1) "
@@ -90,9 +90,9 @@ def test_criterion_3_sparse_synthesis():
         numerators = [0] * (1 << n)
         for index in support:
             numerators[index] = int(rng.integers(0, 1 << m))
-        spec = PhaseSpec(n, m, tuple(numerators))
+        spec = PhaseSpec(m, tuple(numerators))
         result = sparse_synthesize(spec, support)
-        assert reconstruct(result, n) == spec
+        assert reconstruct(result) == spec
         assert len(result.gates) <= support_size * (2 * n + m)
     # full-support cost grows quadratically: with m = n the count stays
     # within |support|*(2n+m) = 3n^2
@@ -101,9 +101,9 @@ def test_criterion_3_sparse_synthesis():
         numerators = [0] * (1 << n)
         for index in support:
             numerators[index] = (1 << n) - 1
-        spec = PhaseSpec(n, n, tuple(numerators))
+        spec = PhaseSpec(n, tuple(numerators))
         result = sparse_synthesize(spec, support)
-        assert reconstruct(result, n) == spec
+        assert reconstruct(result) == spec
         assert len(result.gates) <= 3 * n * n
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

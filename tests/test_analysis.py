@@ -42,14 +42,14 @@ from qprep.synth import count_gate_list
 
 def random_state(num_qubits, rng):
     v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+    return StateVector(v / np.linalg.norm(v))
 
 
 def test_state_distance_examples():
     zero, one = new_basis_state(1, 0), new_basis_state(1, 1)
     assert state_distance(zero, zero) == 0.0
     assert state_distance(zero, one) == pytest.approx(math.sqrt(2))
-    flipped = StateVector(1, np.array([-1.0 + 0j, 0.0]))
+    flipped = StateVector(np.array([-1.0 + 0j, 0.0]))
     assert state_distance(zero, flipped) == pytest.approx(2.0)  # phase-sensitive
     with pytest.raises(ValueError):
         state_distance(zero, new_basis_state(2, 0))
@@ -59,7 +59,7 @@ def test_overlap_fidelity_examples():
     zero, one = new_basis_state(1, 0), new_basis_state(1, 1)
     assert overlap_fidelity(zero, zero) == pytest.approx(1.0)
     assert overlap_fidelity(zero, one) == 0.0
-    rotated = StateVector(1, np.array([np.exp(1.7j), 0.0]))
+    rotated = StateVector(np.array([np.exp(1.7j), 0.0]))
     assert overlap_fidelity(zero, rotated) == pytest.approx(1.0)
 
 

@@ -63,12 +63,12 @@ def test_floor_fraction_wraps_full_turn_onto_top_cell():
 
 
 def test_phase_spec_validation():
-    spec = PhaseSpec(2, 2, (0, 1, 2, 3))
+    spec = PhaseSpec(2, (0, 1, 2, 3))
     assert spec.angles() == (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-    with pytest.raises(ValueError, match="entries"):
-        PhaseSpec(2, 2, (0, 1, 2))
+    with pytest.raises(ValueError, match="^entry count 3 is not a power of two$"):
+        PhaseSpec(2, (0, 1, 2))
     with pytest.raises(ValueError, match="entry 1"):
-        PhaseSpec(1, 1, (0, 2))
+        PhaseSpec(1, (0, 2))
 
 
 @pytest.mark.parametrize("numerators, first", [
@@ -77,17 +77,27 @@ def test_phase_spec_validation():
     ((0, 3, 1, -2, 1, 8, 0, 2), "entry 3: numerator -2 outside"),
 ])
 def test_phase_spec_names_the_first_numerator_out_of_range(numerators, first):
-    num_qubits = len(numerators).bit_length() - 1
     with pytest.raises(ValueError, match=f"^{first} \\[0, 4\\)$"):
-        PhaseSpec(num_qubits, 2, numerators)
+        PhaseSpec(2, numerators)
+
+
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_a_count_that_is_not_a_power_of_two_is_refused_where_specs_are_made(size):
+    # The qubit count is read off the count of numerators: PhaseSpec holds
+    # the one rule, and quantize reaches it.
+    refusal = f"^entry count {size} is not a power of two$"
+    with pytest.raises(ValueError, match=refusal):
+        PhaseSpec(2, (0,) * size)
+    with pytest.raises(ValueError, match=refusal):
+        quantize([0.0] * size, 2)
 
 
 def test_max_level_is_the_finest_grid_with_finite_angles():
     top = (1 << MAX_LEVEL) - 1
     assert floor_fraction(1.0, MAX_LEVEL) == top
-    assert math.isfinite(PhaseSpec(0, MAX_LEVEL, (top,)).angles()[0])
+    assert math.isfinite(PhaseSpec(MAX_LEVEL, (top,)).angles()[0])
     # One level finer, TAU * p overflows to inf for the top numerators.
-    finer = PhaseSpec(0, MAX_LEVEL + 1, ((1 << (MAX_LEVEL + 1)) - 1,))
+    finer = PhaseSpec(MAX_LEVEL + 1, ((1 << (MAX_LEVEL + 1)) - 1,))
     assert math.isinf(finer.angles()[0])
     with pytest.raises(ValueError, match=f"level {MAX_LEVEL + 1} exceeds the limit"):
         floor_fraction(0.5, MAX_LEVEL + 1)

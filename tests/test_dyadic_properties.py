@@ -1,8 +1,10 @@
-"""Property tests of ``floor_fraction`` at every level up to ``MAX_LEVEL``.
+"""Property tests of ``floor_fraction`` at every level up to ``MAX_LEVEL``,
+and of the qubit count a ``PhaseSpec`` reads off its numerators.
 
 Derandomized, so every run draws the same examples.
 """
 
+import random
 import sys
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from qprep.dyadic import MAX_LEVEL, TAU, floor_fraction, quantize
+from qprep.dyadic import MAX_LEVEL, TAU, PhaseSpec, floor_fraction, quantize
 
 LEVELS = st.integers(1, MAX_LEVEL)
 
@@ -50,3 +52,11 @@ def test_floor_fraction_is_a_floor_up_to_the_snap(level, fraction):
 @given(LEVELS)
 def test_a_full_turn_lands_on_the_top_cell(level):
     assert floor_fraction(1.0, level) == 2 ** level - 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 10), LEVELS, st.integers(0, 2 ** 32 - 1))
+def test_a_phase_spec_has_the_qubits_its_count_gives(num_qubits, level, seed):
+    rng = random.Random(seed)
+    spec = PhaseSpec(level, tuple(rng.getrandbits(level) for _ in range(1 << num_qubits)))
+    assert spec.num_qubits == num_qubits

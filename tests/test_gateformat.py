@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_qft_block_expands_to_primitives():
     _, parsed = parse_circuit("\n".join(lines))
     rng = np.random.default_rng(5)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    state = StateVector(3, v / np.linalg.norm(v))
+    state = StateVector(v / np.linalg.norm(v))
     direct = apply_circuit(state, circuit)
     reparsed = apply_circuit(state, parsed)
     assert np.allclose(direct.amplitudes, reparsed.amplitudes, atol=1e-12)
@@ -269,6 +270,8 @@ def test_parse_rejects_bad_input():
      "line 2: field p=: 2 numerators for 3 angles"),
     ("# qprep v1 n=1 qubits=1\nRY theta=0.5,1 q=0 c=- p=1 m=2\n",
      "line 2: field p=: 1 numerators for 2 angles"),
+    ("# qprep v1 n=1 qubits=1\nH q=0\nDIAG j=" + "9" * 400 + " reg=0 c=- phases=0,1\n",
+     "line 3: DiagonalOracle power of 1329 bits exceeds the float range"),
 ], ids=["header-without-qubits", "h-without-q", "ry-without-theta", "q-not-an-integer",
         "level-past-the-floats", "field-the-gate-does-not-take", "level-on-a-czp",
         "negative-level", "qubit-outside-the-header", "czp-level-zero", "no-qubits",
@@ -280,7 +283,7 @@ def test_parse_rejects_bad_input():
         "numerator-past-the-floats", "annotated-ry-without-theta",
         "annotated-ry-with-an-unreadable-theta", "annotated-ry-with-a-nan-theta",
         "annotated-diag-without-phases", "annotation-shorter-than-phases",
-        "annotated-ry-with-two-thetas"])
+        "annotated-ry-with-two-thetas", "diag-power-past-the-floats"])
 def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusal):
     # Lines are counted before blank and comment lines are dropped.  A
     # refusal reads no more than the line: a level is refused before any
@@ -296,6 +299,16 @@ def test_parse_refuses_a_bad_line_by_its_number_and_field(tmp_path, text, refusa
         tracemalloc.stop()
     assert str(refused.value) == refusal
     assert peak < 1 << 20
+
+
+def test_readme_gate_list_example_is_what_the_writer_writes():
+    # README's example, its header placeholders filled in, reads back and
+    # is written again byte for byte.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("### Gate-list format", 1)[1].split("```\n")[1]
+    text = example.replace("<data qubits>", "2").replace("<total qubits>", "7")
+    data_qubits, circuit = parse_circuit(text)
+    assert "".join(line + "\n" for line in circuit_lines(circuit, data_qubits)) == text
 
 
 @pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])

@@ -307,7 +307,7 @@ def test_phase_stage_quantization_error_per_entry():
     phases = np.array([0.0, math.pi / 3, 0.0, 0.0])
     x = TargetVector(2, np.ones(4), phases)
     spec = quantize(phases, 8)
-    applied = reconstruct(peel_synthesize(spec), 2)
+    applied = reconstruct(peel_synthesize(spec))
     for target, got in zip(phases, applied.angles()):
         assert 0.0 <= target - got < TAU / (1 << 8)
 
@@ -316,7 +316,7 @@ def test_phase_stage_applies_quantized_phases_including_entry_zero():
     phases = np.array([1.0, 2.0, 3.0, 4.0])
     x = TargetVector(2, np.ones(4), phases)
     circuit = Circuit(2, build_phase_stage(x, 10))
-    uniform = StateVector(2, np.full(4, 0.5, dtype=complex))
+    uniform = StateVector(np.full(4, 0.5, dtype=complex))
     out = apply_circuit(uniform, circuit)
     expected = 0.5 * np.exp(1j * np.array(quantize(phases, 10).angles()))
     assert np.allclose(out.amplitudes, expected, atol=1e-12)

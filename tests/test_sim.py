@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,7 @@ TAU = 2.0 * math.pi
 
 def random_state(num_qubits, rng):
     v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+    return StateVector(v / np.linalg.norm(v))
 
 
 def test_new_basis_state():
@@ -49,7 +50,7 @@ def test_new_basis_state():
 
 
 def test_empty_circuit_appends_trailing_zero_qubits():
-    state = StateVector(1, np.array([0.6, 0.8j]))
+    state = StateVector(np.array([0.6, 0.8j]))
     same = apply_circuit(state, Circuit(1, ()))
     assert np.array_equal(same.amplitudes, state.amplitudes)
     assert not np.shares_memory(same.amplitudes, state.amplitudes)
@@ -119,13 +120,13 @@ def test_hadamard_on_zero():
 
 
 def test_cz_flips_only_one_one():
-    state = StateVector(2, np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
+    state = StateVector(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
     out = apply_gate(state, ControlledZPow(1, (0, 1)))
     assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_level_two_is_the_s_gate():
-    state = StateVector(1, np.array([0.6, 0.8], dtype=complex))
+    state = StateVector(np.array([0.6, 0.8], dtype=complex))
     out = apply_gate(state, ControlledZPow(2, (0,)))
     assert np.allclose(out.amplitudes, [0.6, 0.8j])
 
@@ -161,7 +162,7 @@ def test_sign_pattern_gate_list_matches_dense_product():
     # Synthesis of diag(1,1,1,-1) applied to the uniform state, checked
     # against an explicit dense 4x4 matrix product.
     gates = (ControlledZPow(1, (0, 1)),)
-    state = StateVector(2, np.full(4, 0.5, dtype=complex))
+    state = StateVector(np.full(4, 0.5, dtype=complex))
     out = apply_circuit(state, Circuit(2, gates))
     oracle = dense_circuit_matrix(gates, 2) @ state.amplitudes
     assert np.allclose(out.amplitudes, oracle, atol=1e-12)
@@ -308,7 +309,7 @@ def test_qft_on_permuted_register():
 def test_project_measure_bell_state():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / math.sqrt(2)
-    probability, post = project_measure(StateVector(2, bell), 0, 0)
+    probability, post = project_measure(StateVector(bell), 0, 0)
     assert probability == pytest.approx(0.5, abs=1e-12)
     assert post.num_qubits == 1
     assert np.allclose(post.amplitudes, [1, 0], atol=1e-12)
@@ -327,7 +328,7 @@ def test_project_measure_uniform_cosine_state():
     amplitudes = np.array(
         [math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)],
         dtype=complex) / math.sqrt(2)
-    probability, _ = project_measure(StateVector(2, amplitudes), 1, 0)
+    probability, _ = project_measure(StateVector(amplitudes), 1, 0)
     assert probability == pytest.approx(25 / 32, abs=1e-12)
 
 
@@ -379,6 +380,21 @@ def test_circuit_refuses_a_czp_level_past_the_finest_grid():
         assert str(refused.value) == f"ControlledZPow level {level} exceeds the limit 1021"
 
 
+def test_circuit_refuses_a_diag_power_past_the_floats():
+    # The kernel scales the phases by the power as a float: the largest
+    # power that converts simulates, and a Circuit refuses any larger one,
+    # naming its bit length, before a simulation overflows.
+    for power in (2 ** 1023, -2 ** 1023):
+        circuit = Circuit(1, (PauliX(0), DiagonalOracle((0,), (0.0, 1.0), power)))
+        phase = apply_circuit(new_basis_state(1, 0), circuit).amplitudes[1]
+        assert phase == np.exp(1.0j * float(power))
+    for power, bits in ((2 ** 1024, 1025), (-2 ** 1024, 1025),
+                        (int(sys.float_info.max) + 1, 1024)):
+        with pytest.raises(ValueError) as refused:
+            Circuit(1, (DiagonalOracle((0,), (0.0, 1.0), power),))
+        assert str(refused.value) == f"DiagonalOracle power of {bits} bits exceeds the float range"
+
+
 def test_apply_circuit_checks_no_gate_of_a_built_circuit(monkeypatch):
     circuit = Circuit(5, tuple(EVERY_GATE_KIND))
     calls = []
@@ -390,12 +406,22 @@ def test_apply_circuit_checks_no_gate_of_a_built_circuit(monkeypatch):
 
 def test_state_vector_rejects_unnormalized_input():
     with pytest.raises(ValueError, match="norm"):
-        StateVector(1, np.array([1.0, 1.0], dtype=complex))
+        StateVector(np.array([1.0, 1.0], dtype=complex))
+
+
+@pytest.mark.parametrize("amplitudes", [
+    np.zeros(0), np.full(3, 3 ** -0.5), np.full(6, 6 ** -0.5), np.full((2, 2), 0.5),
+], ids=["size-0", "size-3", "size-6", "two-dimensional"])
+def test_state_vector_refuses_anything_but_a_flat_power_of_two_array(amplitudes):
+    # The qubit count is read off the size, so the shape is all there is to check.
+    with pytest.raises(ValueError) as refused:
+        StateVector(amplitudes)
+    assert str(refused.value) == f"expected 2^n amplitudes, got shape {amplitudes.shape}"
 
 
 def test_state_vector_refuses_nan_amplitudes():
     with pytest.raises(ValueError, match="norm nan"):
-        StateVector(1, np.array([1.0, math.nan], dtype=complex))
+        StateVector(np.array([1.0, math.nan], dtype=complex))
 
 
 # apply_gate runs the gate's kernel in place on the state and returns that
@@ -424,7 +450,7 @@ def test_apply_gate_runs_on_a_contiguous_copy_of_strided_amplitudes(gate):
     # C-contiguous array: the state stores a copy of strided input.
     wide = np.zeros(64, dtype=complex)
     wide[::2] = random_state(5, np.random.default_rng(15)).amplitudes
-    state = StateVector(5, wide[::2])
+    state = StateVector(wide[::2])
     before = wide.tobytes()
     assert apply_gate(state, gate) is state
     assert wide.tobytes() == before
@@ -437,7 +463,7 @@ def test_apply_gate_runs_on_a_contiguous_copy_of_strided_amplitudes(gate):
     (np.full(64, 32 ** -0.5, dtype=complex)[::2], False),
 ], ids=["complex", "float64", "strided"])
 def test_state_vector_stores_contiguous_complex_amplitudes(amplitudes, shared):
-    state = StateVector(5, amplitudes)
+    state = StateVector(amplitudes)
     assert state.amplitudes.dtype == complex and state.amplitudes.flags.c_contiguous
     assert np.shares_memory(state.amplitudes, amplitudes) == shared
     assert np.array_equal(state.amplitudes, amplitudes)
@@ -445,7 +471,7 @@ def test_state_vector_stores_contiguous_complex_amplitudes(amplitudes, shared):
 
 def apply_in_place(state: StateVector, gate) -> np.ndarray:
     """The amplitudes of ``gate`` applied in place to a copy of ``state``."""
-    copy = StateVector(state.num_qubits, state.amplitudes.copy())
+    copy = StateVector(state.amplitudes.copy())
     assert apply_gate(copy, gate) is copy
     return copy.amplitudes
 
@@ -463,7 +489,7 @@ def test_apply_circuit_copies_its_input_once():
     out = apply_circuit(state, Circuit(5, tuple(EVERY_GATE_KIND)))
     assert state.amplitudes.tobytes() == before
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
-    expected = StateVector(5, state.amplitudes.copy())
+    expected = StateVector(state.amplitudes.copy())
     for gate in EVERY_GATE_KIND:
         apply_gate(expected, gate)
     assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -482,7 +508,7 @@ def test_2x2_kernel_is_the_reference_expression_bit_for_bit(gate):
     rng = np.random.default_rng(13)
     amplitudes = random_state(5, rng).amplitudes
     amplitudes[rng.random(32) < 0.2] = complex(-0.0, 0.0)
-    state = StateVector(5, amplitudes / np.linalg.norm(amplitudes))
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
     expected = reference_2x2(state.amplitudes, gate, 5)
     for out in (one_gate(state, gate).amplitudes, apply_in_place(state, gate)):
         # tobytes also tells a negative zero from a positive one.
@@ -502,7 +528,7 @@ def test_2x2_kernel_keeps_the_reference_sign_of_every_zero(gate):
     halves = amplitudes.reshape(2, -1)
     for half, side in zip(halves, zip(*pairs)):
         half.real, half.imag = zip(*side)
-    state = StateVector(9, amplitudes / np.linalg.norm(amplitudes))
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
     expected = reference_2x2(state.amplitudes, gate, 9).tobytes()
     assert one_gate(state, gate).amplitudes.tobytes() == expected
     assert apply_in_place(state, gate).tobytes() == expected

@@ -1,5 +1,5 @@
-"""Property tests of the simulation: each kernel against the (2,)*q axis
-reference byte for byte, widening and gate relabelling against the flat
+"""Property tests of the simulation: a state's qubit count against its size,
+each kernel against the (2,)*q axis reference byte for byte, widening and gate relabelling against the flat
 simulation, written gate lists against the gates they were written from, the
 estimation register's readout against its Hadamards, and the full
 preparation against the fast path and, at multiplier 4 on zero branches,
@@ -48,6 +48,7 @@ from qprep.sim import (
     apply_circuit,
     apply_gate,
     new_basis_state,
+    project_measure,
     shifted_gate,
 )
 
@@ -109,7 +110,7 @@ def split_cases(draw):
     amplitudes.real[rng.random(dim) < 0.2] = -0.0
     amplitudes.imag[rng.random(dim) < 0.2] = 0.0
     amplitudes[0] = 1.0
-    return StateVector(num_qubits, amplitudes / np.linalg.norm(amplitudes)), gate
+    return StateVector(amplitudes / np.linalg.norm(amplitudes)), gate
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -132,6 +133,20 @@ def runs(draw):
     return num_qubits, start, seed, tuple(circuit)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 10), st.integers(0, 2 ** 32 - 1))
+def test_a_state_has_the_qubits_its_size_gives(num_qubits, seed):
+    # Joining a qubit and measuring one change only the amplitudes; the
+    # count follows them.
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    assert state.num_qubits == num_qubits
+    wider = apply_circuit(state, Circuit(num_qubits + 1, ()))
+    assert wider.num_qubits == num_qubits + 1
+    assert project_measure(wider, num_qubits, 0)[1].num_qubits == num_qubits
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(runs())
 def test_widening_is_the_flat_simulation(run):
@@ -141,7 +156,7 @@ def test_widening_is_the_flat_simulation(run):
     else:
         rng = np.random.default_rng(seed)
         amplitudes = rng.standard_normal(1 << start) + 1j * rng.standard_normal(1 << start)
-        state = StateVector(start, amplitudes / np.linalg.norm(amplitudes))
+        state = StateVector(amplitudes / np.linalg.norm(amplitudes))
     before = state.amplitudes.copy()
     circuit = Circuit(num_qubits, gate_list)
     lazy = apply_circuit(state, circuit)
@@ -149,7 +164,7 @@ def test_widening_is_the_flat_simulation(run):
     # The flat oracle runs every gate on all qubits: the state times
     # |0...0> on the trailing qubits it lacks.
     padded = np.kron(state.amplitudes, np.eye(1 << (num_qubits - start))[0])
-    flat = apply_circuit(StateVector(num_qubits, padded), circuit)
+    flat = apply_circuit(StateVector(padded), circuit)
     assert np.max(np.abs(lazy.amplitudes - flat.amplitudes)) < 1e-12
     assert np.array_equal(state.amplitudes, before)
 
@@ -169,9 +184,9 @@ def test_shifted_gates_run_below_untouched_leading_qubits(num_qubits, offset, se
     # Leading qubits at |0>: the state is the first block of the wider array.
     wide = np.zeros(1 << (offset + num_qubits), dtype=complex)
     wide[:dim] = amplitudes
-    below = apply_circuit(StateVector(offset + num_qubits, wide),
+    below = apply_circuit(StateVector(wide),
                           Circuit(offset + num_qubits, raised))
-    alone = apply_circuit(StateVector(num_qubits, amplitudes), Circuit(num_qubits, circuit))
+    alone = apply_circuit(StateVector(amplitudes), Circuit(num_qubits, circuit))
     assert np.max(np.abs(below.amplitudes[:dim] - alone.amplitudes)) < 1e-12
 
 
@@ -189,7 +204,7 @@ def test_written_gate_list_simulates_as_its_gates(run, data):
     rng = np.random.default_rng(seed)
     dim = 1 << num_qubits
     amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    state = StateVector(num_qubits, amplitudes / np.linalg.norm(amplitudes))
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
     expected = apply_circuit(state, circuit).amplitudes
     assert np.max(np.abs(apply_circuit(state, parsed).amplitudes - expected)) < 1e-12
 
@@ -260,7 +275,7 @@ def test_estimation_readout_is_its_hadamards_then_block_zero(t, n, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << (t + n)
     amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    state = StateVector(t + n, amplitudes / np.linalg.norm(amplitudes))
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
     before = state.amplitudes.copy()
     closing = Circuit(t + n, tuple(Hadamard(q) for q in range(t)))
     expected = apply_circuit(state, closing).amplitudes[: 1 << n]

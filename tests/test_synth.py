@@ -33,17 +33,17 @@ from qprep.synth import (
 
 def random_state(num_qubits, rng):
     v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+    return StateVector(v / np.linalg.norm(v))
 
 
 def random_spec(rng, max_qubits=5, max_level=5):
     n = int(rng.integers(1, max_qubits + 1))
     m = int(rng.integers(1, max_level + 1))
-    return PhaseSpec(n, m, tuple(int(v) for v in rng.integers(0, 1 << m, 1 << n)))
+    return PhaseSpec(m, tuple(int(v) for v in rng.integers(0, 1 << m, 1 << n)))
 
 
 def test_all_zero_phases_need_no_gates():
-    result = peel_synthesize(PhaseSpec(2, 3, (0, 0, 0, 0)))
+    result = peel_synthesize(PhaseSpec(3, (0, 0, 0, 0)))
     assert result.gates == ()
     assert result.global_phase == 0
 
@@ -51,29 +51,29 @@ def test_all_zero_phases_need_no_gates():
 def test_single_sign_flip_is_one_cz():
     result = peel_synthesize(quantize([0, 0, 0, math.pi], 1))
     assert result.gates == (ControlledZPow(1, (0, 1)),)
-    assert reconstruct(result, 2) == PhaseSpec(2, 1, (0, 0, 0, 1))
+    assert reconstruct(result) == PhaseSpec(1, (0, 0, 0, 1))
 
 
 def test_level_two_example_product_is_forced():
     # diag(1, i, 1, 1): whatever the peel emits must multiply back to it.
     spec = quantize([0, math.pi / 2, 0, 0], 2)
     result = peel_synthesize(spec)
-    assert reconstruct(result, 2) == spec
-    state = StateVector(2, np.full(4, 0.5, dtype=complex))
+    assert reconstruct(result) == spec
+    state = StateVector(np.full(4, 0.5, dtype=complex))
     out = apply_circuit(state, Circuit(2, result.product_gates()))
     assert np.allclose(out.amplitudes / 0.5, [1, 1j, 1, 1], atol=1e-12)
 
 
 def test_exhaustive_sign_patterns_two_qubits():
     for bits in product((0, 1), repeat=4):
-        spec = PhaseSpec(2, 1, bits)
+        spec = PhaseSpec(1, bits)
         result = peel_synthesize(spec)
-        assert reconstruct(result, 2) == spec
+        assert reconstruct(result) == spec
         assert len(result.gates) <= 3
 
 
 def test_peel_output_is_deterministic():
-    spec = PhaseSpec(3, 2, (1, 3, 0, 2, 1, 1, 2, 0))
+    spec = PhaseSpec(2, (1, 3, 0, 2, 1, 1, 2, 0))
     assert peel_synthesize(spec).gates == peel_synthesize(spec).gates
 
 
@@ -82,7 +82,7 @@ def test_random_round_trips_and_gate_bound():
     for _ in range(120):
         spec = random_spec(rng)
         result = peel_synthesize(spec)
-        assert reconstruct(result, spec.num_qubits) == spec
+        assert reconstruct(result) == spec
         assert len(result.gates) <= spec.level * ((1 << spec.num_qubits) - 1)
 
 
@@ -94,11 +94,11 @@ def test_peel_matches_the_reference_loop():
     for trial in range(150):
         n = rng.randint(0, 7)
         m = rng.randint(1, 11) if trial % 2 else rng.randint(60, 90)
-        spec = PhaseSpec(n, m, tuple(rng.getrandbits(m) for _ in range(1 << n)))
+        spec = PhaseSpec(m, tuple(rng.getrandbits(m) for _ in range(1 << n)))
         result, reference = peel_synthesize(spec), reference_peel(spec)
         assert result.gates == reference.gates
         assert result.global_phase == reference.global_phase
-    assert peel_synthesize(PhaseSpec(0, 70, ((1 << 69) + 3,))).gates == ()
+    assert peel_synthesize(PhaseSpec(70, ((1 << 69) + 3,))).gates == ()
 
 
 def test_peel_on_a_register_moves_every_gate_there():
@@ -111,16 +111,16 @@ def test_peel_on_a_register_moves_every_gate_there():
         assert placed.register == register
         assert placed.product_gates() == onto_register(
             peel_synthesize(spec).product_gates(), register)
-        assert reconstruct(placed, n) == spec
+        assert reconstruct(placed) == spec
     with pytest.raises(ValueError, match="register of 2 qubits"):
-        peel_synthesize(PhaseSpec(3, 1, (0,) * 8), (4, 5))
+        peel_synthesize(PhaseSpec(1, (0,) * 8), (4, 5))
 
 
 def test_entry_zero_phase_becomes_global_scalar():
-    spec = PhaseSpec(2, 2, (3, 0, 1, 2))
+    spec = PhaseSpec(2, (3, 0, 1, 2))
     result = peel_synthesize(spec)
     assert result.global_phase == 3
-    assert reconstruct(result, 2) == spec
+    assert reconstruct(result) == spec
     # and the materialized gate list realizes entry zero too
     rng = np.random.default_rng(0)
     state = random_state(2, rng)
@@ -151,24 +151,24 @@ def test_matrix_agreement_with_diagonal_oracle():
 
 
 def test_sparse_all_ones_index_needs_no_conjugation():
-    spec = PhaseSpec(3, 1, (0, 0, 0, 0, 0, 0, 0, 1))
+    spec = PhaseSpec(1, (0, 0, 0, 0, 0, 0, 0, 1))
     result = sparse_synthesize(spec, [7])
     assert result.gates == (ControlledZPow(1, (0, 1, 2)),)
 
 
 def test_sparse_conjugates_the_zero_bits():
-    spec = PhaseSpec(3, 1, (0, 0, 0, 0, 0, 1, 0, 0))
+    spec = PhaseSpec(1, (0, 0, 0, 0, 0, 1, 0, 0))
     result = sparse_synthesize(spec, [5])
     assert result.gates == (PauliX(1), ControlledZPow(1, (0, 1, 2)), PauliX(1))
-    assert reconstruct(result, 3) == spec
+    assert reconstruct(result) == spec
 
 
 def test_sparse_splits_numerator_across_levels():
-    spec = PhaseSpec(2, 2, (0, 0, 0, 3))  # phase 3*pi/2 at index 3
+    spec = PhaseSpec(2, (0, 0, 0, 3))  # phase 3*pi/2 at index 3
     result = sparse_synthesize(spec, [3])
     assert set(g.level for g in result.gates) == {1, 2}
     assert all(g.qubits == (0, 1) for g in result.gates)
-    assert reconstruct(result, 2) == spec
+    assert reconstruct(result) == spec
 
 
 def test_sparse_round_trip_and_count_bound():
@@ -181,64 +181,63 @@ def test_sparse_round_trip_and_count_bound():
         numerators = [0] * (1 << n)
         for index in support:
             numerators[index] = int(rng.integers(0, 1 << m))
-        spec = PhaseSpec(n, m, tuple(numerators))
+        spec = PhaseSpec(m, tuple(numerators))
         result = sparse_synthesize(spec, support)
-        assert reconstruct(result, n) == spec
+        assert reconstruct(result) == spec
         assert len(result.gates) <= support_size * (2 * n + m)
 
 
 def test_sparse_rejects_inconsistent_support():
-    spec = PhaseSpec(2, 1, (0, 1, 0, 0))
+    spec = PhaseSpec(1, (0, 1, 0, 0))
     with pytest.raises(ValueError, match="outside the support"):
         sparse_synthesize(spec, [3])
 
 
 def test_reconstruct_examples():
-    empty = peel_synthesize(PhaseSpec(2, 1, (0, 0, 0, 0)))
-    assert reconstruct(empty, 2).numerators == (0, 0, 0, 0)
-    cz = peel_synthesize(PhaseSpec(2, 1, (0, 0, 0, 1)))
-    assert reconstruct(cz, 2).numerators == (0, 0, 0, 1)
+    empty = peel_synthesize(PhaseSpec(1, (0, 0, 0, 0)))
+    assert reconstruct(empty).numerators == (0, 0, 0, 0)
+    cz = peel_synthesize(PhaseSpec(1, (0, 0, 0, 1)))
+    assert reconstruct(cz).numerators == (0, 0, 0, 1)
 
 
 def test_reconstruct_round_trip_many_random_specs():
     rng = np.random.default_rng(3)
     for _ in range(200):
         spec = random_spec(rng, max_qubits=4, max_level=4)
-        assert reconstruct(peel_synthesize(spec), spec.num_qubits) == spec
+        assert reconstruct(peel_synthesize(spec)) == spec
 
 
 def test_reconstruct_round_trips_peel_at_twelve_qubits():
     rng = random.Random(1412)
-    spec = PhaseSpec(12, 10, tuple(rng.getrandbits(10) for _ in range(1 << 12)))
-    assert reconstruct(peel_synthesize(spec), 12) == spec
+    spec = PhaseSpec(10, tuple(rng.getrandbits(10) for _ in range(1 << 12)))
+    assert reconstruct(peel_synthesize(spec)) == spec
 
 
 def test_reconstruct_spreads_the_global_phase_under_full_patterns():
     # Every word sits on the full pattern, so only the global phase in word 0
     # needs the butterflies.
-    spec = PhaseSpec(2, 2, (1, 1, 1, 2))
+    spec = PhaseSpec(2, (1, 1, 1, 2))
     result = peel_synthesize(spec)
     assert result.global_phase == 1
     assert all(gate.qubits == (0, 1) for gate in result.gates)
-    assert reconstruct(result, 2) == spec
-    sparse = sparse_synthesize(PhaseSpec(2, 2, (0, 0, 0, 1)), [3])
+    assert reconstruct(result) == spec
+    sparse = sparse_synthesize(PhaseSpec(2, (0, 0, 0, 1)), [3])
     shifted = SynthesisResult(sparse.register, 2, sparse.gates, 3)
-    assert reconstruct(shifted, 2) == PhaseSpec(2, 2, (3, 3, 3, 0))
+    assert reconstruct(shifted) == PhaseSpec(2, (3, 3, 3, 0))
 
 
-@pytest.mark.parametrize("result, num_qubits, error", [
-    (SynthesisResult((0, 1), 2, (), 0), 3, ValueError),
-    (SynthesisResult((0, 1), 2, (Hadamard(0),), 0), 2, TypeError),
-    (SynthesisResult((0, 1), 2, (ControlledZPow(1, (0, 5)),), 0), 2, KeyError),
-    (SynthesisResult((0, 1), 2, (PauliX(5),), 0), 2, KeyError),
-    (SynthesisResult((0, 1), 2, (ControlledZPow(1, (0,)),), 4), 2, ValueError),
-    (SynthesisResult((0, 1), 2, (), -1), 2, ValueError),
-], ids=["width", "gate-kind", "czp-qubit", "x-qubit", "global-high", "global-low"])
-def test_reconstruct_refuses_what_the_reference_refuses(result, num_qubits, error):
+@pytest.mark.parametrize("result, error", [
+    (SynthesisResult((0, 1), 2, (Hadamard(0),), 0), TypeError),
+    (SynthesisResult((0, 1), 2, (ControlledZPow(1, (0, 5)),), 0), KeyError),
+    (SynthesisResult((0, 1), 2, (PauliX(5),), 0), KeyError),
+    (SynthesisResult((0, 1), 2, (ControlledZPow(1, (0,)),), 4), ValueError),
+    (SynthesisResult((0, 1), 2, (), -1), ValueError),
+], ids=["gate-kind", "czp-qubit", "x-qubit", "global-high", "global-low"])
+def test_reconstruct_refuses_what_the_reference_refuses(result, error):
     with pytest.raises(error):
-        reference_reconstruct(result, num_qubits)
+        reference_reconstruct(result)
     with pytest.raises(error):
-        reconstruct(result, num_qubits)
+        reconstruct(result)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["peel", "sparse"])
@@ -253,18 +252,18 @@ def test_reconstruct_matches_dense_product_of_gates(sparse):
             support = [int(i) for i in rng.choice(1 << n, size=int(rng.integers(1, 1 << n)),
                                                     replace=False)]
             numerators = tuple(p if i in support else 0 for i, p in enumerate(spec.numerators))
-            spec = PhaseSpec(n, m, numerators)
+            spec = PhaseSpec(m, numerators)
             result = sparse_synthesize(spec, support)
         else:
             result = peel_synthesize(spec)
-        numerators = np.array(reconstruct(result, n).numerators)
+        numerators = np.array(reconstruct(result).numerators)
         diagonal = np.diag(dense_circuit_matrix(result.product_gates(), n))
         assert np.allclose(np.exp(2j * np.pi * numerators / (1 << m)), diagonal, atol=1e-10)
 
 
 def test_count_gates():
-    assert count_gate_list(peel_synthesize(PhaseSpec(2, 1, (0,) * 4)).gates) == {}
-    single = peel_synthesize(PhaseSpec(2, 1, (0, 0, 0, 1)))
+    assert count_gate_list(peel_synthesize(PhaseSpec(1, (0,) * 4)).gates) == {}
+    single = peel_synthesize(PhaseSpec(1, (0, 0, 0, 1)))
     assert count_gate_list(single.gates) == {(2, 1): 1}
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -276,7 +275,7 @@ def test_count_gates():
 def test_worst_case_single_level_three_qubits_stays_within_bound():
     for pattern in range(256):
         numerators = tuple((pattern >> i) & 1 for i in range(8))
-        result = peel_synthesize(PhaseSpec(3, 1, numerators))
+        result = peel_synthesize(PhaseSpec(1, numerators))
         assert len(result.gates) <= 7
 
 

@@ -28,7 +28,7 @@ def phase_specs(draw):
     m = draw(LEVELS)
     cell = st.integers(0, (1 << m) - 1)
     numerators = draw(st.lists(cell, min_size=1 << n, max_size=1 << n))
-    return PhaseSpec(n, m, tuple(numerators))
+    return PhaseSpec(m, tuple(numerators))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -37,7 +37,7 @@ def test_peel_is_the_reference_loop_and_round_trips(spec):
     result, reference = peel_synthesize(spec), reference_peel(spec)
     assert result.gates == reference.gates
     assert result.global_phase == reference.global_phase
-    assert reconstruct(result, spec.num_qubits) == spec
+    assert reconstruct(result) == spec
 
 
 @st.composite
@@ -62,7 +62,7 @@ def gate_lists(draw):
 @given(gate_lists())
 def test_reconstruct_is_the_reference_walk(result):
     n = result.num_qubits
-    assert reconstruct(result, n) == reference_reconstruct(result, n)
+    assert reconstruct(result) == reference_reconstruct(result)
 
 
 @st.composite
@@ -77,11 +77,11 @@ def sparse_specs(draw):
     numerators = [0] * size
     for index in support:
         numerators[index] = draw(st.integers(0, (1 << m) - 1))
-    return PhaseSpec(n, m, tuple(numerators)), draw(st.permutations(sorted(support)))
+    return PhaseSpec(m, tuple(numerators)), draw(st.permutations(sorted(support)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(sparse_specs())
 def test_sparse_round_trips_through_reconstruct(case):
     spec, support = case
-    assert reconstruct(sparse_synthesize(spec, support), spec.num_qubits) == spec
+    assert reconstruct(sparse_synthesize(spec, support)) == spec
