@@ -20,7 +20,10 @@ from .prepare import (
     PrecisionConfig,
     TargetVector,
     build,
+    deterministic_distance_bound,
     fast_path_prepare,
+    phase_stage_distance_bound,
+    probabilistic_distance_bound,
     simulate_preparation,
 )
 from .sim import StateVector
@@ -47,21 +50,6 @@ def success_lower_bound(x: TargetVector) -> float:
     scaled = x.scaled_magnitudes()
     peak = float(np.max(scaled))
     return float(np.sum(scaled ** 2)) / ((1 << x.num_qubits) * peak * peak)
-
-
-def deterministic_distance_bound(num_qubits: int, estimation_bits: int) -> float:
-    """Magnitude error of the iterative scheme: (n-1) * sqrt(2)*pi / 2**(t-1)."""
-    return (num_qubits - 1) * math.sqrt(2.0) * math.pi / (1 << (estimation_bits - 1))
-
-
-def probabilistic_distance_bound(num_qubits: int, estimation_bits: int) -> float:
-    """Post-selected magnitude error of the one-shot scheme: 2^(2n+1)*pi/2^(t+1)."""
-    return (1 << (2 * num_qubits + 1)) * math.pi / (1 << (estimation_bits + 1))
-
-
-def phase_stage_distance_bound(num_qubits: int, phase_bits: int) -> float:
-    """Error added by quantizing the phases: 2^n * pi / 2**(t'-1)."""
-    return (1 << num_qubits) * math.pi / (1 << (phase_bits - 1))
 
 
 def probabilistic_tight_bound(num_qubits: int, estimation_bits: int) -> float:
@@ -121,10 +109,9 @@ def total_distance_bound(x: TargetVector, cfg: PrecisionConfig) -> float:
     The phase term is exactly zero when every target phase is zero, since the
     quantized phases then vanish identically.
     """
-    if cfg.mode == DETERMINISTIC:
-        bound = deterministic_distance_bound(x.num_qubits, cfg.estimation_bits)
-    else:
-        bound = probabilistic_distance_bound(x.num_qubits, cfg.estimation_bits)
+    magnitude = (deterministic_distance_bound if cfg.mode == DETERMINISTIC
+                 else probabilistic_distance_bound)
+    bound = magnitude(x.num_qubits, cfg.estimation_bits)
     if np.any(x.phases != 0.0):
         bound += phase_stage_distance_bound(x.num_qubits, cfg.phase_bits)
     return bound

@@ -32,7 +32,9 @@ from .prepare import (
     RegisterMap,
     TargetVector,
     fast_path_prepare,
+    least_width,
     memory_shortfall,
+    probabilistic_distance_bound,
     required_precision,
 )
 from .sim import Circuit
@@ -242,10 +244,8 @@ def cmd_prepare(args) -> int:
             cfg = PrecisionConfig(cfg.estimation_bits, cfg.phase_bits, mode, args.multiplier)
 
     qubits = RegisterMap.layout(x.num_qubits, cfg).num_qubits
-    if not args.fast_path:
-        shortfall = memory_shortfall(qubits)
-        if shortfall:
-            raise ValueError(f"{shortfall}; use --fast-path")
+    if not args.fast_path and (shortfall := memory_shortfall(qubits)):
+        raise ValueError(f"{shortfall}; use --fast-path")
     try:
         record = analysis.evaluate_bounds(x, cfg, epsilon=args.epsilon,
                                           fast_path=args.fast_path)
@@ -394,7 +394,7 @@ def _bounds_configs(n: int) -> tuple[list[PrecisionConfig], list[PrecisionConfig
     """The bounds suite's widths: fixed ones for a real vector, then those
     ``required_precision`` gives at epsilon 0.5 for a complex one."""
     fixed = [PrecisionConfig(t, 1, DETERMINISTIC) for t in (6, 8, 10)]
-    fixed += [PrecisionConfig(2 * n + math.ceil(math.log2(math.pi / epsilon)), 1,
+    fixed += [PrecisionConfig(least_width(probabilistic_distance_bound, n, 2 * n, epsilon), 1,
                               PROBABILISTIC) for epsilon in (0.5, 0.1)]
     return fixed, [required_precision(n, 0.5, mode) for mode in (DETERMINISTIC, PROBABILISTIC)]
 

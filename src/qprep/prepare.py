@@ -22,6 +22,7 @@ import math
 import os
 import resource
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -94,8 +95,7 @@ class TargetVector:
     @classmethod
     def from_magnitudes(cls, magnitudes) -> "TargetVector":
         magnitudes = np.asarray(magnitudes, dtype=float)
-        n = int(magnitudes.size).bit_length() - 1
-        return cls(n, magnitudes, np.zeros(magnitudes.size))
+        return cls(magnitudes.size.bit_length() - 1, magnitudes, np.zeros(magnitudes.size))
 
     def scaled_magnitudes(self) -> np.ndarray:
         """Magnitudes times the power of two that brings their peak into
@@ -130,6 +130,8 @@ class PrecisionConfig:
     angle_multiplier: int | None = None
 
     def __post_init__(self) -> None:
+        if self.mode not in (DETERMINISTIC, PROBABILISTIC):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.estimation_bits < 1:
             raise ValueError(f"estimation_bits must be >= 1, got {self.estimation_bits}")
         if self.estimation_bits > MAX_ESTIMATION_BITS:
@@ -139,11 +141,8 @@ class PrecisionConfig:
             raise ValueError(f"phase_bits must be >= 1, got {self.phase_bits}")
         if self.phase_bits > MAX_LEVEL:
             raise ValueError(f"phase_bits {self.phase_bits} exceeds the limit {MAX_LEVEL}")
-        if self.mode not in (DETERMINISTIC, PROBABILISTIC):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.angle_multiplier is None:
-            default = 4 if self.mode == PROBABILISTIC else 2
-            object.__setattr__(self, "angle_multiplier", default)
+            object.__setattr__(self, "angle_multiplier", 4 if self.mode == PROBABILISTIC else 2)
         if self.angle_multiplier not in ANGLE_MULTIPLIERS:
             raise ValueError(f"angle_multiplier must be one of {ANGLE_MULTIPLIERS}, "
                              f"got {self.angle_multiplier}")
@@ -151,24 +150,38 @@ class PrecisionConfig:
             raise ValueError("probabilistic mode fixes angle_multiplier = 4")
 
 
+def deterministic_distance_bound(num_qubits: int, estimation_bits: int) -> float:
+    """Magnitude error of the iterative scheme: (n-1) * sqrt(2)*pi / 2**(t-1)."""
+    return math.ldexp((num_qubits - 1) * math.sqrt(2.0) * math.pi, 1 - estimation_bits)
+
+
+def probabilistic_distance_bound(num_qubits: int, estimation_bits: int) -> float:
+    """Post-selected magnitude error of the one-shot scheme: 2^(2n+1)*pi/2^(t+1)."""
+    return math.ldexp(math.pi, 2 * num_qubits - estimation_bits)
+
+
+def phase_stage_distance_bound(num_qubits: int, phase_bits: int) -> float:
+    """Error added by quantizing the phases: 2^n * pi / 2**(t'-1)."""
+    return math.ldexp(math.pi, num_qubits + 1 - phase_bits)
+
+
+def least_width(bound, num_qubits: int, start: int, epsilon: float) -> int:
+    """The least width from ``start`` up whose ``bound`` is at most epsilon."""
+    return next(width for width in count(start) if bound(num_qubits, width) <= epsilon)
+
+
 def required_precision(num_qubits: int, epsilon: float, mode: str) -> PrecisionConfig:
-    """Register widths guaranteeing final 2-norm error at most epsilon."""
+    """Register widths guaranteeing final 2-norm error at most epsilon: each the
+    least whose paper bound fits epsilon / 2, searched up from where it is >= pi."""
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    # Differences of logarithms: a tiny epsilon gives a width (then refused
-    # by PrecisionConfig) where a quotient would overflow to inf.
-    bits = math.ceil(math.log2(TAU) - math.log2(epsilon))
-    phase_bits = num_qubits + 1 + bits
-    if mode == DETERMINISTIC:
-        # One qubit runs no round: its bound is 0 at every width, the least is 1.
-        t = 1 if num_qubits == 1 else math.ceil(
-            math.log2(2.0 * (num_qubits - 1) * math.sqrt(2.0) * math.pi)
-            - math.log2(epsilon)) + 1
-    elif mode == PROBABILISTIC:
-        t = 2 * num_qubits + bits
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return PrecisionConfig(t, phase_bits, mode)
+    half = epsilon / 2
+    t = (least_width(deterministic_distance_bound, num_qubits, 1, half) if mode == DETERMINISTIC
+         else least_width(probabilistic_distance_bound, num_qubits, 2 * num_qubits, half))
+    return PrecisionConfig(
+        t, least_width(phase_stage_distance_bound, num_qubits, num_qubits, half), mode)
 
 
 def compute_angles(x: TargetVector,
@@ -435,8 +448,7 @@ def simulate_preparation(build_result: BuildResult) -> PreparedState:
     Both are decided by the gates' values, so a Hadamard a builder puts on
     another qubit is simulated, and shows as leakage."""
     circuit, registers = build_result.circuit, build_result.registers
-    shortfall = memory_shortfall(circuit.num_qubits)
-    if shortfall:
+    if shortfall := memory_shortfall(circuit.num_qubits):
         raise ValueError(shortfall)
     gates, t, n = circuit.gates, len(registers.estimation), len(registers.data)
     ladder_end, phase_start = build_result.ladder_end, build_result.phase_start

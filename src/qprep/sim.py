@@ -129,10 +129,11 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 def validate_gate(gate: Gate, num_qubits: int) -> None:
     qubits = gate_qubits(gate)
     if len(set(qubits)) != len(qubits):
-        raise ValueError(f"{gate!r} lists duplicate qubits")
+        raise ValueError(f"{type(gate).__name__} on qubits {list(qubits)} lists duplicate qubits")
     for q in qubits:
         if not 0 <= q < num_qubits:
-            raise ValueError(f"{gate!r}: qubit {q} outside [0, {num_qubits})")
+            raise ValueError(f"{type(gate).__name__} on qubits {list(qubits)}: "
+                             f"qubit {q} outside [0, {num_qubits})")
     if isinstance(gate, ControlledZPow):
         if not 0 < abs(gate.level) <= MAX_LEVEL:
             raise ValueError(

@@ -115,26 +115,48 @@ def _epsilons(rng):
     return [epsilon for epsilon in drawn if 0.0 < epsilon < 1.0]
 
 
+def _boundary_epsilons(bound):
+    """For each width w with 0 < 2 * bound(w) < 1, narrowest first,
+    2 * bound(w) and its two float neighbours: largest epsilon to smallest."""
+    width = 1
+    while (boundary := 2 * bound(width)) > 0.0:
+        if boundary < 1.0:
+            yield from (math.nextafter(boundary, 1.0), boundary, math.nextafter(boundary, 0.0))
+        width += 1
+
+
 @pytest.mark.parametrize("mode", [DETERMINISTIC, PROBABILISTIC])
 def test_required_precision_inverts_the_bounds(mode):
-    # required_precision inverts the bounds in closed form, spending half of
-    # epsilon on each stage: each width must be the least whose forward bound
-    # fits its half, and a width past its limit is refused.
+    # Each width required_precision gives is the least whose own bound fits
+    # half of epsilon, so the two bounds add to at most epsilon, and a width
+    # past its limit is refused.  Epsilons: random ones for n up to 24, and
+    # for n up to 12 each boundary 2 * bound(w) of either stage with its two
+    # float neighbours.  Past the first refused boundary epsilon every
+    # smaller one is refused too, so that sweep stops there.
     mode_bound = (deterministic_distance_bound if mode == DETERMINISTIC
                   else probabilistic_distance_bound)
-    epsilons = _epsilons(np.random.default_rng(1912))
+    random_epsilons = _epsilons(np.random.default_rng(1912))
     for n in range(1, 25):
         estimation, phase = partial(mode_bound, n), partial(phase_stage_distance_bound, n)
-        for epsilon in epsilons:
-            half = epsilon / 2
-            try:
-                cfg = required_precision(n, epsilon, mode)
-            except ValueError:
-                assert (estimation(MAX_ESTIMATION_BITS) > half
-                        or phase(MAX_LEVEL) > half), (n, epsilon)
-                continue
-            assert _is_least_width(estimation, cfg.estimation_bits, half), (n, epsilon)
-            assert _is_least_width(phase, cfg.phase_bits, half), (n, epsilon)
+        assert math.isfinite(estimation(1100)) and math.isfinite(phase(1100))
+        sweeps = [random_epsilons]
+        if n <= 12:
+            sweeps += [_boundary_epsilons(bound) for bound in (estimation, phase)]
+        for epsilons, boundary in zip(sweeps, (False, True, True)):
+            for epsilon in epsilons:
+                half = epsilon / 2
+                try:
+                    cfg = required_precision(n, epsilon, mode)
+                except ValueError:
+                    assert (estimation(MAX_ESTIMATION_BITS) > half
+                            or phase(MAX_LEVEL) > half), (n, epsilon)
+                    if boundary:
+                        break
+                    continue
+                t, t_prime = cfg.estimation_bits, cfg.phase_bits
+                assert _is_least_width(estimation, t, half), (n, epsilon)
+                assert _is_least_width(phase, t_prime, half), (n, epsilon)
+                assert estimation(t) + phase(t_prime) <= epsilon, (n, epsilon)
 
 
 def test_bounds_suite_probabilistic_widths_are_the_least_meeting_epsilon():

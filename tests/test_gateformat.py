@@ -230,7 +230,7 @@ def test_parse_rejects_bad_input():
     ("# qprep v1 n=1 qubits=1\nRY theta=0.5 q=0 c=- p=1 m=-1\n",
      "line 2: field m=: negative level -1"),
     ("# qprep v1 n=1 qubits=1\nH q=0\n# a comment\nH q=5\n",
-     "line 4: Hadamard(target=5): qubit 5 outside [0, 1)"),
+     "line 4: Hadamard on qubits [5]: qubit 5 outside [0, 1)"),
     ("# qprep v1 n=1 qubits=1\nX q=0\nCZP l=0 q=0\n",
      "line 3: ControlledZPow level must be nonzero"),
     ("# qprep v1 n=1 qubits=0\nH q=0\n", "line 1: num_qubits must be >= 1, got 0"),

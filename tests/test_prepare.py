@@ -149,6 +149,13 @@ def test_required_precision_formulas():
     # One qubit runs no estimation round: its bound is 0 at the least width.
     one = required_precision(1, 0.1, DETERMINISTIC)
     assert (one.estimation_bits, one.phase_bits) == (1, 8)
+    for mode in (DETERMINISTIC, PROBABILISTIC):
+        with pytest.raises(ValueError) as refused:
+            required_precision(0, 0.1, mode)
+        assert str(refused.value) == "num_qubits must be >= 1, got 0"
+    with pytest.raises(ValueError) as refused:
+        required_precision(2, 0.1, "nope")
+    assert str(refused.value) == "unknown mode 'nope'"
 
 
 def test_estimation_block_writes_exact_grid_estimates():

@@ -367,6 +367,23 @@ def test_gate_validation_errors():
         apply_circuit(new_basis_state(3, 0), Circuit(2, ()))
 
 
+def test_a_refused_gate_is_named_by_its_type_and_qubits():
+    # Not by its repr, which would list every phase of an oracle and cannot
+    # print a power past the digits int() converts to text.
+    oracle = DiagonalOracle(tuple(range(8)), tuple(float(i) for i in range(256)),
+                            controls=(8,))
+    with pytest.raises(ValueError) as refused:
+        Circuit(8, (oracle,))
+    assert str(refused.value) == ("DiagonalOracle on qubits [0, 1, 2, 3, 4, 5, 6, 7, 8]: "
+                                  "qubit 8 outside [0, 8)")
+    with pytest.raises(ValueError) as refused:
+        Circuit(1, (DiagonalOracle((5,), (0.0, 1.0), 10**5000),))
+    assert str(refused.value) == "DiagonalOracle on qubits [5]: qubit 5 outside [0, 1)"
+    with pytest.raises(ValueError) as refused:
+        Circuit(2, (ControlledZPow(1, (0, 0)),))
+    assert str(refused.value) == "ControlledZPow on qubits [0, 0] lists duplicate qubits"
+
+
 def test_circuit_refuses_a_czp_level_past_the_finest_grid():
     # 2*pi/2**|level| stays a positive float up to MAX_LEVEL; past it a
     # Circuit refuses the gate before any simulation computes 1 << |level|.

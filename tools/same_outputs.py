@@ -251,6 +251,13 @@ def commands(inputs: dict[str, str]) -> list[list[str]]:
                  "--epsilon", "0.1", "--full-circuit", *out])
     runs.append(["prepare", inputs["half10.json"], "--mode", "det", "--multiplier", "4",
                  "--epsilon", "0.1", "--fast-path", *out])
+    # An epsilon one ulp below pi/8 on two qubits: half of it is just below
+    # pi/16, the phase bound at t' = 7 and the prob bound at t = 8, so the
+    # least widths that fit it are t' = 8 and prob t = 9.  Checkouts from
+    # before differ here: their logarithms give t' = 7 and prob t = 8.
+    for mode in ("det", "prob"):
+        runs.append(["prepare", inputs["complex2.csv"], "--mode", mode, "--epsilon",
+                     "0.3926990816987241", "--fast-path", *out])
     return runs
 
 
