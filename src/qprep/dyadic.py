@@ -59,6 +59,8 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"level {self.level} exceeds the limit {MAX_LEVEL}")
         size = len(self.numerators)
         if size < 1 or size & (size - 1):
             raise ValueError(f"entry count {size} is not a power of two")

@@ -57,9 +57,13 @@ def format_float(value: float) -> str:
 
 def as_dyadic(angle: float) -> tuple[int, int] | None:
     """(p, m) with angle == 2*pi*p/2**m exactly as floats, if one exists with
-    m <= 32; p is odd unless m == 1."""
+    m <= 32; p is odd unless m == 1.  None for an angle whose scaled value
+    is not finite (NaN, or past about 4.2e298)."""
     scale = 1 << _MAX_DYADIC_LEVEL
-    p = round(angle * scale / TAU)
+    scaled = angle * scale / TAU
+    if not math.isfinite(scaled):
+        return None
+    p = round(scaled)
     if TAU * p / scale != angle:
         return None
     if p == 0:

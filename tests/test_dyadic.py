@@ -97,12 +97,15 @@ def test_max_level_is_the_finest_grid_with_finite_angles():
     assert floor_fraction(1.0, MAX_LEVEL) == top
     assert math.isfinite(PhaseSpec(MAX_LEVEL, (top,)).angles()[0])
     # One level finer, TAU * p overflows to inf for the top numerators.
-    finer = PhaseSpec(MAX_LEVEL + 1, ((1 << (MAX_LEVEL + 1)) - 1,))
-    assert math.isinf(finer.angles()[0])
+    assert math.isinf(TAU * ((1 << (MAX_LEVEL + 1)) - 1))
     with pytest.raises(ValueError, match=f"level {MAX_LEVEL + 1} exceeds the limit"):
         floor_fraction(0.5, MAX_LEVEL + 1)
     with pytest.raises(ValueError, match="exceeds the limit"):
         quantize([0.5, 1.0], MAX_LEVEL + 1)
+    # A spec refuses it as floor_fraction does, before any angle overflows.
+    for level in (MAX_LEVEL + 1, 2000):
+        with pytest.raises(ValueError, match=f"^level {level} exceeds the limit 1021$"):
+            PhaseSpec(level, (1 << (level - 1), 0))
 
 
 def test_floor_fraction_is_a_floor_past_level_48():

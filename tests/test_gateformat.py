@@ -93,6 +93,8 @@ def test_as_dyadic():
     assert as_dyadic(TAU) == (2, 1)  # rotation angles may exceed one turn
     assert as_dyadic(1.0) is None
     assert as_dyadic(-1.0) is None
+    for angle in (4.3e298, -4.3e298, math.inf, -math.inf, math.nan):  # scaled past the floats
+        assert as_dyadic(angle) is None
     for level in range(1, 33):
         top = 1 << level
         numerators = {1, 2, 3, 6, top - 1, top - 2, top + 1, 3 * top - 1, 2 * top}
@@ -100,6 +102,25 @@ def test_as_dyadic():
             assert as_dyadic(TAU * p / top) == _reduced(p, level), (p, level)
     for p in (1, 3, -5, (1 << 33) - 1):  # odd numerators past level 32
         assert as_dyadic(TAU * p / (1 << 33)) is None
+
+
+@pytest.mark.parametrize("gate, line", [
+    (RotationY(1e300, 0), "RY theta=1.0000000000000001e+300 q=0 c=-"),
+    (DiagonalOracle((0,), (0.0, 5e298)), "DIAG j=1 reg=0 c=- phases=0,5.0000000000000003e+298"),
+], ids=["ry", "diag"])
+def test_an_angle_past_the_annotation_round_trips_by_its_decimal_field(gate, line):
+    # angle * 2**32 / 2pi overflows, so the line carries no p= m= annotation.
+    lines = list(circuit_lines(Circuit(1, (gate,)), 1))
+    assert lines[1] == line
+    assert parse_circuit("\n".join(lines))[1].gates == (gate,)
+
+
+def test_a_nan_angle_is_written_and_refused_by_the_reader():
+    lines = list(circuit_lines(Circuit(1, (RotationY(math.nan, 0),)), 1))
+    assert lines[1] == "RY theta=nan q=0 c=-"
+    with pytest.raises(ValueError) as refused:
+        parse_circuit("\n".join(lines))
+    assert str(refused.value) == "line 2: field theta=: angle nan is not finite"
 
 
 def test_round_trip_preserves_gates_exactly():

@@ -258,6 +258,15 @@ def test_qft_on_one_qubit_is_hadamard():
     assert qft_circuit((0,)) == (Hadamard(0),)
 
 
+@pytest.mark.parametrize("register, refusal", [
+    ((), "QFT register must be nonempty"),
+    ((0, 0), "QFT register lists duplicate qubits"),
+], ids=["empty", "duplicate"])
+def test_qft_circuit_refuses_a_bad_register(register, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        qft_circuit(register)
+
+
 def test_qft_of_zero_is_uniform():
     out = apply_circuit(new_basis_state(2, 0), Circuit(2, qft_circuit((0, 1))))
     assert np.allclose(out.amplitudes, np.full(4, 0.5), atol=1e-12)

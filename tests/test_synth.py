@@ -240,6 +240,11 @@ def test_reconstruct_refuses_what_the_reference_refuses(result, error):
         reconstruct(result)
 
 
+def test_a_result_refuses_a_gate_finer_than_its_level():
+    with pytest.raises(ValueError, match="^gate level 3 exceeds synthesis level 2$"):
+        SynthesisResult((0,), 2, (ControlledZPow(3, (0,)),), 0)
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["peel", "sparse"])
 def test_reconstruct_matches_dense_product_of_gates(sparse):
     # The dense matrix of the materialized gates (global-phase block and PauliX
